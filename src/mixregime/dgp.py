@@ -29,7 +29,7 @@ from typing import Optional, Sequence
 import numpy as np
 from scipy.signal import lfilter
 
-from .errors import ConfigurationError, ParseError, ValidationError
+from .errors import ConfigurationError, ParseError, ValidationError, require_fixed
 
 # Sub-stream labels: one independent RNG stream per noise consumer, so that
 # extending T never reshuffles earlier draws.
@@ -93,7 +93,6 @@ class TransitionSpec:
     d: int
     alpha: np.ndarray
     beta: np.ndarray
-    link: str = "logistic"
 
     def __post_init__(self):
         self.alpha = np.asarray(self.alpha, dtype=float)
@@ -112,8 +111,6 @@ class TransitionSpec:
         out = []
         if self.d < 2:
             out.append(f"transition must have d >= 2 regimes, got {self.d}")
-        if self.link != "logistic":
-            out.append(f"unsupported link {self.link!r}")
         for name, mat in (("alpha", self.alpha), ("beta", self.beta)):
             if mat.shape != (self.d, self.d):
                 out.append(f"transition {name} must be {self.d}x{self.d}, "
@@ -124,12 +121,12 @@ class TransitionSpec:
 
     def to_json(self) -> dict:
         return {"d": self.d, "alpha": self.alpha.tolist(),
-                "beta": self.beta.tolist(), "link": self.link}
+                "beta": self.beta.tolist(), "link": "logistic"}
 
     @classmethod
     def from_json(cls, obj: dict) -> "TransitionSpec":
-        return cls(d=int(obj["d"]), alpha=obj["alpha"], beta=obj["beta"],
-                   link=obj.get("link", "logistic"))
+        require_fixed(obj, "link", "logistic")
+        return cls(d=int(obj["d"]), alpha=obj["alpha"], beta=obj["beta"])
 
 
 @dataclass
@@ -315,38 +312,37 @@ def transition_row(spec: TransitionSpec, z: float, from_regime: int) -> np.ndarr
     return probs / probs.sum()
 
 
+def _next_state_table(spec: TransitionSpec, z_prev: np.ndarray,
+                      uniforms: np.ndarray) -> np.ndarray:
+    """Inverse-CDF draws dest[src, t] out of every source at every step.
+
+    dest[src, t] is the number of k < d - 1 with u_t >= cum_k, where cum_k
+    sums the probabilities p_j = 1 / sum_i exp(l_i - l_j) of destinations
+    j <= k.  For d = 2 that is the logistic stay/leave rule
+    u_t >= 1 / (1 + exp(l_1 - l_0)).
+    """
+    d = spec.d
+    logits = [spec.alpha[:, j, None] + spec.beta[:, j, None] * z_prev
+              for j in range(d)]  # per destination, shape (src, t)
+    cum = np.zeros((d, len(z_prev)))
+    dest = np.zeros((d, len(z_prev)), dtype=np.int64)
+    for k in range(d - 1):
+        cum += 1.0 / sum(np.exp(lj - logits[k]) for lj in logits)
+        dest += uniforms >= cum
+    return dest
+
+
 def _simulate_regime_path(spec: TransitionSpec, z_prev: np.ndarray, s0: int,
                           uniforms: np.ndarray) -> np.ndarray:
     """Regime chain driven by lagged z; s0 and the result are 0-based."""
-    n = len(z_prev)
-    d = spec.d
-    s = np.empty(n, dtype=np.int64)
-    if d == 2:
-        # stay/leave shortcut: P(dest = 0 | src) via the two-point softmax
-        l0 = spec.alpha[:, 0][:, None] + spec.beta[:, 0][:, None] * z_prev[None, :]
-        l1 = spec.alpha[:, 1][:, None] + spec.beta[:, 1][:, None] * z_prev[None, :]
-        p_first = 1.0 / (1.0 + np.exp(l1 - l0))  # shape (2, n)
-        p0 = p_first[0].tolist()
-        p1 = p_first[1].tolist()
-        u = uniforms.tolist()
-        out = s.tolist()
-        cur = s0
-        for t in range(n):
-            cur = (1 if u[t] >= p0[t] else 0) if cur == 0 else (1 if u[t] >= p1[t] else 0)
-            out[t] = cur
-        return np.asarray(out, dtype=np.int64)
-    # general d: per-source logits, inverse-CDF draw per step
-    logits = spec.alpha[:, None, :] + spec.beta[:, None, :] * z_prev[None, :, None]
-    logits -= logits.max(axis=2, keepdims=True)
-    probs = np.exp(logits)
-    probs /= probs.sum(axis=2, keepdims=True)
-    cum = np.cumsum(probs, axis=2)  # (src, t, dest)
+    # the table's float temporaries are freed before the walk's lists exist
+    rows = _next_state_table(spec, z_prev, uniforms).tolist()
+    out = [0] * len(z_prev)
     cur = s0
-    for t in range(n):
-        cur = int(np.searchsorted(cum[cur, t], uniforms[t], side="right"))
-        cur = min(cur, d - 1)  # guard u == 1.0 roundoff
-        s[t] = cur
-    return s
+    for t in range(len(z_prev)):
+        cur = rows[cur][t]
+        out[t] = cur
+    return np.asarray(out, dtype=np.int64)
 
 
 def _ar1_path(law: ArLaw, x0: float, shocks: np.ndarray) -> np.ndarray:

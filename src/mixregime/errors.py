@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the check of fixed config keys."""
 
 
 class MixRegimeError(Exception):
@@ -44,4 +44,15 @@ class EstimationError(MixRegimeError, RuntimeError):
 
 
 class QuadratureError(MixRegimeError, RuntimeError):
-    """A numerical integration did not converge; carries diagnostics."""
+    """A numerical integral or special function has no trustworthy double value."""
+
+
+def require_fixed(obj: dict, key: str, value, error=ValidationError) -> None:
+    """Reject a config entry `key` unless it is absent or equals `value`.
+
+    For settings the package supports with one value only: configs keep the
+    key so that files stay readable, but no other value is accepted.
+    """
+    got = obj.get(key, value)
+    if got != value:
+        raise error(f"{key} supports only {value!r}, got {got!r}")

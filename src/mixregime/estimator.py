@@ -312,13 +312,12 @@ def qml_estimate(sample: Sample, spec: ModelSpec,
             best_index, best = i, r
 
     free0 = encode(best.params, spec)
-    fit_sample = _frame_sample(y, x, spec)
 
     def neg(v):
-        return -quasi_loglik(decode(v, spec), fit_sample, spec)
+        return -quasi_loglik(decode(v, spec), sample, spec)
 
     def neg_grad(v):
-        return -score(v, fit_sample, spec)
+        return -score(v, sample, spec)
 
     res = minimize(neg, free0, jac=neg_grad, method="BFGS",
                    options={"maxiter": cfg.qn_max_iter, "gtol": cfg.qn_grad_tol})
@@ -331,7 +330,7 @@ def qml_estimate(sample: Sample, spec: ModelSpec,
         theta_free = free0
         loglik = best.loglik
         notes.append("quasi-Newton refinement discarded (no improvement)")
-    grad = score(theta_free, fit_sample, spec)
+    grad = score(theta_free, sample, spec)
     converged = bool(np.max(np.abs(grad)) <= cfg.qn_grad_tol)
 
     theta_hat = decode(theta_free, spec).sorted_by_mu()
@@ -343,13 +342,6 @@ def qml_estimate(sample: Sample, spec: ModelSpec,
         start_index=best_index,
         notes=notes,
     )
-
-
-def _frame_sample(y: np.ndarray, x: np.ndarray, spec: ModelSpec) -> Sample:
-    if spec.form == "hmm":
-        return Sample(y=y, w=x)
-    # the autoregressive frame re-lags internally, so rebuild the raw series
-    return Sample(y=np.concatenate([x[:1], y]), w=np.zeros(len(y) + 1))
 
 
 def align_permutation(theta_hat: MixtureParams,

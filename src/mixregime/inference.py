@@ -17,7 +17,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .dgp import Sample
-from .errors import EstimationError, ValidationError
+from .errors import EstimationError, ValidationError, require_fixed
 from .mixture import ModelSpec, decode_jacobian, hessian, score_contributions
 
 ANDREWS_RHO_CLAMP = 0.97
@@ -26,16 +26,12 @@ _PARZEN_CONSTANT = 2.6614  # Andrews' optimal-rate constant for the Parzen kerne
 
 @dataclass
 class HacConfig:
-    """Kernel, bandwidth policy, and score centering for the HAC middle."""
+    """Bandwidth policy of the HAC middle (Parzen kernel, demeaned scores)."""
 
-    kernel: str = "parzen"
     bandwidth: Union[str, float] = "auto"  # "auto" or a fixed value >= 0
-    demean_scores: bool = True
 
     def validate(self) -> None:
         out = []
-        if self.kernel != "parzen":
-            out.append(f"unsupported kernel {self.kernel!r}")
         if isinstance(self.bandwidth, str):
             if self.bandwidth != "auto":
                 out.append(f"bandwidth must be 'auto' or a number, "
@@ -46,13 +42,14 @@ class HacConfig:
             raise ValidationError(out)
 
     def to_json(self) -> dict:
-        return {"kernel": self.kernel, "bandwidth": self.bandwidth,
-                "demean_scores": self.demean_scores}
+        return {"kernel": "parzen", "bandwidth": self.bandwidth,
+                "demean_scores": True}
 
     @classmethod
     def from_json(cls, obj: dict) -> "HacConfig":
-        kwargs = {k: obj[k] for k in cls().to_json() if k in obj}
-        return cls(**kwargs)
+        require_fixed(obj, "kernel", "parzen")
+        require_fixed(obj, "demean_scores", True)
+        return cls(bandwidth=obj.get("bandwidth", "auto"))
 
 
 def parzen_weight(x: float) -> float:
@@ -133,8 +130,7 @@ def hac_middle(scores: np.ndarray, cfg: Optional[HacConfig] = None,
     t_len = g.shape[0]
     if t_len < 2:
         raise ValidationError(f"need at least 2 score rows, got {t_len}")
-    if cfg.demean_scores:
-        g = g - g.mean(axis=0)
+    g = g - g.mean(axis=0)
 
     if cfg.bandwidth == "auto":
         s_t = andrews_bandwidth(g)

@@ -22,7 +22,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .dgp import RegimeOutcome, Sample
-from .errors import ConfigurationError, ValidationError
+from .errors import ConfigurationError, ValidationError, require_fixed
 
 _LOG_2PI = math.log(2.0 * math.pi)
 SIGMA_MIN = 1e-6
@@ -31,6 +31,7 @@ _LOG_SIGMA_MIN = math.log(SIGMA_MIN)
 _LOG_SIGMA_MAX = math.log(SIGMA_MAX)
 
 _FORMS = ("hmm", "msar")
+# which coefficients are regime-specific; fixed by the form
 _CANONICAL_FLAGS = {
     "hmm": {"mu": True, "slope": True, "sigma": True},
     "msar": {"mu": True, "slope": False, "sigma": True},
@@ -43,23 +44,12 @@ class ModelSpec:
 
     d: int
     form: str = "hmm"
-    switching_flags: dict = None
 
     def __post_init__(self):
         if self.form not in _FORMS:
             raise ConfigurationError(f"form must be one of {_FORMS}, got {self.form!r}")
         if self.d < 1:
             raise ConfigurationError(f"d must be >= 1, got {self.d}")
-        canonical = dict(_CANONICAL_FLAGS[self.form])
-        if self.switching_flags is None:
-            self.switching_flags = canonical
-        elif self.switching_flags != canonical:
-            raise ConfigurationError(
-                f"only the canonical switching pattern {canonical} is supported "
-                f"for form {self.form!r}, got {self.switching_flags}")
-        if self.d >= 2 and not any(self.switching_flags.values()):
-            raise ConfigurationError(
-                "at least one coefficient must be regime-specific when d >= 2")
 
     @property
     def q(self) -> int:
@@ -88,12 +78,14 @@ class ModelSpec:
 
     def to_json(self) -> dict:
         return {"d": self.d, "form": self.form,
-                "switching_flags": dict(self.switching_flags)}
+                "switching_flags": dict(_CANONICAL_FLAGS[self.form])}
 
     @classmethod
     def from_json(cls, obj: dict) -> "ModelSpec":
-        return cls(d=int(obj["d"]), form=obj["form"],
-                   switching_flags=obj.get("switching_flags"))
+        spec = cls(d=int(obj["d"]), form=obj["form"])
+        require_fixed(obj, "switching_flags", _CANONICAL_FLAGS[spec.form],
+                      ConfigurationError)
+        return spec
 
 
 @dataclass

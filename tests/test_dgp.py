@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -78,6 +79,12 @@ class TestValidation:
         other = hmm_benchmark(rho=0.65)
         assert other.params_hash() != params.params_hash()
 
+    def test_transition_link_is_logistic_only(self):
+        obj = TransitionSpec.two_state((2.0, 2.0), (0.5, -0.5)).to_json()
+        assert obj["link"] == "logistic"
+        with pytest.raises(ValidationError):
+            TransitionSpec.from_json({**obj, "link": "probit"})
+
 
 class TestSimulateHmm:
     def test_shapes_labels_meta(self, hmm_params):
@@ -157,6 +164,40 @@ class TestSimulateMsar:
     def test_w_is_still_generated(self):
         sample = simulate_msar(msar_benchmark(), T=200, seed=32)
         assert len(sample.w) == 200 and np.isfinite(sample.w).all()
+
+
+class TestRegimePath:
+    # sha256 of the int64 regime labels recorded from the earlier
+    # two-regime stay/leave loop; the table walk must reproduce it exactly
+    PINNED = "cfce3e3cd12f271d405226e0329f2a324f1bc236a764c7fadd6cf6743669c88f"
+
+    @pytest.mark.parametrize("simulate, params", [(simulate_msar, msar_benchmark),
+                                                  (simulate_hmm, hmm_benchmark)])
+    def test_two_regime_path_is_pinned(self, simulate, params):
+        s = simulate(params(), T=5000, seed=0).s
+        assert hashlib.sha256(s.astype("<i8").tobytes()).hexdigest() == self.PINNED
+
+    def test_three_regime_frequencies_match_transition_rows(self):
+        spec = TransitionSpec(d=3, alpha=[[1.5, 0.0, -0.5], [0.2, 1.0, 0.0],
+                                          [-0.3, 0.4, 0.8]],
+                              beta=[[0.6, 0.0, -0.4], [0.0, -0.5, 0.3],
+                                    [0.5, 0.0, -0.6]])
+        params = hmm_benchmark()
+        params.transition = spec
+        params.outcomes = params.outcomes + [RegimeOutcome(0.0, 0.0, 1.0)]
+        sample = simulate_hmm(params, T=200_000, seed=41)
+        src = sample.s[:-1]
+        dest = sample.s[1:]
+        rows = np.array([transition_row(spec, z, int(s))
+                         for z, s in zip(sample.z[:-1], src)])
+        for s in (1, 2, 3):
+            here = src == s
+            assert here.sum() > 10_000
+            for k in (1, 2, 3):
+                # conditionally mean-zero given the past, so uncorrelated
+                diff = (dest[here] == k) - rows[here, k - 1]
+                se = diff.std() / math.sqrt(diff.size)
+                assert abs(diff.mean()) < 4 * se, (s, k)
 
 
 class TestCsvRoundTrip:

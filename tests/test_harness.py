@@ -2,15 +2,17 @@ import csv
 import json
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from mixregime import (ConfigurationError, EstimatorConfig, ExperimentConfig,
-                       HacConfig, McSummary, ModelSpec, ValidationError,
-                       hmm_benchmark, load_experiment_config, msar_benchmark,
-                       render_table, run_experiment, run_replication,
-                       summarize_csv, true_reference, write_replications_csv)
+                       HacConfig, HmmDgpParams, McSummary, ModelSpec,
+                       ValidationError, hmm_benchmark, load_experiment_config,
+                       msar_benchmark, render_table, run_experiment,
+                       run_replication, summarize_csv, true_reference,
+                       write_replications_csv)
 
 
 def small_cfg(T=200, n_reps=4, seed=77, label="bench"):
@@ -50,6 +52,18 @@ class TestExperimentConfig:
                                T=200, n_reps=2)
         ref = true_reference(cfg)
         np.testing.assert_array_equal(ref.gamma_vec, [0.9, 0.9])
+
+
+CONFIG_FILES = sorted((Path(__file__).resolve().parent.parent / "configs")
+                      .glob("*.json"))
+
+
+@pytest.mark.parametrize("path", CONFIG_FILES, ids=lambda p: p.name)
+def test_committed_config_round_trips(path):
+    # every key the file carries, fixed ones included, is written back as read
+    obj = json.loads(path.read_text())
+    parse = HmmDgpParams if path.name.startswith("dgp_") else ExperimentConfig
+    assert parse.from_json(obj).to_json() == obj
 
 
 class TestRunReplication:

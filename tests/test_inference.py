@@ -151,7 +151,9 @@ class TestHacMiddle:
 
     def test_config_validation(self):
         with pytest.raises(ValidationError):
-            HacConfig(kernel="bartlett").validate()
+            HacConfig.from_json({"kernel": "bartlett"})
+        with pytest.raises(ValidationError):
+            HacConfig.from_json({"demean_scores": False})
         with pytest.raises(ValidationError):
             HacConfig(bandwidth=-1.0).validate()
         with pytest.raises(ValidationError):

@@ -58,8 +58,13 @@ class TestModelSpec:
         with pytest.raises(ConfigurationError):
             ModelSpec(d=2, form="arma")
         with pytest.raises(ConfigurationError):
-            ModelSpec(d=2, form="hmm",
-                      switching_flags={"mu": False, "slope": False, "sigma": False})
+            ModelSpec.from_json({"d": 2, "form": "hmm", "switching_flags":
+                                 {"mu": False, "slope": False, "sigma": False}})
+        with pytest.raises(ConfigurationError):  # the hmm pattern under msar
+            ModelSpec.from_json({"d": 2, "form": "msar", "switching_flags":
+                                 {"mu": True, "slope": True, "sigma": True}})
+        assert ModelSpec.from_json({"d": 2, "form": "msar"}) == ModelSpec(
+            d=2, form="msar")
 
     def test_msar_frame_conditions_on_first_observation(self):
         spec = ModelSpec(d=2, form="msar")

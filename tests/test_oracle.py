@@ -225,22 +225,45 @@ class TestCfRatioCheck:
         assert report.ratio_trace[-1][1] < 1e-12
 
     def test_student_t_matches_bessel_closed_form(self):
-        # independent reference: the standardized-t cf in terms of K_{nu/2}
-        from scipy.special import gamma as gamma_fn
-        from scipy.special import kv
+        # _student_t_cf is the Bessel closed form; the independent reference
+        # is 2 int_0^inf cos(tau x) f(x) dx for the unit-variance t density,
+        # by oscillatory quadrature at 30 digits
+        import mpmath
 
         nu = 5.0
-        for tau in (1.0, 3.0):
-            z = math.sqrt(nu) * math.sqrt((nu - 2) / nu) * tau
-            want = (z ** (nu / 2) * kv(nu / 2, z)
-                    / (gamma_fn(nu / 2) * 2 ** (nu / 2 - 1)))
-            assert _student_t_cf(tau, nu) == pytest.approx(want, rel=1e-10)
+        c = math.sqrt((nu - 2) / nu)
+        with mpmath.workdps(30):
+            norm = (mpmath.gamma((nu + 1) / 2)
+                    / (mpmath.sqrt(nu * mpmath.pi) * mpmath.gamma(nu / 2)))
+            for tau in (1.0, 3.0):
+                def integrand(x):
+                    t_val = x / c
+                    dens = norm * (1 + t_val * t_val / nu) ** (-(nu + 1) / 2) / c
+                    return mpmath.cos(tau * x) * dens
+
+                want = float(2 * mpmath.quadosc(integrand, [0, mpmath.inf],
+                                                period=2 * mpmath.pi / tau))
+                assert _student_t_cf(tau, nu) == pytest.approx(want, rel=1e-10)
 
     def test_student_t_verdict(self):
         report = cf_ratio_check("student-t:5", a1=2.0, a2=1.0)
         assert report.verdict
         ratios = [r for _, r in report.ratio_trace]
         assert ratios[-1] < 1e-8
+
+    @pytest.mark.parametrize("family", ["student-t:30", "student-t:200"])
+    def test_student_t_verdict_near_gaussian(self, family):
+        # ratios fall to ~1e-24 and ~1e-50 at tau = 12
+        report = cf_ratio_check(family, a1=2.0, a2=1.0)
+        assert report.verdict
+        ratios = [r for _, r in report.ratio_trace]
+        assert all(r > 0 for r in ratios)
+        assert all(b < a for a, b in zip(ratios, ratios[1:]))
+
+    def test_student_t_beyond_double_precision_raises(self):
+        # K_{500} at the first grid point overflows a double
+        with pytest.raises(QuadratureError):
+            cf_ratio_check("student-t:1000", a1=2.0, a2=1.0)
 
     def test_invalid_scale_order(self):
         with pytest.raises(ValidationError):
