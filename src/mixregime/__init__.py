@@ -7,15 +7,15 @@ from .designs import hmm_benchmark, msar_benchmark
 from .errors import (ConfigurationError, EstimationError, MixRegimeError,
                      ParseError, QuadratureError, ValidationError)
 from .estimator import (EstimationResult, EstimatorConfig, align_permutation,
-                        em_fit, qml_estimate)
+                        qml_estimate)
 from .harness import (ExperimentConfig, McSummary, ReplicationRecord,
                       load_experiment_config, render_table, run_experiment,
                       run_replication, summarize_csv, true_reference,
                       write_replications_csv)
 from .inference import HacConfig, andrews_bandwidth, hac_middle, parzen_weight, sandwich_cov
-from .mixture import (MixtureParams, ModelSpec, component_logdensity, decode,
-                      decode_jacobian, encode, hessian, natural_vector,
-                      quasi_loglik, responsibilities, score, score_contributions)
+from .mixture import (MixtureParams, ModelSpec, decode, decode_jacobian, encode,
+                      hessian, natural_vector, quasi_loglik, responsibilities,
+                      score, score_contributions)
 from .oracle import (CfCheckReport, KlCheckReport, MsarPseudoTrueResult,
                      PseudoTrueResult, build_quadrature_grid, cf_ratio_check,
                      kl_check, linear_independence_check, perturbation_grid,
@@ -32,7 +32,7 @@ __all__ = [
     "PseudoTrueResult", "QuadratureError", "RegimeOutcome", "ReplicationRecord",
     "Sample", "TransitionSpec", "ValidationError", "align_permutation",
     "andrews_bandwidth", "build_quadrature_grid", "cf_ratio_check",
-    "component_logdensity", "decode", "decode_jacobian", "em_fit", "encode",
+    "decode", "decode_jacobian", "encode",
     "hac_middle", "hessian", "hmm_benchmark", "kl_check",
     "linear_independence_check", "load_experiment_config", "load_sample",
     "msar_benchmark", "natural_vector", "parzen_weight", "perturbation_grid",

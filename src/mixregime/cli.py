@@ -63,7 +63,11 @@ def _cmd_fit(args) -> int:
     sample = load_sample(args.data)
     spec = ModelSpec(d=args.d, form=args.form)
     cfg_obj = _read_json(args.config) if args.config else {}
-    est_cfg = EstimatorConfig.from_json(cfg_obj.get("estimator", cfg_obj))
+    if "estimator" in cfg_obj:  # an experiment config
+        est_obj = cfg_obj["estimator"]
+    else:  # estimator settings, with an optional "hac" block
+        est_obj = {k: v for k, v in cfg_obj.items() if k != "hac"}
+    est_cfg = EstimatorConfig.from_json(est_obj)
     hac_cfg = HacConfig.from_json(cfg_obj.get("hac", {}))
     if args.bandwidth is not None:
         hac_cfg.bandwidth = _parse_bandwidth(args.bandwidth)

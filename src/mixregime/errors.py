@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and the check of fixed config keys."""
+"""Exception types shared across the package, and the checks of config keys."""
 
 
 class MixRegimeError(Exception):
@@ -56,3 +56,14 @@ def require_fixed(obj: dict, key: str, value, error=ValidationError) -> None:
     got = obj.get(key, value)
     if got != value:
         raise error(f"{key} supports only {value!r}, got {got!r}")
+
+
+def reject_unknown(obj: dict, known, what: str) -> None:
+    """Reject config keys outside `known`.
+
+    A misspelled key would otherwise leave its setting at the default
+    without a word.
+    """
+    unknown = sorted(set(obj) - set(known))
+    if unknown:
+        raise ValidationError(f"unknown {what} key(s): {', '.join(unknown)}")

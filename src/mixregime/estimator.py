@@ -8,7 +8,6 @@ condition that the sandwich covariance relies on.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -16,12 +15,15 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment, minimize
 
 from .dgp import RegimeOutcome, Sample, seed_key
-from .errors import EstimationError, ValidationError
+from .errors import EstimationError, ValidationError, reject_unknown
 from .mixture import (MixtureParams, ModelSpec, _sorted_logsumexp_rows,
                       _weighted_logdensity_matrix, decode, encode, quasi_loglik,
                       score)
 
 _COLLAPSE_FRACTION = 1e-8  # of effective sample size, per component
+# Normal equations count as singular below this fraction of their diagonal
+# product: with a constant regressor, rounding leaves about 1e-15.
+_SINGULAR_RTOL = 1e-12
 
 
 @dataclass
@@ -56,8 +58,8 @@ class EstimatorConfig:
 
     @classmethod
     def from_json(cls, obj: dict) -> "EstimatorConfig":
-        kwargs = {k: obj[k] for k in cls().to_json() if k in obj}
-        return cls(**kwargs)
+        reject_unknown(obj, cls().to_json(), "estimator")
+        return cls(**obj)
 
 
 @dataclass
@@ -129,60 +131,45 @@ def _random_init(y: np.ndarray, x: np.ndarray, spec: ModelSpec,
     return MixtureParams(components=comps, weights=weights)
 
 
-def _m_step(resp: np.ndarray, y: np.ndarray, x: np.ndarray, spec: ModelSpec,
+def _moment_rows(y: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The (5, T) rows 1, x, x^2, y, xy whose responsibility-weighted sums
+    are the M-step's sufficient statistics."""
+    return np.stack([np.ones_like(x), x, x * x, y, x * y])
+
+
+def _m_step(resp: np.ndarray, rows: np.ndarray, spec: ModelSpec,
             params: MixtureParams, sigma_floor: float):
-    """Exact M-step; returns (new params, floor_hit flag) or None when singular."""
-    d = spec.d
-    weights = resp.mean(axis=0)
+    """Exact M-step; returns (new params, floor_hit flag) or None when singular.
+
+    `rows` comes from _moment_rows.  Both forms solve the weighted normal
+    equations from the same per-component sums; the switching AR pools them
+    across components for its shared slope, precision-weighted by the
+    current sigmas (an ECM step).
+    """
+    a, b, c, dy, exy = rows @ resp
     if spec.form == "hmm":
-        mu = np.empty(d)
-        gamma = np.empty(d)
-        sigma = np.empty(d)
-        floor_hit = False
-        for s in range(d):
-            r = resp[:, s]
-            a = r.sum()
-            b = (r * x).sum()
-            c = (r * x * x).sum()
-            dd = (r * y).sum()
-            e = (r * x * y).sum()
-            det = a * c - b * b
-            if not (math.isfinite(det) and det > 0):
-                return None
-            mu[s] = (c * dd - b * e) / det
-            gamma[s] = (a * e - b * dd) / det
-            msr = (r * (y - mu[s] - gamma[s] * x) ** 2).sum() / a
-            sig = math.sqrt(max(msr, 0.0))
-            if sig < sigma_floor:
-                sig = sigma_floor
-                floor_hit = True
-            sigma[s] = sig
+        det = a * c - b * b
+        if not np.all(det > _SINGULAR_RTOL * a * c):
+            return None
+        mu = (c * dy - b * exy) / det
+        gamma = (a * exy - b * dy) / det
     else:
-        # shared slope: stack the per-component weighted normal equations,
-        # precision-weighting by the current sigmas
+        if (a <= 0).any():
+            return None
         inv_var = 1.0 / params.sigma_vec ** 2
-        v = resp * inv_var[None, :]
-        a_s = v.sum(axis=0)
-        b_s = (v * x[:, None]).sum(axis=0)
-        c_s = (v * (x * x)[:, None]).sum(axis=0)
-        d_s = (v * y[:, None]).sum(axis=0)
-        e_s = (v * (x * y)[:, None]).sum(axis=0)
-        if (a_s <= 0).any():
+        denom = (inv_var * (c - b * b / a)).sum()
+        if not denom > _SINGULAR_RTOL * (inv_var * c).sum():
             return None
-        denom = c_s.sum() - (b_s * b_s / a_s).sum()
-        if not (math.isfinite(denom) and denom > 0):
-            return None
-        phi = (e_s.sum() - (b_s * d_s / a_s).sum()) / denom
-        mu = (d_s - phi * b_s) / a_s
-        gamma = np.full(d, phi)
-        totals = resp.sum(axis=0)
-        sq = (resp * (y[:, None] - mu[None, :] - phi * x[:, None]) ** 2).sum(axis=0)
-        sigma = np.sqrt(np.maximum(sq / totals, 0.0))
-        floor_hit = bool((sigma < sigma_floor).any())
-        sigma = np.maximum(sigma, sigma_floor)
-    comps = [RegimeOutcome(mu=float(mu[s]), gamma=float(gamma[s]),
-                           sigma=float(sigma[s])) for s in range(d)]
-    return MixtureParams(components=comps, weights=weights), floor_hit
+        phi = (inv_var * (exy - b * dy / a)).sum() / denom
+        mu = (dy - phi * b) / a
+        gamma = np.full(spec.d, phi)
+    resid = rows[3] - mu[:, None] - gamma[:, None] * rows[1]
+    sigma = np.sqrt(np.maximum(np.einsum("ts,st->s", resp, resid ** 2) / a, 0.0))
+    floor_hit = bool((sigma < sigma_floor).any())
+    sigma = np.maximum(sigma, sigma_floor)
+    comps = [RegimeOutcome(mu=float(m), gamma=float(g), sigma=float(s))
+             for m, g, s in zip(mu, gamma, sigma)]
+    return MixtureParams(components=comps, weights=a / rows.shape[1]), floor_hit
 
 
 def _em_run(y: np.ndarray, x: np.ndarray, spec: ModelSpec, init: MixtureParams,
@@ -192,6 +179,7 @@ def _em_run(y: np.ndarray, x: np.ndarray, spec: ModelSpec, init: MixtureParams,
     trace = []
     reseeded = False
     n_eff = len(y)
+    rows = _moment_rows(y, x)
     ll_prev = -np.inf
     n_iter = 0
     degenerate = False
@@ -203,7 +191,8 @@ def _em_run(y: np.ndarray, x: np.ndarray, spec: ModelSpec, init: MixtureParams,
         trace.append(ll_cur)
         if ll_cur < ll_prev - 1e-10:
             notes.append(f"em loglik decreased by {ll_prev - ll_cur:.3e}")
-        if ll_cur - ll_prev < cfg.em_tol and np.isfinite(ll_prev):
+        gain = ll_cur - ll_prev
+        if gain < cfg.em_tol and np.isfinite(ll_prev):
             break
         resp = np.exp(a - lse[:, None])
 
@@ -223,7 +212,7 @@ def _em_run(y: np.ndarray, x: np.ndarray, spec: ModelSpec, init: MixtureParams,
             n_iter += 1
             continue
 
-        stepped = _m_step(resp, y, x, spec, params, cfg.sigma_floor)
+        stepped = _m_step(resp, rows, spec, params, cfg.sigma_floor)
         if stepped is None:
             notes.append("singular weighted normal equations; fit abandoned")
             degenerate = True
@@ -233,6 +222,9 @@ def _em_run(y: np.ndarray, x: np.ndarray, spec: ModelSpec, init: MixtureParams,
             notes.append("sigma floor reached")
         ll_prev = ll_cur
         n_iter += 1
+    else:
+        notes.append(f"em stopped at em_max_iter = {cfg.em_max_iter} "
+                     f"(last gain {gain:.1e})")
 
     a = _weighted_logdensity_matrix(params, y, x)
     ll_final = float(_sorted_logsumexp_rows(a).mean())
@@ -255,20 +247,6 @@ def _reseed_components(params: MixtureParams, which: np.ndarray, y: np.ndarray,
         phi = comps[0].gamma
         comps = [RegimeOutcome(mu=c.mu, gamma=phi, sigma=c.sigma) for c in comps]
     return MixtureParams(components=comps, weights=weights)
-
-
-def em_fit(sample: Sample, spec: ModelSpec, init: MixtureParams,
-           cfg: EstimatorConfig) -> MixtureParams:
-    """Run EM from `init` until the likelihood gain drops below em_tol."""
-    cfg.validate()
-    init.validate()
-    y, x = spec.regression_frame(sample)
-    _check_sample_size(len(y), spec)
-    rng = np.random.default_rng(seed_key(cfg.seed) + (982451653,))
-    run = _em_run(y, x, spec, init, cfg, rng)
-    if run.degenerate:
-        raise EstimationError("EM fit degenerate", diagnostics=run.notes)
-    return run.params
 
 
 def _check_sample_size(n_eff: int, spec: ModelSpec) -> None:

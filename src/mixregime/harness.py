@@ -22,7 +22,7 @@ from typing import List, Optional
 import numpy as np
 
 from .dgp import HmmDgpParams, RegimeOutcome, seed_key, simulate_hmm, simulate_msar
-from .errors import ConfigurationError, ValidationError
+from .errors import ConfigurationError, MixRegimeError, ValidationError, reject_unknown
 from .estimator import EstimatorConfig, align_permutation, qml_estimate
 from .inference import HacConfig, sandwich_cov
 from .mixture import MixtureParams, ModelSpec, encode, natural_vector
@@ -75,6 +75,7 @@ class ExperimentConfig:
 
     @classmethod
     def from_json(cls, obj: dict) -> "ExperimentConfig":
+        reject_unknown(obj, [f.name for f in dataclasses.fields(cls)], "experiment")
         return cls(
             dgp=HmmDgpParams.from_json(obj["dgp"]),
             spec=ModelSpec.from_json(obj["spec"]),
@@ -153,8 +154,9 @@ def _stack_distance(a: MixtureParams, b: MixtureParams) -> float:
 def run_replication(cfg: ExperimentConfig, rep_index: int) -> ReplicationRecord:
     """Simulate, fit, align to the truth, attach robust SEs.
 
-    Failures of any stage are captured in the record (ok=False with the
-    error message); they never propagate.
+    The failures the pipeline expects (package errors, singular linear
+    algebra, floating-point errors) are captured in the record (ok=False
+    with the error message); any other exception propagates.
     """
     cfg.validate()
     if not 0 <= rep_index < cfg.n_reps:
@@ -206,7 +208,7 @@ def run_replication(cfg: ExperimentConfig, rep_index: int) -> ReplicationRecord:
             truth=truth,
             elapsed_s=time.perf_counter() - t0,
         )
-    except Exception as exc:  # failures are data, not crashes
+    except (MixRegimeError, np.linalg.LinAlgError, FloatingPointError) as exc:
         return ReplicationRecord(
             rep_index=rep_index, ok=False, converged=False, degenerate=False,
             loglik=float("nan"), start_index=-1, n_em_iter=0, n_qn_iter=0,

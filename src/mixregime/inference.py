@@ -17,7 +17,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .dgp import Sample
-from .errors import EstimationError, ValidationError, require_fixed
+from .errors import EstimationError, ValidationError, reject_unknown, require_fixed
 from .mixture import ModelSpec, decode_jacobian, hessian, score_contributions
 
 ANDREWS_RHO_CLAMP = 0.97
@@ -47,6 +47,7 @@ class HacConfig:
 
     @classmethod
     def from_json(cls, obj: dict) -> "HacConfig":
+        reject_unknown(obj, cls().to_json(), "hac")
         require_fixed(obj, "kernel", "parzen")
         require_fixed(obj, "demean_scores", True)
         return cls(bandwidth=obj.get("bandwidth", "auto"))

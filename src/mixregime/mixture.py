@@ -160,22 +160,6 @@ class MixtureParams:
                    weights=np.asarray(obj["weights"], dtype=float))
 
 
-def component_logdensity(y: float, w: float, comp) -> float:
-    """Log Gaussian density of y around mu + gamma*w with scale sigma.
-
-    `comp` is anything exposing mu, gamma, sigma (or a (mu, gamma, sigma)
-    triple).  sigma <= 0 raises ValidationError.
-    """
-    if hasattr(comp, "mu"):
-        mu, gamma, sigma = comp.mu, comp.gamma, comp.sigma
-    else:
-        mu, gamma, sigma = comp
-    if not sigma > 0:
-        raise ValidationError(f"sigma must be > 0, got {sigma}")
-    r = (y - mu - gamma * w) / sigma
-    return -math.log(sigma) - 0.5 * _LOG_2PI - 0.5 * r * r
-
-
 def encode(params: MixtureParams, spec: ModelSpec) -> np.ndarray:
     """Map valid MixtureParams to the unconstrained FreeVector."""
     params.validate()

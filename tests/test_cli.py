@@ -91,6 +91,34 @@ class TestFit:
         assert err["error"]["type"] == "ConfigurationError"
         assert "bandwidth" in err["error"]["message"]
 
+    def test_experiment_config_accepted(self, tmp_path, sample_csv):
+        cfg = ExperimentConfig(dgp=hmm_benchmark(), spec=ModelSpec(d=2), T=400,
+                               n_reps=1, estimator=EstimatorConfig(n_starts=2))
+        cfg.hac.bandwidth = 3.0
+        cfg_path = tmp_path / "experiment.json"
+        cfg_path.write_text(json.dumps(cfg.to_json()))
+        out = tmp_path / "fit.json"
+        rc = main(["fit", "--data", str(sample_csv), "--d", "2",
+                   "--config", str(cfg_path), "--out", str(out)])
+        assert rc == 0
+        assert json.loads(out.read_text())["hac"]["config"]["bandwidth"] == 3.0
+
+    def test_flat_estimator_config_accepted(self, tmp_path, sample_csv, capsys):
+        cfg_path = tmp_path / "estimator.json"
+        cfg_path.write_text(json.dumps({"n_starts": 2, "hac": {"bandwidth": 2.0}}))
+        out = tmp_path / "fit.json"
+        rc = main(["fit", "--data", str(sample_csv), "--d", "2",
+                   "--config", str(cfg_path), "--out", str(out)])
+        assert rc == 0
+        assert json.loads(out.read_text())["hac"]["config"]["bandwidth"] == 2.0
+        capsys.readouterr()
+        cfg_path.write_text(json.dumps({"n_start": 2}))
+        rc = main(["fit", "--data", str(sample_csv), "--d", "2",
+                   "--config", str(cfg_path)])
+        assert rc == 1
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["type"] == "ValidationError" and "n_start" in err["message"]
+
     def test_missing_data_file_fails_nonzero(self, tmp_path, capsys):
         rc = main(["fit", "--data", str(tmp_path / "nope.csv"), "--d", "2",
                    "--form", "hmm"])

@@ -6,9 +6,9 @@ import pytest
 
 from mixregime import (EstimationError, EstimatorConfig, MixtureParams,
                        ModelSpec, RegimeOutcome, Sample, ValidationError,
-                       align_permutation, em_fit, hmm_benchmark, qml_estimate,
+                       align_permutation, hmm_benchmark, qml_estimate,
                        simulate_hmm)
-from mixregime.estimator import _em_run, _random_init
+from mixregime.estimator import _em_run, _m_step, _moment_rows, _random_init
 
 
 def uniform_weights(d):
@@ -24,7 +24,10 @@ class TestEmSingleComponent:
         spec = ModelSpec(d=1, form="hmm")
         init = MixtureParams(components=[RegimeOutcome(0.0, 0.0, 2.0)],
                              weights=np.array([1.0]))
-        fit = em_fit(sample, spec, init, EstimatorConfig(seed=1))
+        y, x = spec.regression_frame(sample)
+        run = _em_run(y, x, spec, init, EstimatorConfig(seed=1), rng=None)
+        assert not run.degenerate
+        fit = run.params
         design = np.column_stack([np.ones_like(x), x])
         coef = np.linalg.lstsq(design, y, rcond=None)[0]
         resid = y - design @ coef
@@ -56,29 +59,48 @@ class TestEmBehaviour:
         assert trace[-1] - trace[0] < 0.01
         assert (np.diff(trace) >= -1e-10).all()
 
-    def test_wide_separation_resolves_in_two_iterations(self):
+    @staticmethod
+    def wide_separation():
+        """Two groups 40 apart with sd 0.5, and a start between them."""
         rng = np.random.default_rng(21)
         n = 400
         labels = rng.random(n) < 0.5
         y = np.where(labels, 20.0, -20.0) + rng.normal(size=n) * 0.5
         sample = Sample(y=y, w=rng.normal(size=n) * 0.1)
-        spec = ModelSpec(d=2, form="hmm")
-        cfg = EstimatorConfig(em_max_iter=2, seed=3)
-        y2, x2 = spec.regression_frame(sample)
         init = MixtureParams(
             components=[RegimeOutcome(10.0, 0.0, 5.0), RegimeOutcome(-10.0, 0.0, 5.0)],
             weights=uniform_weights(2))
+        return sample, labels, init
+
+    def test_wide_separation_resolves_in_two_iterations(self):
+        sample, labels, init = self.wide_separation()
+        spec = ModelSpec(d=2, form="hmm")
+        cfg = EstimatorConfig(em_max_iter=2, seed=3)
+        y2, x2 = spec.regression_frame(sample)
         run = _em_run(y2, x2, spec, init, cfg, rng=None)
         mus = sorted(c.mu for c in run.params.components)
 
         def group_intercept(mask):
             design = np.column_stack([np.ones(mask.sum()), sample.w[mask]])
-            return np.linalg.lstsq(design, y[mask], rcond=None)[0][0]
+            return np.linalg.lstsq(design, sample.y[mask], rcond=None)[0][0]
 
         assert mus[0] == pytest.approx(group_intercept(~labels), abs=1e-6)
         assert mus[1] == pytest.approx(group_intercept(labels), abs=1e-6)
 
-    def test_collapse_raises_estimation_error(self):
+    def test_stop_at_the_cap_is_noted(self):
+        sample, _, init = self.wide_separation()
+        spec = ModelSpec(d=2, form="hmm")
+        y, x = spec.regression_frame(sample)
+        capped = _em_run(y, x, spec, init, EstimatorConfig(em_max_iter=2, seed=3),
+                         rng=None)
+        assert capped.n_iter == 2
+        gain = capped.trace[1] - capped.trace[0]
+        assert f"em stopped at em_max_iter = 2 (last gain {gain:.1e})" in capped.notes
+        free = _em_run(y, x, spec, init, EstimatorConfig(seed=3), rng=None)
+        assert free.n_iter < 500
+        assert not any(n.startswith("em stopped") for n in free.notes)
+
+    def test_singular_equations_abandon_the_fit(self):
         # constant data makes the weighted normal equations singular for any
         # responsibility split
         sample = Sample(y=np.full(120, 3.0), w=np.full(120, 2.0))
@@ -86,8 +108,64 @@ class TestEmBehaviour:
         init = MixtureParams(
             components=[RegimeOutcome(0.0, 0.0, 1.0), RegimeOutcome(1.0, 0.0, 1.0)],
             weights=uniform_weights(2))
-        with pytest.raises(EstimationError):
-            em_fit(sample, spec, init, EstimatorConfig(seed=5))
+        y, x = spec.regression_frame(sample)
+        run = _em_run(y, x, spec, init, EstimatorConfig(seed=5), rng=None)
+        assert run.degenerate
+        assert run.notes == ["singular weighted normal equations; fit abandoned"]
+
+
+class TestMStep:
+    """One M-step against weighted least squares solved by np.linalg.lstsq."""
+
+    @staticmethod
+    def draw(d, form, t_len=300):
+        rng = np.random.default_rng(10 * d)
+        x = rng.normal(size=t_len)
+        y = 1.5 + 0.8 * x + rng.normal(size=t_len)
+        resp = rng.dirichlet(np.ones(d), size=t_len)
+        comps = [RegimeOutcome(mu=0.0, gamma=0.3 if form == "msar" else 0.1 * s,
+                               sigma=0.5 + 0.4 * s) for s in range(d)]
+        return y, x, resp, MixtureParams(components=comps,
+                                         weights=uniform_weights(d))
+
+    @pytest.mark.parametrize("form", ["hmm", "msar"])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_matches_weighted_least_squares(self, d, form):
+        y, x, resp, params = self.draw(d, form)
+        out = _m_step(resp, _moment_rows(y, x), ModelSpec(d=d, form=form),
+                      params, 1e-6)
+        assert out is not None
+        got, floor_hit = out
+        assert not floor_hit
+        if form == "hmm":
+            coef = np.empty((d, 2))
+            for s in range(d):
+                sw = np.sqrt(resp[:, s])
+                design = np.column_stack([sw, sw * x])
+                coef[s] = np.linalg.lstsq(design, sw * y, rcond=None)[0]
+            mu, gamma = coef[:, 0], coef[:, 1]
+        else:
+            # stacked (t, s) rows: component dummies plus one shared x column,
+            # weighted by r_s / sigma_s^2 with the incoming sigmas
+            sw = np.sqrt(resp / params.sigma_vec ** 2).T.ravel()
+            dummies = np.repeat(np.eye(d), len(y), axis=0)
+            design = np.column_stack([dummies, np.tile(x, d)]) * sw[:, None]
+            coef = np.linalg.lstsq(design, np.tile(y, d) * sw, rcond=None)[0]
+            mu, gamma = coef[:d], np.full(d, coef[d])
+        resid = y[:, None] - mu[None, :] - gamma[None, :] * x[:, None]
+        sigma = np.sqrt((resp * resid ** 2).sum(axis=0) / resp.sum(axis=0))
+        np.testing.assert_allclose(got.mu_vec, mu, rtol=1e-10)
+        np.testing.assert_allclose(got.gamma_vec, gamma, rtol=1e-10)
+        np.testing.assert_allclose(got.sigma_vec, sigma, rtol=1e-10)
+        np.testing.assert_allclose(got.weights, resp.mean(axis=0), rtol=1e-10)
+
+    @pytest.mark.parametrize("form", ["hmm", "msar"])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_constant_regressor_is_singular(self, d, form):
+        y, x, resp, params = self.draw(d, form)
+        for value in (0.3, 1.1, 2.0, 123.456):
+            assert _m_step(resp, _moment_rows(y, np.full_like(x, value)),
+                           ModelSpec(d=d, form=form), params, 1e-6) is None
 
 
 class TestQmlEstimate:
@@ -189,6 +267,10 @@ class TestEstimatorConfig:
         back = EstimatorConfig.from_json(cfg.to_json())
         assert back == cfg
 
+    def test_unknown_key_rejected(self):
+        with pytest.raises(ValidationError, match="n_start"):
+            EstimatorConfig.from_json({"n_start": 1})
+
 
 class TestAlignPermutation:
     def make(self, mus, gammas=None, sigmas=None):
@@ -243,8 +325,10 @@ class TestMsarEstimator:
         init = MixtureParams(
             components=[RegimeOutcome(0.5, 0.8, 1.5), RegimeOutcome(-0.5, 0.8, 1.5)],
             weights=uniform_weights(2))
-        fit = em_fit(msar_sample, spec, init, EstimatorConfig(seed=4))
-        gam = fit.gamma_vec
+        y, x = spec.regression_frame(msar_sample)
+        run = _em_run(y, x, spec, init, EstimatorConfig(seed=4), rng=None)
+        assert not run.degenerate
+        gam = run.params.gamma_vec
         assert gam[0] == gam[1]
 
     def test_lagged_term_carries_the_fit(self, msar_sample, fast_cfg):

@@ -66,6 +66,13 @@ def test_committed_config_round_trips(path):
     assert parse.from_json(obj).to_json() == obj
 
 
+def test_unknown_experiment_key_rejected():
+    obj = json.loads((CONFIG_FILES[0].parent / "msar_rho0_T1600.json").read_text())
+    obj["n_rep"] = 5
+    with pytest.raises(ValidationError, match="n_rep"):
+        ExperimentConfig.from_json(obj)
+
+
 class TestRunReplication:
     def test_record_sanity(self):
         rec = run_replication(small_cfg(), 0)
@@ -126,6 +133,28 @@ class TestRunReplication:
         assert not rec.ok
         assert "synthetic covariance failure" in rec.error
         assert np.isnan(rec.estimates).all()
+
+    @staticmethod
+    def failing_fit(exc):
+        def fit(*args, **kwargs):
+            raise exc
+        return fit
+
+    def test_fit_failure_is_a_failed_row(self, monkeypatch):
+        from mixregime import EstimationError
+
+        monkeypatch.setattr("mixregime.harness.qml_estimate",
+                            self.failing_fit(EstimationError("all starts bad")))
+        rec = run_replication(small_cfg(), 0)
+        assert not rec.ok
+        assert rec.error == "EstimationError: all starts bad"
+        assert np.isnan(rec.estimates).all()
+
+    def test_programming_error_propagates(self, monkeypatch):
+        monkeypatch.setattr("mixregime.harness.qml_estimate",
+                            self.failing_fit(TypeError("bad call")))
+        with pytest.raises(TypeError, match="bad call"):
+            run_replication(small_cfg(), 0)
 
 
 class TestRunExperiment:

@@ -154,6 +154,8 @@ class TestHacMiddle:
             HacConfig.from_json({"kernel": "bartlett"})
         with pytest.raises(ValidationError):
             HacConfig.from_json({"demean_scores": False})
+        with pytest.raises(ValidationError, match="bandwith"):
+            HacConfig.from_json({"bandwith": 8})
         with pytest.raises(ValidationError):
             HacConfig(bandwidth=-1.0).validate()
         with pytest.raises(ValidationError):

@@ -2,13 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from scipy.stats import norm
 
 from mixregime import (ConfigurationError, MixtureParams, ModelSpec,
-                       RegimeOutcome, Sample, ValidationError,
-                       component_logdensity, decode, decode_jacobian, encode,
-                       hessian, hmm_benchmark, natural_vector, quasi_loglik,
-                       responsibilities, score, score_contributions,
-                       simulate_hmm)
+                       RegimeOutcome, Sample, ValidationError, decode,
+                       decode_jacobian, encode, hessian, hmm_benchmark,
+                       natural_vector, quasi_loglik, responsibilities, score,
+                       score_contributions, simulate_hmm)
 
 LOG_2PI = math.log(2 * math.pi)
 
@@ -26,6 +26,15 @@ def random_params(rng, d, form="hmm"):
 
 def random_sample(rng, t_len):
     return Sample(y=rng.normal(size=t_len), w=rng.normal(size=t_len))
+
+
+def component_logdensity(y: float, w: float, comp) -> float:
+    """Log density of one observation under one component: quasi_loglik on a
+    one-row sample with d = 1."""
+    params = MixtureParams(components=[RegimeOutcome(*comp)],
+                           weights=np.array([1.0]))
+    return quasi_loglik(params, Sample(y=np.array([y]), w=np.array([w])),
+                        ModelSpec(d=1))
 
 
 class TestComponentLogdensity:
@@ -83,7 +92,8 @@ class TestQuasiLoglik:
         comp = RegimeOutcome(mu=0.3, gamma=-0.7, sigma=1.4)
         params = MixtureParams(components=[comp], weights=np.array([1.0]))
         spec = ModelSpec(d=1, form="hmm")
-        direct = np.mean([component_logdensity(y, w, comp)
+        direct = np.mean([norm.logpdf(y, loc=comp.mu + comp.gamma * w,
+                                      scale=comp.sigma)
                           for y, w in zip(sample.y, sample.w)])
         assert quasi_loglik(params, sample, spec) == pytest.approx(direct, abs=1e-12)
 
