@@ -14,8 +14,8 @@ from .harness import (ExperimentConfig, McSummary, ReplicationRecord,
                       write_replications_csv)
 from .inference import HacConfig, andrews_bandwidth, hac_middle, parzen_weight, sandwich_cov
 from .mixture import (MixtureParams, ModelSpec, decode, decode_jacobian, encode,
-                      hessian, natural_vector, quasi_loglik, responsibilities,
-                      score, score_contributions)
+                      hessian, natural_vector, quasi_loglik, score,
+                      score_contributions)
 from .oracle import (CfCheckReport, KlCheckReport, MsarPseudoTrueResult,
                      PseudoTrueResult, build_quadrature_grid, cf_ratio_check,
                      kl_check, linear_independence_check, perturbation_grid,
@@ -38,7 +38,7 @@ __all__ = [
     "msar_benchmark", "natural_vector", "parzen_weight", "perturbation_grid",
     "pseudo_true_msar", "pseudo_true_weights", "qml_estimate", "quasi_loglik",
     "render_table",
-    "responsibilities", "run_experiment", "run_replication", "sandwich_cov",
+    "run_experiment", "run_replication", "sandwich_cov",
     "save_sample", "score", "score_contributions", "simulate_hmm",
     "simulate_msar", "summarize_csv", "transition_row", "true_reference",
     "write_replications_csv",

@@ -16,9 +16,8 @@ from scipy.optimize import linear_sum_assignment, minimize
 
 from .dgp import RegimeOutcome, Sample, seed_key
 from .errors import EstimationError, ValidationError, reject_unknown
-from .mixture import (MixtureParams, ModelSpec, _sorted_logsumexp_rows,
-                      _weighted_logdensity_matrix, decode, encode, quasi_loglik,
-                      score)
+from .mixture import (MixtureParams, ModelSpec, decode, encode,
+                      loglik_and_score_contributions, mixture_kernel, score)
 
 _COLLAPSE_FRACTION = 1e-8  # of effective sample size, per component
 # Normal equations count as singular below this fraction of their diagonal
@@ -185,8 +184,7 @@ def _em_run(y: np.ndarray, x: np.ndarray, spec: ModelSpec, init: MixtureParams,
     degenerate = False
 
     for _ in range(cfg.em_max_iter):
-        a = _weighted_logdensity_matrix(params, y, x)
-        lse = _sorted_logsumexp_rows(a)
+        lse, resp, _ = mixture_kernel(params, y, x)
         ll_cur = float(lse.mean())
         trace.append(ll_cur)
         if ll_cur < ll_prev - 1e-10:
@@ -194,7 +192,6 @@ def _em_run(y: np.ndarray, x: np.ndarray, spec: ModelSpec, init: MixtureParams,
         gain = ll_cur - ll_prev
         if gain < cfg.em_tol and np.isfinite(ll_prev):
             break
-        resp = np.exp(a - lse[:, None])
 
         totals = resp.sum(axis=0)
         collapsed = np.flatnonzero(totals < _COLLAPSE_FRACTION * n_eff)
@@ -226,8 +223,7 @@ def _em_run(y: np.ndarray, x: np.ndarray, spec: ModelSpec, init: MixtureParams,
         notes.append(f"em stopped at em_max_iter = {cfg.em_max_iter} "
                      f"(last gain {gain:.1e})")
 
-    a = _weighted_logdensity_matrix(params, y, x)
-    ll_final = float(_sorted_logsumexp_rows(a).mean())
+    ll_final = float(mixture_kernel(params, y, x)[0].mean())
     trace.append(ll_final)
     return _EmRun(params=params, loglik=ll_final, trace=trace, n_iter=n_iter,
                   degenerate=degenerate, notes=notes)
@@ -291,13 +287,11 @@ def qml_estimate(sample: Sample, spec: ModelSpec,
 
     free0 = encode(best.params, spec)
 
-    def neg(v):
-        return -quasi_loglik(decode(v, spec), sample, spec)
+    def neg_and_grad(v):
+        terms, contrib = loglik_and_score_contributions(v, sample, spec)
+        return -float(np.mean(terms)), -contrib.mean(axis=0)
 
-    def neg_grad(v):
-        return -score(v, sample, spec)
-
-    res = minimize(neg, free0, jac=neg_grad, method="BFGS",
+    res = minimize(neg_and_grad, free0, jac=True, method="BFGS",
                    options={"maxiter": cfg.qn_max_iter, "gtol": cfg.qn_grad_tol})
     notes = [f"start {i}: {note}" for i, r in enumerate(runs) for note in r.notes]
     ll_qn = -float(res.fun)

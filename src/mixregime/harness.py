@@ -53,9 +53,15 @@ class ExperimentConfig:
             out.append(f"T must be >= 50, got {self.T}")
         if self.burn_in < 0:
             out.append(f"burn_in must be >= 0, got {self.burn_in}")
+        if self.estimator.seed != 0:  # replications seed from (master_seed, rep)
+            out.append(f"estimator.seed must be 0, got {self.estimator.seed}; "
+                       "vary master_seed instead")
         if out:
             raise ValidationError(out)
         self.dgp.validate()
+        if (self.spec.form == "msar") != (self.dgp.ar_coefficient is not None):
+            raise ConfigurationError(f"spec.form {self.spec.form!r} disagrees with "
+                                     "dgp.ar_coefficient (set only for 'msar')")
         self.estimator.validate()
         self.hac.validate()
 

@@ -11,13 +11,15 @@ index.  Two outcome forms are supported:
 Optimization works on an unconstrained FreeVector (log sigmas, logit
 weights anchored at the last component); all public operations accept
 either natural parameters (MixtureParams) or free vectors as documented.
+mixture_kernel is the one place that forms the weighted log-density
+matrix; EM, the likelihood, the score and BFGS each call it once per point.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -241,27 +243,25 @@ def decode_jacobian(free: np.ndarray, spec: ModelSpec) -> np.ndarray:
     return jac
 
 
-def _weighted_logdensity_matrix(params: MixtureParams, y: np.ndarray,
-                                x: np.ndarray) -> np.ndarray:
-    """a[t, s] = ln(weight_s) + ln N(y_t; mu_s + gamma_s x_t, sigma_s)."""
+def mixture_kernel(params: MixtureParams, y: np.ndarray, x: np.ndarray):
+    """Per-row log mixture density, responsibilities and standardized residuals.
+
+    All three come from the weighted log-density matrix a[t, s] = ln(w_s) +
+    ln N(y_t; mu_s + gamma_s x_t, sigma_s).  Its row-wise log-sum-exp adds
+    the terms in sorted order, so the floating-point reduction does not
+    depend on column order: relabeling the components changes nothing, not
+    even in the last bit.
+    """
     mu = params.mu_vec
     gamma = params.gamma_vec
     sigma = params.sigma_vec
     r = (y[:, None] - mu[None, :] - gamma[None, :] * x[:, None]) / sigma[None, :]
-    return (np.log(params.weights)[None, :] - np.log(sigma)[None, :]
-            - 0.5 * _LOG_2PI - 0.5 * r * r)
-
-
-def _sorted_logsumexp_rows(a: np.ndarray) -> np.ndarray:
-    """Row-wise log-sum-exp with terms summed in sorted order.
-
-    Sorting makes the floating-point reduction independent of column
-    order, so component relabeling changes nothing, not even in the last
-    bit.
-    """
+    a = (np.log(params.weights)[None, :] - np.log(sigma)[None, :]
+         - 0.5 * _LOG_2PI - 0.5 * r * r)
     srt = np.sort(a, axis=1)
     top = srt[:, -1]
-    return top + np.log1p(np.exp(srt[:, :-1] - top[:, None]).sum(axis=1))
+    lse = top + np.log1p(np.exp(srt[:, :-1] - top[:, None]).sum(axis=1))
+    return lse, np.exp(a - lse[:, None]), r
 
 
 def loglik_terms(params: MixtureParams, sample: Sample, spec: ModelSpec) -> np.ndarray:
@@ -270,8 +270,7 @@ def loglik_terms(params: MixtureParams, sample: Sample, spec: ModelSpec) -> np.n
     if params.d != spec.d:
         raise ValidationError(f"params have d = {params.d}, spec expects {spec.d}")
     y, x = spec.regression_frame(sample)
-    a = _weighted_logdensity_matrix(params, y, x)
-    return _sorted_logsumexp_rows(a)
+    return mixture_kernel(params, y, x)[0]
 
 
 def quasi_loglik(params: MixtureParams, sample: Sample, spec: ModelSpec) -> float:
@@ -279,14 +278,21 @@ def quasi_loglik(params: MixtureParams, sample: Sample, spec: ModelSpec) -> floa
     return float(np.mean(loglik_terms(params, sample, spec)))
 
 
-def responsibilities(params: MixtureParams, sample: Sample,
-                     spec: ModelSpec) -> np.ndarray:
-    """Posterior component probabilities per observation, rows sum to 1."""
+def loglik_and_score_contributions(free: np.ndarray, sample: Sample,
+                                   spec: ModelSpec):
+    """loglik_terms and score_contributions at decode(free), from one kernel
+    call; a decoded point that MixtureParams.validate rejects raises."""
+    params = decode(free, spec)
     params.validate()
     y, x = spec.regression_frame(sample)
-    a = _weighted_logdensity_matrix(params, y, x)
-    lse = _sorted_logsumexp_rows(a)
-    return np.exp(a - lse[:, None])
+    lse, resp, r = mixture_kernel(params, y, x)
+    d_mu = resp * r / params.sigma_vec[None, :]
+    d_slope = d_mu * x[:, None]
+    if spec.form == "msar":
+        d_slope = d_slope.sum(axis=1, keepdims=True)
+    d_log_sigma = resp * (r * r - 1.0)
+    d_logit = resp[:, :-1] - params.weights[None, :-1]
+    return lse, np.concatenate([d_mu, d_slope, d_log_sigma, d_logit], axis=1)
 
 
 def score_contributions(free: np.ndarray, sample: Sample,
@@ -296,25 +302,7 @@ def score_contributions(free: np.ndarray, sample: Sample,
     Row t is the gradient of ln sum_s w_s p(y_t | x_t, s) with respect to
     the FreeVector coordinates; column means equal score().
     """
-    params = decode(free, spec)
-    y, x = spec.regression_frame(sample)
-    a = _weighted_logdensity_matrix(params, y, x)
-    lse = _sorted_logsumexp_rows(a)
-    resp = np.exp(a - lse[:, None])
-
-    mu = params.mu_vec
-    gamma = params.gamma_vec
-    sigma = params.sigma_vec
-    r = (y[:, None] - mu[None, :] - gamma[None, :] * x[:, None]) / sigma[None, :]
-
-    d_mu = resp * r / sigma[None, :]
-    if spec.form == "hmm":
-        d_slope = d_mu * x[:, None]
-    else:
-        d_slope = (d_mu * x[:, None]).sum(axis=1, keepdims=True)
-    d_log_sigma = resp * (r * r - 1.0)
-    d_logit = resp[:, :-1] - params.weights[None, :-1]
-    return np.concatenate([d_mu, d_slope, d_log_sigma, d_logit], axis=1)
+    return loglik_and_score_contributions(free, sample, spec)[1]
 
 
 def score(free: np.ndarray, sample: Sample, spec: ModelSpec) -> np.ndarray:

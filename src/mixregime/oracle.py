@@ -36,8 +36,9 @@ from .dgp import (HmmDgpParams, RegimeOutcome, Sample, seed_key,
 from .errors import ConfigurationError, QuadratureError, ValidationError
 from .estimator import EstimatorConfig, align_permutation
 from .inference import HacConfig, sandwich_cov
-from .mixture import (MixtureParams, ModelSpec, decode, encode, loglik_terms,
-                      natural_vector, score_contributions)
+from .mixture import (MixtureParams, ModelSpec, decode, encode,
+                      loglik_and_score_contributions, loglik_terms,
+                      natural_vector)
 
 DEFAULT_N_BATCHES = 50
 
@@ -168,13 +169,13 @@ class MsarPseudoTrueResult:
 
 def _neg_loglik_and_score(free: np.ndarray, paths: list, spec: ModelSpec):
     """Negative average quasi-log-likelihood and score over all paths."""
-    params = decode(free, spec)
     total = 0.0
     grad = np.zeros(spec.q)
     n_eff = 0
     for path in paths:
-        total += float(loglik_terms(params, path, spec).sum())
-        grad += score_contributions(free, path, spec).sum(axis=0)
+        terms, contrib = loglik_and_score_contributions(free, path, spec)
+        total += float(terms.sum())
+        grad += contrib.sum(axis=0)
         n_eff += path.T - 1
     return -total / n_eff, -grad / n_eff
 
@@ -371,6 +372,9 @@ def perturbation_grid(theta_star: MixtureParams, form: str = "hmm") -> list:
     return out
 
 
+CF_RATIO_THRESHOLD = 1e-8
+
+
 @dataclass
 class CfCheckReport:
     """Tail behavior of the ratio of characteristic functions."""
@@ -380,7 +384,7 @@ class CfCheckReport:
     a2: float
     ratio_trace: list  # [(tau, ratio)] with tau strictly increasing
     verdict: bool
-    threshold: float = 1e-8
+    threshold: float  # the verdict's bound on the final ratio
 
     def to_json(self) -> dict:
         return {"family": self.family, "a1": self.a1, "a2": self.a2,
@@ -442,8 +446,8 @@ def cf_ratio_check(family: str, a1: float, a2: float,
     Requires a1 > a2 > 0.  The Gaussian case uses the closed form
     exp(-(a1^2 - a2^2) tau^2 / 2); the Student-t case uses the Bessel
     closed form of its characteristic function.  Verdict is true when
-    the final ratio falls below 1e-8 and the trace is eventually
-    monotone decreasing.
+    the final ratio falls below CF_RATIO_THRESHOLD and the trace is
+    eventually monotone decreasing.
     """
     kind, nu = _parse_family(family)
     if not (a1 > a2 > 0):
@@ -472,9 +476,10 @@ def cf_ratio_check(family: str, a1: float, a2: float,
         trace.append((float(tau), float(ratio)))
 
     ratios = [r for _, r in trace]
-    verdict = bool(ratios[-1] < 1e-8 and _eventually_decreasing(ratios))
+    verdict = bool(ratios[-1] < CF_RATIO_THRESHOLD and _eventually_decreasing(ratios))
     return CfCheckReport(family=family, a1=float(a1), a2=float(a2),
-                         ratio_trace=trace, verdict=verdict)
+                         ratio_trace=trace, verdict=verdict,
+                         threshold=CF_RATIO_THRESHOLD)
 
 
 def build_quadrature_grid(theta: MixtureParams, w_probe: float,

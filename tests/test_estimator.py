@@ -247,6 +247,36 @@ class TestQmlEstimate:
         with pytest.raises(ValidationError):
             qml_estimate(sample, spec, EstimatorConfig(seed=0))
 
+    def test_one_kernel_call_per_bfgs_evaluation(self, monkeypatch, msar_sample,
+                                                 fast_cfg):
+        # value and gradient of a BFGS step come from one density matrix
+        from mixregime import estimator, mixture
+
+        calls = []
+        kernel = mixture.mixture_kernel
+
+        def counted(*args):
+            calls.append(1)
+            return kernel(*args)
+
+        monkeypatch.setattr(mixture, "mixture_kernel", counted)
+        monkeypatch.setattr(estimator, "mixture_kernel", counted)
+        results = []
+        minimize = estimator.minimize
+
+        def recorded(*args, **kwargs):
+            before = len(calls)
+            res = minimize(*args, **kwargs)
+            results.append((res, len(calls) - before, len(calls)))
+            return res
+
+        monkeypatch.setattr(estimator, "minimize", recorded)
+        qml_estimate(msar_sample, ModelSpec(d=2, form="msar"), fast_cfg)
+        (res, during, at_exit), = results
+        assert res.nfev > 1
+        assert during == res.nfev
+        assert len(calls) - at_exit == 1  # the final score check
+
     def test_all_starts_degenerate_is_estimation_error(self):
         sample = Sample(y=np.full(80, 1.0), w=np.full(80, 1.0))
         with pytest.raises(EstimationError):

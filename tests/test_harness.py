@@ -53,6 +53,29 @@ class TestExperimentConfig:
         ref = true_reference(cfg)
         np.testing.assert_array_equal(ref.gamma_vec, [0.9, 0.9])
 
+    def test_msar_form_needs_ar_design(self):
+        cfg = ExperimentConfig(dgp=hmm_benchmark(), spec=ModelSpec(d=2, form="msar"),
+                               T=200, n_reps=2)
+        with pytest.raises(ConfigurationError, match="ar_coefficient"):
+            cfg.validate()
+
+    def test_hmm_form_rejects_ar_design(self):
+        cfg = ExperimentConfig(dgp=msar_benchmark(), spec=ModelSpec(d=2, form="hmm"),
+                               T=200, n_reps=2)
+        with pytest.raises(ConfigurationError, match="ar_coefficient"):
+            cfg.validate()
+
+    def test_estimator_seed_rejected(self, tmp_path):
+        # replications seed their starts from (master_seed, rep_index), so a
+        # second seed here would be silently ignored
+        obj = small_cfg().to_json()
+        obj["estimator"]["seed"] = 12345
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(obj))
+        with pytest.raises(ValidationError,
+                           match=r"estimator\.seed.*master_seed"):
+            load_experiment_config(path)
+
 
 CONFIG_FILES = sorted((Path(__file__).resolve().parent.parent / "configs")
                       .glob("*.json"))

@@ -4,11 +4,14 @@ import numpy as np
 import pytest
 from scipy.stats import norm
 
+import mixregime
 from mixregime import (ConfigurationError, MixtureParams, ModelSpec,
                        RegimeOutcome, Sample, ValidationError, decode,
                        decode_jacobian, encode, hessian, hmm_benchmark,
-                       natural_vector, quasi_loglik, responsibilities, score,
+                       natural_vector, quasi_loglik, score,
                        score_contributions, simulate_hmm)
+from mixregime.mixture import (loglik_and_score_contributions, loglik_terms,
+                               mixture_kernel)
 
 LOG_2PI = math.log(2 * math.pi)
 
@@ -259,11 +262,41 @@ class TestScore:
 class TestResponsibilities:
     def test_rows_sum_to_one(self):
         rng = np.random.default_rng(17)
-        spec = ModelSpec(d=3)
         sample = random_sample(rng, 25)
-        resp = responsibilities(random_params(rng, 3), sample, spec)
+        _, resp, _ = mixture_kernel(random_params(rng, 3), sample.y, sample.w)
         np.testing.assert_allclose(resp.sum(axis=1), 1.0, atol=1e-12)
         assert (resp >= 0).all()
+
+
+class TestKernel:
+    def test_one_call_gives_loglik_terms_and_score_rows(self):
+        rng = np.random.default_rng(21)
+        for form in ("hmm", "msar"):
+            spec = ModelSpec(d=3, form=form)
+            sample = random_sample(rng, 30)
+            params = random_params(rng, 3, form)
+            free = encode(params, spec)
+            terms, contrib = loglik_and_score_contributions(free, sample, spec)
+            np.testing.assert_array_equal(
+                terms, loglik_terms(decode(free, spec), sample, spec))
+            np.testing.assert_array_equal(
+                contrib, score_contributions(free, sample, spec))
+
+    def test_underflowed_weight_rejected(self):
+        # a BFGS step this far out must fail as loglik_terms does
+        rng = np.random.default_rng(23)
+        spec = ModelSpec(d=2)
+        free = encode(random_params(rng, 2), spec)
+        free[-1] = -800.0
+        with pytest.raises(ValidationError, match="strictly positive"):
+            loglik_and_score_contributions(free, random_sample(rng, 10), spec)
+
+
+def test_public_names_resolve_once():
+    names = mixregime.__all__
+    assert len(names) == len(set(names))
+    missing = [n for n in names if not hasattr(mixregime, n)]
+    assert not missing
 
 
 class TestHessian:

@@ -10,7 +10,7 @@ from mixregime import (ArLaw, ConfigurationError, HmmDgpParams,
                        encode, hmm_benchmark, kl_check,
                        linear_independence_check, msar_benchmark,
                        perturbation_grid, pseudo_true_msar,
-                       pseudo_true_weights)
+                       pseudo_true_weights, simulate_msar)
 from mixregime.oracle import _eventually_decreasing, _student_t_cf
 
 
@@ -162,6 +162,29 @@ class TestPseudoTrueMsar:
         with pytest.raises(ConfigurationError):
             pseudo_true_msar(hmm_benchmark(), n_sim=20_000)
 
+    def test_one_kernel_call_per_path(self, monkeypatch):
+        from mixregime import mixture, oracle
+
+        dgp = msar_benchmark()
+        spec = ModelSpec(d=2, form="msar")
+        paths = [simulate_msar(dgp, T=300, seed=(5, k)) for k in range(3)]
+        truth = MixtureParams(
+            components=[RegimeOutcome(c.mu, dgp.ar_coefficient, c.sigma)
+                        for c in dgp.outcomes],
+            weights=np.full(2, 0.5))
+        calls = []
+        kernel = mixture.mixture_kernel
+
+        def counted(*args):
+            calls.append(1)
+            return kernel(*args)
+
+        monkeypatch.setattr(mixture, "mixture_kernel", counted)
+        neg_ll, neg_grad = oracle._neg_loglik_and_score(encode(truth, spec),
+                                                        paths, spec)
+        assert len(calls) == len(paths)
+        assert np.isfinite(neg_ll) and neg_grad.shape == (spec.q,)
+
     def test_small_n_sim_rejected(self):
         with pytest.raises(ValidationError):
             pseudo_true_msar(msar_benchmark(), n_sim=5000)
@@ -244,6 +267,18 @@ class TestCfRatioCheck:
                 want = float(2 * mpmath.quadosc(integrand, [0, mpmath.inf],
                                                 period=2 * mpmath.pi / tau))
                 assert _student_t_cf(tau, nu) == pytest.approx(want, rel=1e-10)
+
+    def test_report_states_the_applied_threshold(self, monkeypatch):
+        from mixregime import oracle
+
+        report = cf_ratio_check("gaussian", a1=1.5, a2=1.0)
+        assert report.verdict
+        assert report.to_json()["threshold"] == oracle.CF_RATIO_THRESHOLD
+        # the final ratio is ~1e-28; a stricter threshold flips the verdict
+        monkeypatch.setattr(oracle, "CF_RATIO_THRESHOLD", 1e-40)
+        strict = cf_ratio_check("gaussian", a1=1.5, a2=1.0)
+        assert not strict.verdict
+        assert strict.to_json()["threshold"] == 1e-40
 
     def test_student_t_verdict(self):
         report = cf_ratio_check("student-t:5", a1=2.0, a2=1.0)
