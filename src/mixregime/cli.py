@@ -100,7 +100,7 @@ def _cmd_fit(args) -> int:
 
 def _cmd_mc(args) -> int:
     cfg = load_experiment_config(args.config)
-    summary = run_experiment(cfg, out_dir=args.out_dir, threads=args.threads)
+    summary = run_experiment(cfg, out_dir=args.out_dir)
     _dump(summary.to_json())
     return 0
 
@@ -146,7 +146,7 @@ def _load_summary(path) -> McSummary:
 
 def _cmd_render(args) -> int:
     summaries = [_load_summary(p) for p in args.summaries]
-    text = render_table(summaries, layout=args.layout)
+    text = render_table(summaries)
     if args.out:
         Path(args.out).write_text(text)
     else:
@@ -185,7 +185,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_mc = sub.add_parser("mc", help="run a Monte Carlo experiment")
     p_mc.add_argument("--config", required=True, help="experiment JSON file")
     p_mc.add_argument("--out-dir", help="override the configured output directory")
-    p_mc.add_argument("--threads", type=int, default=1)
     p_mc.set_defaults(func=_cmd_mc)
 
     p_or = sub.add_parser("oracle",
@@ -215,7 +214,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_rt = sub.add_parser("render", help="render summaries as a text table")
     p_rt.add_argument("summaries", nargs="+",
                       help="summary.json files or experiment directories")
-    p_rt.add_argument("--layout", choices=["hmm", "msar"], default="hmm")
     p_rt.add_argument("--out")
     p_rt.set_defaults(func=_cmd_render)
     return parser

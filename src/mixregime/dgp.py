@@ -268,7 +268,6 @@ class Sample:
     z: Optional[np.ndarray] = None
     s: Optional[np.ndarray] = None
     meta: dict = field(default_factory=dict)
-    noise: Optional[dict] = None  # raw (U1, U2, U3) draws, debug only
 
     def __post_init__(self):
         self.y = np.asarray(self.y, dtype=float)
@@ -351,8 +350,8 @@ def _ar1_path(law: ArLaw, x0: float, shocks: np.ndarray) -> np.ndarray:
     return out
 
 
-def _simulate(params: HmmDgpParams, T: int, burn_in: int, seed, msar: bool,
-              debug: bool) -> Sample:
+def _simulate(params: HmmDgpParams, T: int, burn_in: int, seed,
+              msar: bool) -> Sample:
     params.validate()
     if T < 1:
         raise ValidationError(f"T must be >= 1, got {T}")
@@ -401,33 +400,28 @@ def _simulate(params: HmmDgpParams, T: int, burn_in: int, seed, msar: bool,
         "T": T,
         "burn_in": burn_in,
     }
-    sample = Sample(y=y[sl], w=w[sl], z=z[sl], s=s[sl] + 1, meta=meta)
-    if debug:
-        sample.noise = {"u1": u[sl, 0].copy(), "u2": u[sl, 1].copy(),
-                        "u3": u[sl, 2].copy()}
-    return sample
+    return Sample(y=y[sl], w=w[sl], z=z[sl], s=s[sl] + 1, meta=meta)
 
 
 def simulate_hmm(params: HmmDgpParams, T: int, burn_in: int = DEFAULT_BURN_IN,
-                 seed=0, debug: bool = False) -> Sample:
+                 seed=0) -> Sample:
     """Simulate the regime-regression process for T steps after burn_in.
 
     Per time step: the Z and W AR(1) laws advance on their (correlated)
     innovations, the regime S_t is drawn from the transition row at
     (Z_{t-1}, S_{t-1}), and Y_t = mu(S_t) + gamma(S_t) W_t + sigma(S_t) U1_t.
-    `debug=True` retains the raw correlated noise draws on the sample.
     """
-    return _simulate(params, T, burn_in, seed, msar=False, debug=debug)
+    return _simulate(params, T, burn_in, seed, msar=False)
 
 
 def simulate_msar(params: HmmDgpParams, T: int, burn_in: int = DEFAULT_BURN_IN,
-                  seed=0, debug: bool = False) -> Sample:
+                  seed=0) -> Sample:
     """Simulate the switching autoregression Y_t = mu(S_t) + phi Y_{t-1} + sigma(S_t) U1_t.
 
     Requires params.ar_coefficient; the W path is generated and returned even
     though the outcome equation ignores it.
     """
-    return _simulate(params, T, burn_in, seed, msar=True, debug=debug)
+    return _simulate(params, T, burn_in, seed, msar=True)
 
 
 _CSV_COLUMNS = ("y", "w", "z", "s")

@@ -2,7 +2,7 @@
 
 One experiment = one (DGP design, fitted model, T, n_reps) cell.  Every
 replication derives its seeds from (master_seed, rep_index), so runs are
-reproducible at any parallelism and adding replications never perturbs
+reproducible in any order and adding replications never perturbs
 existing ones.  Aggregation is a pure function of the persisted
 replications.csv: summary.json is always recomputed from the file it
 ships next to.
@@ -14,7 +14,6 @@ import csv
 import dataclasses
 import json
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import List, Optional
@@ -59,6 +58,9 @@ class ExperimentConfig:
         if out:
             raise ValidationError(out)
         self.dgp.validate()
+        if self.spec.d != self.dgp.d:
+            raise ConfigurationError(f"spec.d = {self.spec.d} disagrees with the "
+                                     f"DGP's {self.dgp.d} regimes")
         if (self.spec.form == "msar") != (self.dgp.ar_coefficient is not None):
             raise ConfigurationError(f"spec.form {self.spec.form!r} disagrees with "
                                      "dgp.ar_coefficient (set only for 'msar')")
@@ -332,12 +334,11 @@ def summarize_csv(path) -> McSummary:
                      n_failed=n_failed, params=params)
 
 
-def run_experiment(cfg: ExperimentConfig, out_dir=None,
-                   threads: int = 1) -> McSummary:
+def run_experiment(cfg: ExperimentConfig, out_dir=None) -> McSummary:
     """Run all replications, persist replications.csv and summary.json.
 
-    Records are computed (possibly on a thread pool), sorted by rep_index,
-    written to CSV, and the summary is recomputed from that CSV.
+    Each record depends only on (master_seed, rep_index), so the CSV is
+    the same in any order; the summary is recomputed from that CSV.
     """
     cfg.validate()
     chosen = out_dir if out_dir is not None else cfg.out_dir
@@ -353,14 +354,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None,
         raise ConfigurationError(f"output directory {target} not writable: "
                                  f"{exc}") from exc
 
-    indices = range(cfg.n_reps)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            records = list(pool.map(lambda i: run_replication(cfg, i), indices))
-    else:
-        records = [run_replication(cfg, i) for i in indices]
-    records.sort(key=lambda r: r.rep_index)
-
+    records = [run_replication(cfg, i) for i in range(cfg.n_reps)]
     csv_path = target / "replications.csv"
     write_replications_csv(csv_path, records, cfg)
     summary = summarize_csv(csv_path)
@@ -391,7 +385,7 @@ def _canonical_param_order(names) -> list:
     return sorted(names, key=key)
 
 
-def render_table(summaries: List[McSummary], layout: str = "hmm") -> str:
+def render_table(summaries: List[McSummary]) -> str:
     """Fixed-width text table: Bias block then SD/SE block.
 
     Designs appear as column panels (in first-seen order), T values as
@@ -399,8 +393,6 @@ def render_table(summaries: List[McSummary], layout: str = "hmm") -> str:
     values to 3 decimals.  Weight columns are omitted: the tables report
     the outcome-equation parameters.
     """
-    if layout not in ("hmm", "msar"):
-        raise ValidationError(f"layout must be 'hmm' or 'msar', got {layout!r}")
     if not summaries:
         raise ValidationError("no summaries to render")
     name_sets = {tuple(sorted(s.params.keys())) for s in summaries}

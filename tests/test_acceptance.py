@@ -6,6 +6,7 @@ shipped Monte Carlo configs at their committed seeds; nothing here tunes
 seeds to the tolerances.
 """
 
+import csv
 import itertools
 import json
 import math
@@ -23,7 +24,8 @@ from mixregime import (EstimatorConfig, ExperimentConfig, HacConfig,
                        load_experiment_config, natural_vector, parzen_weight,
                        perturbation_grid, pseudo_true_msar,
                        pseudo_true_weights, qml_estimate, run_experiment,
-                       sandwich_cov, simulate_hmm, true_reference)
+                       run_replication, sandwich_cov, simulate_hmm,
+                       summarize_csv, true_reference, write_replications_csv)
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -257,23 +259,27 @@ class TestAcceptance:
                     failures.append(f"alignment d={d}")
                     break
 
-        # identical results whatever the thread count
+        # identical results whatever order the replications run in
         cfg = ExperimentConfig(dgp=hmm_benchmark(), spec=ModelSpec(d=2),
                                T=200, n_reps=4, master_seed=99,
                                estimator=EstimatorConfig(n_starts=2, seed=0),
                                label="prop")
-        run_experiment(cfg, out_dir=tmp_path / "t1", threads=1)
-        run_experiment(cfg, out_dir=tmp_path / "t3", threads=3)
+        summary = run_experiment(cfg, out_dir=tmp_path)
+        reversed_csv = tmp_path / "reversed.csv"
+        write_replications_csv(
+            reversed_csv,
+            [run_replication(cfg, i) for i in reversed(range(cfg.n_reps))], cfg)
 
-        def rows_minus_elapsed(p):
-            rows = [r.split(",") for r in
-                    (p / "replications.csv").read_text().splitlines()]
+        def rows_minus_elapsed(path):
+            with open(path, newline="") as fh:
+                rows = list(csv.reader(fh))
             idx = rows[0].index("elapsed_s")
             return [r[:idx] + r[idx + 1:] for r in rows]
 
-        if rows_minus_elapsed(tmp_path / "t1") != rows_minus_elapsed(
-                tmp_path / "t3"):
-            failures.append("thread determinism")
+        if (rows_minus_elapsed(tmp_path / "replications.csv")
+                != rows_minus_elapsed(reversed_csv)
+                or summarize_csv(reversed_csv).to_json() != summary.to_json()):
+            failures.append("run-order determinism")
 
         ok = not failures
         report(7, "property suite", ok,

@@ -1,13 +1,18 @@
 import json
+import re
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from mixregime import (EstimatorConfig, ExperimentConfig, ModelSpec,
                        hmm_benchmark, load_sample, msar_benchmark)
-from mixregime.cli import main
+from mixregime.cli import build_parser, main
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 @pytest.fixture()
@@ -214,8 +219,7 @@ class TestRender:
         capsys.readouterr()
 
         table_path = tmp_path / "table.txt"
-        rc = main(["render", str(out_dir), "--layout", "hmm",
-                   "--out", str(table_path)])
+        rc = main(["render", str(out_dir), "--out", str(table_path)])
         assert rc == 0
         text = table_path.read_text()
         assert "mu(1)" in text
@@ -239,3 +243,23 @@ def test_module_entry_point_smoke(tmp_path):
     assert out.exists()
     meta = json.loads(proc.stdout)
     assert meta["T"] == 120
+
+
+def readme_commands():
+    """Every `mixregime ...` command in README's code blocks, continuations joined."""
+    blocks = re.findall(r"^```[^\n]*\n(.*?)^```", README.read_text(),
+                        flags=re.M | re.S)
+    text = "\n".join(blocks).replace("\\\n", " ")
+    return [line.strip() for line in text.splitlines()
+            if line.strip().startswith("mixregime ")]
+
+
+def test_readme_commands_parse():
+    commands = readme_commands()
+    assert len(commands) >= 8
+    parser = build_parser()
+    for command in commands:
+        try:
+            parser.parse_args(shlex.split(command)[1:])
+        except SystemExit:
+            pytest.fail(f"README command does not parse: {command}")

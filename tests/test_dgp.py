@@ -8,10 +8,22 @@ from mixregime import (ArLaw, ConfigurationError, HmmDgpParams, NoiseCorrelation
                        ParseError, RegimeOutcome, Sample, TransitionSpec,
                        ValidationError, hmm_benchmark, load_sample, msar_benchmark,
                        save_sample, simulate_hmm, simulate_msar, transition_row)
+from mixregime.dgp import stream_rng
 
 
 def logistic(x):
     return 1.0 / (1.0 + math.exp(-x))
+
+
+def outcome_draws(seed, sample):
+    """The outcome stream's standard normals over the sample's T steps."""
+    burn_in = sample.meta["burn_in"]
+    return stream_rng(seed, 0).standard_normal(burn_in + sample.T)[burn_in:]
+
+
+def ar1_residuals(law, x):
+    """Standardized innovations of an AR(1) path, from its second step on."""
+    return (x[1:] - law.intercept - law.slope * x[:-1]) / law.noise_sd
 
 
 class TestTransitionRow:
@@ -109,12 +121,15 @@ class TestSimulateHmm:
         assert np.array_equal(short.s, long.s[:200])
 
     def test_outcome_equation_holds_exactly(self, hmm_params):
-        sample = simulate_hmm(hmm_params, T=400, seed=11, debug=True)
+        # rho = omega = 0: the noise Cholesky factor is the identity, so U1
+        # is the outcome stream's standard normals after the burn-in
+        sample = simulate_hmm(hmm_params, T=400, seed=11)
+        u1 = outcome_draws(11, sample)
         mu = np.array([c.mu for c in hmm_params.outcomes])
         gamma = np.array([c.gamma for c in hmm_params.outcomes])
         sigma = np.array([c.sigma for c in hmm_params.outcomes])
         s0 = sample.s - 1
-        recon = mu[s0] + gamma[s0] * sample.w + sigma[s0] * sample.noise["u1"]
+        recon = mu[s0] + gamma[s0] * sample.w + sigma[s0] * u1
         np.testing.assert_allclose(sample.y, recon, rtol=0, atol=1e-12)
 
     def test_covariate_moments(self):
@@ -127,11 +142,18 @@ class TestSimulateHmm:
 
     def test_noise_correlations_realized(self):
         params = hmm_benchmark(rho=0.65, omega=0.3)
-        sample = simulate_hmm(params, T=200_000, seed=22, debug=True)
-        u = sample.noise
-        assert np.corrcoef(u["u1"], u["u2"])[0, 1] == pytest.approx(0.65, abs=0.01)
-        assert np.corrcoef(u["u1"], u["u3"])[0, 1] == pytest.approx(0.30, abs=0.01)
-        assert np.corrcoef(u["u2"], u["u3"])[0, 1] == pytest.approx(0.0, abs=0.01)
+        sample = simulate_hmm(params, T=200_000, seed=22)
+        # U1 from the outcome equation; U2 and U3 as the AR(1) residuals of z, w
+        mu = np.array([c.mu for c in params.outcomes])
+        gamma = np.array([c.gamma for c in params.outcomes])
+        sigma = np.array([c.sigma for c in params.outcomes])
+        s0 = sample.s[1:] - 1
+        u1 = (sample.y[1:] - mu[s0] - gamma[s0] * sample.w[1:]) / sigma[s0]
+        u2 = ar1_residuals(params.z_law, sample.z)
+        u3 = ar1_residuals(params.w_law, sample.w)
+        assert np.corrcoef(u1, u2)[0, 1] == pytest.approx(0.65, abs=0.01)
+        assert np.corrcoef(u1, u3)[0, 1] == pytest.approx(0.30, abs=0.01)
+        assert np.corrcoef(u2, u3)[0, 1] == pytest.approx(0.0, abs=0.01)
 
     def test_regime_occupancy_favors_first_regime(self):
         # positive stay-slope for regime 1 and E[Z] = 1 tilt the chain
@@ -149,12 +171,13 @@ class TestSimulateHmm:
 class TestSimulateMsar:
     def test_recursion_holds_exactly(self):
         params = msar_benchmark(rho=0.0, phi=0.9)
-        sample = simulate_msar(params, T=400, seed=31, debug=True)
+        sample = simulate_msar(params, T=400, seed=31)
+        u1 = outcome_draws(31, sample)  # identity Cholesky factor at rho = 0
         mu = np.array([c.mu for c in params.outcomes])
         sigma = np.array([c.sigma for c in params.outcomes])
         s0 = sample.s - 1
         lhs = sample.y[1:] - 0.9 * sample.y[:-1]
-        rhs = mu[s0[1:]] + sigma[s0[1:]] * sample.noise["u1"][1:]
+        rhs = mu[s0[1:]] + sigma[s0[1:]] * u1[1:]
         np.testing.assert_allclose(lhs, rhs, rtol=0, atol=1e-10)
 
     def test_requires_ar_coefficient(self, hmm_params):

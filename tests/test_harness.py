@@ -65,6 +65,12 @@ class TestExperimentConfig:
         with pytest.raises(ConfigurationError, match="ar_coefficient"):
             cfg.validate()
 
+    def test_component_count_must_match_dgp(self):
+        cfg = ExperimentConfig(dgp=hmm_benchmark(), spec=ModelSpec(d=3),
+                               T=200, n_reps=2)
+        with pytest.raises(ConfigurationError, match=r"spec\.d = 3 .* 2 regimes"):
+            cfg.validate()
+
     def test_estimator_seed_rejected(self, tmp_path):
         # replications seed their starts from (master_seed, rep_index), so a
         # second seed here would be silently ignored
@@ -201,20 +207,23 @@ class TestRunExperiment:
         assert len(rows) == cfg.n_reps
         assert [int(r["rep_index"]) for r in rows] == list(range(cfg.n_reps))
 
-    def test_thread_count_does_not_change_results(self, tmp_path):
+    def test_run_order_does_not_change_results(self, tmp_path):
+        # each row depends only on (master_seed, rep_index)
         cfg = small_cfg(n_reps=6)
-        s1 = run_experiment(cfg, out_dir=tmp_path / "a", threads=1)
-        s4 = run_experiment(cfg, out_dir=tmp_path / "b", threads=4)
-        text_a = (tmp_path / "a" / "replications.csv").read_text()
-        text_b = (tmp_path / "b" / "replications.csv").read_text()
+        summary = run_experiment(cfg, out_dir=tmp_path)
+        reversed_csv = tmp_path / "reversed.csv"
+        records = [run_replication(cfg, i) for i in reversed(range(cfg.n_reps))]
+        write_replications_csv(reversed_csv, records, cfg)
 
-        def drop_elapsed(text):
-            rows = [r.split(",") for r in text.splitlines()]
+        def drop_elapsed(path):
+            with open(path, newline="") as fh:
+                rows = list(csv.reader(fh))
             idx = rows[0].index("elapsed_s")
             return [r[:idx] + r[idx + 1:] for r in rows]
 
-        assert drop_elapsed(text_a) == drop_elapsed(text_b)
-        assert s1.to_json() == s4.to_json()
+        assert (drop_elapsed(tmp_path / "replications.csv")
+                == drop_elapsed(reversed_csv))
+        assert summarize_csv(reversed_csv).to_json() == summary.to_json()
 
     def test_missing_out_dir_rejected(self):
         cfg = small_cfg()
@@ -298,12 +307,12 @@ class TestRenderTable:
                      canned_summary("rho0", 800, 0.017),
                      canned_summary("rho065", 200, 0.090),
                      canned_summary("rho065", 800, 0.021)]
-        table = render_table(summaries, layout="hmm")
+        table = render_table(summaries)
         with open("tests/data/golden_table.txt") as fh:
             assert table == fh.read()
 
     def test_weight_columns_omitted(self):
-        table = render_table([canned_summary("rho0", 200, 0.1)], layout="hmm")
+        table = render_table([canned_summary("rho0", 200, 0.1)])
         assert "weight" not in table
         assert "mu(1)" in table and "sigma(2)" in table
 
