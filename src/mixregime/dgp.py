@@ -363,13 +363,14 @@ def _simulate(params: HmmDgpParams, T: int, burn_in: int, seed,
 
     d = params.d
     n = burn_in + T
-    eps = np.column_stack([
+    chol = np.linalg.cholesky(params.noise.matrix())
+    # columns: U1 (outcome), U2 (z), U3 (w); the standard normals are freed
+    # here rather than kept alive through the paths below
+    u = np.column_stack([
         stream_rng(seed, _STREAM_OUTCOME).standard_normal(n),
         stream_rng(seed, _STREAM_Z).standard_normal(n),
         stream_rng(seed, _STREAM_W).standard_normal(n),
-    ])
-    chol = np.linalg.cholesky(params.noise.matrix())
-    u = eps @ chol.T  # columns: U1 (outcome), U2 (z), U3 (w)
+    ]) @ chol.T
     uniforms = stream_rng(seed, _STREAM_REGIME).random(n)
 
     init = stream_rng(seed, _STREAM_INIT)

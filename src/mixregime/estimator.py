@@ -16,8 +16,8 @@ from scipy.optimize import linear_sum_assignment, minimize
 
 from .dgp import RegimeOutcome, Sample, seed_key
 from .errors import EstimationError, ValidationError, reject_unknown
-from .mixture import (MixtureParams, ModelSpec, decode, encode,
-                      loglik_and_score_contributions, mixture_kernel, score)
+from .mixture import (MixtureParams, ModelSpec, decode, encode, mixture_kernel,
+                      neg_loglik_and_score)
 
 _COLLAPSE_FRACTION = 1e-8  # of effective sample size, per component
 # Normal equations count as singular below this fraction of their diagonal
@@ -257,11 +257,13 @@ def qml_estimate(sample: Sample, spec: ModelSpec,
                  cfg: Optional[EstimatorConfig] = None) -> EstimationResult:
     """Approximate maximizer of the quasi-log-likelihood.
 
-    Runs cfg.n_starts EM fits from randomized initializations, refines the
-    best one by BFGS on the FreeVector with the analytic score, and keeps
-    whichever of the two has the higher likelihood.  `converged` reports
-    whether the max-norm of the score fell below cfg.qn_grad_tol.
-    Components of the returned estimate are sorted by mu ascending.
+    Runs cfg.n_starts EM fits from randomized initializations and refines
+    the best one by BFGS on the FreeVector, minimizing
+    mixture.neg_loglik_and_score.  BFGS steps only where the likelihood
+    rises, so the result never falls below the EM start.  loglik and
+    `converged` (max-norm of the score at most cfg.qn_grad_tol) are read
+    from the BFGS result; when BFGS reports failure its message is added to
+    `notes`.  Components of the returned estimate are sorted by mu ascending.
     """
     if cfg is None:
         cfg = EstimatorConfig()
@@ -285,31 +287,17 @@ def qml_estimate(sample: Sample, spec: ModelSpec,
         if r.loglik > best.loglik:
             best_index, best = i, r
 
-    free0 = encode(best.params, spec)
-
-    def neg_and_grad(v):
-        terms, contrib = loglik_and_score_contributions(v, sample, spec)
-        return -float(np.mean(terms)), -contrib.mean(axis=0)
-
-    res = minimize(neg_and_grad, free0, jac=True, method="BFGS",
+    res = minimize(neg_loglik_and_score, encode(best.params, spec),
+                   args=([sample], spec), jac=True, method="BFGS",
                    options={"maxiter": cfg.qn_max_iter, "gtol": cfg.qn_grad_tol})
     notes = [f"start {i}: {note}" for i, r in enumerate(runs) for note in r.notes]
-    ll_qn = -float(res.fun)
-    if ll_qn >= best.loglik:
-        theta_free = np.asarray(res.x, dtype=float)
-        loglik = ll_qn
-    else:
-        theta_free = free0
-        loglik = best.loglik
-        notes.append("quasi-Newton refinement discarded (no improvement)")
-    grad = score(theta_free, sample, spec)
-    converged = bool(np.max(np.abs(grad)) <= cfg.qn_grad_tol)
+    if not res.success:
+        notes.append(f"bfgs: {res.message}")
 
-    theta_hat = decode(theta_free, spec).sorted_by_mu()
     return EstimationResult(
-        theta_hat=theta_hat,
-        loglik=loglik,
-        converged=converged,
+        theta_hat=decode(res.x, spec).sorted_by_mu(),
+        loglik=-float(res.fun),
+        converged=bool(np.max(np.abs(res.jac)) <= cfg.qn_grad_tol),
         n_iterations={"em": best.n_iter, "qn": int(res.nit)},
         start_index=best_index,
         notes=notes,

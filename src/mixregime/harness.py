@@ -52,6 +52,10 @@ class ExperimentConfig:
             out.append(f"T must be >= 50, got {self.T}")
         if self.burn_in < 0:
             out.append(f"burn_in must be >= 0, got {self.burn_in}")
+        seed = self.master_seed
+        if (isinstance(seed, bool) or not isinstance(seed, (int, np.integer))
+                or seed < 0):
+            out.append(f"master_seed must be a non-negative int, got {seed!r}")
         if self.estimator.seed != 0:  # replications seed from (master_seed, rep)
             out.append(f"estimator.seed must be 0, got {self.estimator.seed}; "
                        "vary master_seed instead")

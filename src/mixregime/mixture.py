@@ -13,6 +13,8 @@ weights anchored at the last component); all public operations accept
 either natural parameters (MixtureParams) or free vectors as documented.
 mixture_kernel is the one place that forms the weighted log-density
 matrix; EM, the likelihood, the score and BFGS each call it once per point.
+neg_loglik_and_score is the one BFGS objective, pooled over samples, that
+both the estimator and the switching-AR oracle minimize.
 """
 
 from __future__ import annotations
@@ -303,6 +305,25 @@ def score_contributions(free: np.ndarray, sample: Sample,
     the FreeVector coordinates; column means equal score().
     """
     return loglik_and_score_contributions(free, sample, spec)[1]
+
+
+def neg_loglik_and_score(free: np.ndarray, samples: Sequence[Sample],
+                         spec: ModelSpec):
+    """Minus the average quasi-log-likelihood and minus its score at
+    decode(free), pooled over the usable rows of every sample.
+
+    The one objective BFGS minimizes, for the estimator and the oracle; one
+    kernel call per sample.
+    """
+    total = 0.0
+    grad = np.zeros(spec.q)
+    n_rows = 0
+    for sample in samples:
+        terms, contrib = loglik_and_score_contributions(free, sample, spec)
+        total += float(terms.sum())
+        grad += contrib.sum(axis=0)
+        n_rows += len(terms)
+    return -total / n_rows, -grad / n_rows
 
 
 def score(free: np.ndarray, sample: Sample, spec: ModelSpec) -> np.ndarray:

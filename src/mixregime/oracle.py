@@ -36,9 +36,8 @@ from .dgp import (HmmDgpParams, RegimeOutcome, Sample, seed_key,
 from .errors import ConfigurationError, QuadratureError, ValidationError
 from .estimator import EstimatorConfig, align_permutation
 from .inference import HacConfig, sandwich_cov
-from .mixture import (MixtureParams, ModelSpec, decode, encode,
-                      loglik_and_score_contributions, loglik_terms,
-                      natural_vector)
+from .mixture import (MixtureParams, ModelSpec, decode, encode, loglik_terms,
+                      natural_vector, neg_loglik_and_score)
 
 DEFAULT_N_BATCHES = 50
 
@@ -167,38 +166,6 @@ class MsarPseudoTrueResult:
                 "n_sim": self.n_sim, "n_paths": self.n_paths}
 
 
-def _neg_loglik_and_score(free: np.ndarray, paths: list, spec: ModelSpec):
-    """Negative average quasi-log-likelihood and score over all paths."""
-    total = 0.0
-    grad = np.zeros(spec.q)
-    n_eff = 0
-    for path in paths:
-        terms, contrib = loglik_and_score_contributions(free, path, spec)
-        total += float(terms.sum())
-        grad += contrib.sum(axis=0)
-        n_eff += path.T - 1
-    return -total / n_eff, -grad / n_eff
-
-
-def _bfgs(free0: np.ndarray, paths: list, spec: ModelSpec,
-          scale: np.ndarray, grad_tol: float, max_iter: int):
-    """BFGS in coordinates u with free = free0 + scale @ u.
-
-    The stopping tolerance on the u-gradient is tightened so that the
-    max-norm of the score itself ends below grad_tol.  Returns the
-    optimum, the scipy result, and the inverse-Hessian approximation
-    mapped back to free coordinates.
-    """
-    def fun(u):
-        val, grad = _neg_loglik_and_score(free0 + scale @ u, paths, spec)
-        return val, scale.T @ grad
-
-    gtol = grad_tol / np.abs(np.linalg.inv(scale).T).sum(axis=1).max()
-    res = minimize(fun, np.zeros(spec.q), jac=True, method="BFGS",
-                   options={"maxiter": max_iter, "gtol": gtol})
-    return free0 + scale @ res.x, res, scale @ res.hess_inv @ scale.T
-
-
 def pseudo_true_msar(dgp: HmmDgpParams, n_sim: int, burn_in: int = 500,
                      seed=0) -> MsarPseudoTrueResult:
     """Quasi-likelihood maximizer of the shared-slope mixture at large n_sim.
@@ -213,9 +180,12 @@ def pseudo_true_msar(dgp: HmmDgpParams, n_sim: int, burn_in: int = 500,
 
     BFGS starts from the true coefficients (uniform weights) on the first
     n_sim // 10 observations of path 0, then continues on all paths from
-    that optimum, preconditioned by the first stage's inverse Hessian so
-    that only a few full passes are needed; both stages stop on the
-    estimator's default qn_grad_tol.  mc_error is the HAC sandwich
+    that optimum, started from the first stage's inverse Hessian (scipy's
+    hess_inv0) so that only a few full passes are needed.  Both stages
+    minimize mixture.neg_loglik_and_score, the estimator's objective, and
+    stop once the score's max-norm is at most the estimator's default
+    qn_grad_tol; loglik and grad_max are read from the second stage's
+    result.  mc_error is the HAC sandwich
     standard error at n_sim: A and B are estimated at theta_star on path 0
     and the result is rescaled to the full sample size.
     """
@@ -241,23 +211,25 @@ def pseudo_true_msar(dgp: HmmDgpParams, n_sim: int, burn_in: int = 500,
                     for c in dgp.outcomes],
         weights=np.full(dgp.d, 1.0 / dgp.d))
 
-    free1, res1, hess_inv1 = _bfgs(encode(truth, spec), [prefix], spec,
-                                   np.eye(spec.q), qn.qn_grad_tol,
-                                   qn.qn_max_iter)
-    free_star, res2, _ = _bfgs(free1, paths, spec,
-                               np.linalg.cholesky(hess_inv1), qn.qn_grad_tol,
-                               qn.qn_max_iter)
-    neg_ll, neg_grad = _neg_loglik_and_score(free_star, paths, spec)
-    grad_max = float(np.abs(neg_grad).max())
+    options = {"maxiter": qn.qn_max_iter, "gtol": qn.qn_grad_tol}
+    res1 = minimize(neg_loglik_and_score, encode(truth, spec),
+                    args=([prefix], spec), jac=True, method="BFGS",
+                    options=options)
+    # scipy rejects an inverse Hessian that is symmetric only to rounding
+    hess_inv0 = 0.5 * (res1.hess_inv + res1.hess_inv.T)
+    res2 = minimize(neg_loglik_and_score, res1.x, args=(paths, spec),
+                    jac=True, method="BFGS",
+                    options={**options, "hess_inv0": hess_inv0})
+    grad_max = float(np.abs(res2.jac).max())
 
-    theta_star = align_permutation(decode(free_star, spec), truth)
+    theta_star = align_permutation(decode(res2.x, spec), truth)
     _, ses = sandwich_cov(encode(theta_star, spec), paths[0], spec,
                           HacConfig())
     ses = ses * math.sqrt((paths[0].T - 1) / (n_sim - n_paths))
     return MsarPseudoTrueResult(
         theta_star=theta_star,
         mc_error=dict(zip(spec.natural_names(), ses.tolist())),
-        loglik=-neg_ll, grad_max=grad_max,
+        loglik=-float(res2.fun), grad_max=grad_max,
         converged=grad_max <= qn.qn_grad_tol,
         n_iterations={"prefix": int(res1.nit), "full": int(res2.nit)},
         n_sim=n_sim, n_paths=n_paths)

@@ -7,7 +7,7 @@ import pytest
 from mixregime import (EstimationError, EstimatorConfig, MixtureParams,
                        ModelSpec, RegimeOutcome, Sample, ValidationError,
                        align_permutation, hmm_benchmark, qml_estimate,
-                       simulate_hmm)
+                       quasi_loglik, simulate_hmm)
 from mixregime.estimator import _em_run, _m_step, _moment_rows, _random_init
 
 
@@ -275,7 +275,18 @@ class TestQmlEstimate:
         (res, during, at_exit), = results
         assert res.nfev > 1
         assert during == res.nfev
-        assert len(calls) - at_exit == 1  # the final score check
+        assert len(calls) == at_exit  # the optimum is read from the result
+
+    def test_loglik_is_read_from_bfgs(self, msar_sample, fast_cfg):
+        spec = ModelSpec(d=2, form="msar")
+        res = qml_estimate(msar_sample, spec, fast_cfg)
+        assert res.loglik == quasi_loglik(res.theta_hat, msar_sample, spec)
+
+    def test_bfgs_failure_is_noted(self, msar_sample):
+        cfg = EstimatorConfig(n_starts=2, seed=7, qn_max_iter=1)
+        res = qml_estimate(msar_sample, ModelSpec(d=2, form="msar"), cfg)
+        assert not res.converged
+        assert any(note.startswith("bfgs: ") for note in res.notes), res.notes
 
     def test_all_starts_degenerate_is_estimation_error(self):
         sample = Sample(y=np.full(80, 1.0), w=np.full(80, 1.0))

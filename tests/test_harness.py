@@ -29,6 +29,12 @@ class TestExperimentConfig:
         with pytest.raises(ValidationError):
             small_cfg(n_reps=0).validate()
 
+    @pytest.mark.parametrize("seed", ["1002", -1, 2.5, True])
+    def test_master_seed_must_be_non_negative_int(self, seed):
+        # "1002" would otherwise seed (1, 0, 0, 2); -1 would reach numpy
+        with pytest.raises(ValidationError, match="master_seed"):
+            small_cfg(seed=seed).validate()
+
     def test_json_round_trip(self, tmp_path):
         cfg = small_cfg()
         path = tmp_path / "cfg.json"

@@ -8,10 +8,10 @@ import mixregime
 from mixregime import (ConfigurationError, MixtureParams, ModelSpec,
                        RegimeOutcome, Sample, ValidationError, decode,
                        decode_jacobian, encode, hessian, hmm_benchmark,
-                       natural_vector, quasi_loglik, score,
-                       score_contributions, simulate_hmm)
+                       msar_benchmark, natural_vector, quasi_loglik, score,
+                       score_contributions, simulate_hmm, simulate_msar)
 from mixregime.mixture import (loglik_and_score_contributions, loglik_terms,
-                               mixture_kernel)
+                               mixture_kernel, neg_loglik_and_score)
 
 LOG_2PI = math.log(2 * math.pi)
 
@@ -290,6 +290,57 @@ class TestKernel:
         free[-1] = -800.0
         with pytest.raises(ValidationError, match="strictly positive"):
             loglik_and_score_contributions(free, random_sample(rng, 10), spec)
+
+
+class TestObjective:
+    @pytest.mark.parametrize("form", ["hmm", "msar"])
+    def test_one_sample_is_quasi_loglik_and_score(self, form):
+        rng = np.random.default_rng(27)
+        spec = ModelSpec(d=2, form=form)
+        sample = random_sample(rng, 40)
+        params = random_params(rng, 2, form)
+        free = encode(params, spec)
+        neg_ll, neg_grad = neg_loglik_and_score(free, [sample], spec)
+        assert neg_ll == -quasi_loglik(decode(free, spec), sample, spec)
+        np.testing.assert_array_equal(neg_grad, -score(free, sample, spec))
+
+    @pytest.mark.parametrize("form", ["hmm", "msar"])
+    def test_samples_pool_by_row_count(self, form):
+        rng = np.random.default_rng(29)
+        spec = ModelSpec(d=2, form=form)
+        samples = [random_sample(rng, 15), random_sample(rng, 60)]
+        free = encode(random_params(rng, 2, form), spec)
+        rows = np.array([len(spec.regression_frame(s)[0]) for s in samples])
+        parts = [neg_loglik_and_score(free, [s], spec) for s in samples]
+        neg_ll, neg_grad = neg_loglik_and_score(free, samples, spec)
+        assert neg_ll == pytest.approx(
+            rows @ [v for v, _ in parts] / rows.sum(), rel=1e-13)
+        np.testing.assert_allclose(
+            neg_grad, rows @ np.array([g for _, g in parts]) / rows.sum(),
+            rtol=1e-12, atol=1e-15)
+
+    def test_one_kernel_call_per_path(self, monkeypatch):
+        from mixregime import mixture
+
+        dgp = msar_benchmark()
+        spec = ModelSpec(d=2, form="msar")
+        paths = [simulate_msar(dgp, T=300, seed=(5, k)) for k in range(3)]
+        truth = MixtureParams(
+            components=[RegimeOutcome(c.mu, dgp.ar_coefficient, c.sigma)
+                        for c in dgp.outcomes],
+            weights=np.full(2, 0.5))
+        calls = []
+        kernel = mixture.mixture_kernel
+
+        def counted(*args):
+            calls.append(1)
+            return kernel(*args)
+
+        monkeypatch.setattr(mixture, "mixture_kernel", counted)
+        neg_ll, neg_grad = neg_loglik_and_score(encode(truth, spec), paths,
+                                                spec)
+        assert len(calls) == len(paths)
+        assert np.isfinite(neg_ll) and neg_grad.shape == (spec.q,)
 
 
 def test_public_names_resolve_once():

@@ -10,7 +10,7 @@ from mixregime import (ArLaw, ConfigurationError, HmmDgpParams,
                        encode, hmm_benchmark, kl_check,
                        linear_independence_check, msar_benchmark,
                        perturbation_grid, pseudo_true_msar,
-                       pseudo_true_weights, simulate_msar)
+                       pseudo_true_weights, score, simulate_msar)
 from mixregime.oracle import _eventually_decreasing, _student_t_cf
 
 
@@ -162,28 +162,13 @@ class TestPseudoTrueMsar:
         with pytest.raises(ConfigurationError):
             pseudo_true_msar(hmm_benchmark(), n_sim=20_000)
 
-    def test_one_kernel_call_per_path(self, monkeypatch):
-        from mixregime import mixture, oracle
-
-        dgp = msar_benchmark()
+    def test_grad_max_is_the_score_at_theta_star(self, msar_oracle):
+        # read from the BFGS result, not from another pass over the paths
         spec = ModelSpec(d=2, form="msar")
-        paths = [simulate_msar(dgp, T=300, seed=(5, k)) for k in range(3)]
-        truth = MixtureParams(
-            components=[RegimeOutcome(c.mu, dgp.ar_coefficient, c.sigma)
-                        for c in dgp.outcomes],
-            weights=np.full(2, 0.5))
-        calls = []
-        kernel = mixture.mixture_kernel
-
-        def counted(*args):
-            calls.append(1)
-            return kernel(*args)
-
-        monkeypatch.setattr(mixture, "mixture_kernel", counted)
-        neg_ll, neg_grad = oracle._neg_loglik_and_score(encode(truth, spec),
-                                                        paths, spec)
-        assert len(calls) == len(paths)
-        assert np.isfinite(neg_ll) and neg_grad.shape == (spec.q,)
+        path = simulate_msar(msar_benchmark(), T=msar_oracle.n_sim,
+                             seed=(0, 0))
+        grad = score(encode(msar_oracle.theta_star, spec), path, spec)
+        assert abs(np.abs(grad).max() - msar_oracle.grad_max) <= 1e-9
 
     def test_small_n_sim_rejected(self):
         with pytest.raises(ValidationError):
