@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from mixregime import ExperimentConfig, ModelSpec, hmm_benchmark, msar_benchmark
+from mixregime import ExperimentConfig, hmm_benchmark, msar_benchmark
 
 ROOT = Path(__file__).resolve().parent.parent
 CONFIG_DIR = ROOT / "configs"
@@ -48,8 +48,7 @@ def main() -> None:
         for t_len in T_VALUES:
             seed_counter += 1
             cfg = ExperimentConfig(
-                dgp=dgp, spec=ModelSpec(d=2, form="hmm"), T=t_len,
-                n_reps=N_REPS[t_len], master_seed=seed_counter,
+                dgp=dgp, T=t_len, n_reps=N_REPS[t_len], master_seed=seed_counter,
                 label=f"rho*={rho}, omega*={omega}",
                 out_dir=f"out/hmm_{slug}_T{t_len}")
             path = CONFIG_DIR / f"hmm_{slug}_T{t_len}.json"
@@ -62,8 +61,7 @@ def main() -> None:
         for t_len in T_VALUES:
             seed_counter += 1
             cfg = ExperimentConfig(
-                dgp=dgp, spec=ModelSpec(d=2, form="msar"), T=t_len,
-                n_reps=N_REPS[t_len], master_seed=seed_counter,
+                dgp=dgp, T=t_len, n_reps=N_REPS[t_len], master_seed=seed_counter,
                 label=f"rho*={rho}",
                 out_dir=f"out/msar_{slug}_T{t_len}")
             path = CONFIG_DIR / f"msar_{slug}_T{t_len}.json"

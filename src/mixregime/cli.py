@@ -71,10 +71,8 @@ def _cmd_fit(args) -> int:
     hac_cfg = HacConfig.from_json(cfg_obj.get("hac", {}))
     if args.bandwidth is not None:
         hac_cfg.bandwidth = _parse_bandwidth(args.bandwidth)
-    if args.seed is not None:
-        est_cfg.seed = args.seed
 
-    result = qml_estimate(sample, spec, est_cfg)
+    result = qml_estimate(sample, spec, est_cfg, seed=args.seed)
     hac_info = {}
     theta_free = encode(result.theta_hat, spec)
     cov, ses = sandwich_cov(theta_free, sample, spec, hac_cfg, info=hac_info)
@@ -179,7 +177,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_fit.add_argument("--config", help="estimator/HAC settings JSON file")
     p_fit.add_argument("--out", help="write the result JSON here")
     p_fit.add_argument("--bandwidth", help="HAC bandwidth: 'auto' or a number")
-    p_fit.add_argument("--seed", type=int, help="override the start-seed")
+    p_fit.add_argument("--seed", type=int, default=0,
+                       help="seed of the randomized EM starts")
     p_fit.set_defaults(func=_cmd_fit)
 
     p_mc = sub.add_parser("mc", help="run a Monte Carlo experiment")

@@ -22,6 +22,7 @@ import csv
 import hashlib
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Sequence
@@ -29,7 +30,7 @@ from typing import Optional, Sequence
 import numpy as np
 from scipy.signal import lfilter
 
-from .errors import ConfigurationError, ParseError, ValidationError, require_fixed
+from .errors import ConfigurationError, ParseError, ValidationError, reject_unknown
 
 # Sub-stream labels: one independent RNG stream per noise consumer, so that
 # extending T never reshuffles earlier draws.
@@ -75,6 +76,7 @@ class RegimeOutcome:
 
     @classmethod
     def from_json(cls, obj: dict) -> "RegimeOutcome":
+        reject_unknown(obj, ("mu", "gamma", "sigma"), "outcome")
         return cls(mu=float(obj["mu"]), gamma=float(obj["gamma"]),
                    sigma=float(obj["sigma"]))
 
@@ -108,6 +110,8 @@ class TransitionSpec:
                    beta=np.array([[b1, 0.0], [0.0, b2]]))
 
     def violations(self) -> list:
+        if isinstance(self.d, bool) or not isinstance(self.d, numbers.Integral):
+            return [f"transition d must be an int, got {self.d!r}"]
         out = []
         if self.d < 2:
             out.append(f"transition must have d >= 2 regimes, got {self.d}")
@@ -121,12 +125,12 @@ class TransitionSpec:
 
     def to_json(self) -> dict:
         return {"d": self.d, "alpha": self.alpha.tolist(),
-                "beta": self.beta.tolist(), "link": "logistic"}
+                "beta": self.beta.tolist()}
 
     @classmethod
     def from_json(cls, obj: dict) -> "TransitionSpec":
-        require_fixed(obj, "link", "logistic")
-        return cls(d=int(obj["d"]), alpha=obj["alpha"], beta=obj["beta"])
+        reject_unknown(obj, ("d", "alpha", "beta"), "transition")
+        return cls(d=obj["d"], alpha=obj["alpha"], beta=obj["beta"])
 
 
 @dataclass
@@ -162,6 +166,7 @@ class ArLaw:
 
     @classmethod
     def from_json(cls, obj: dict) -> "ArLaw":
+        reject_unknown(obj, ("intercept", "slope", "noise_sd"), "AR law")
         return cls(intercept=float(obj["intercept"]), slope=float(obj["slope"]),
                    noise_sd=float(obj["noise_sd"]))
 
@@ -194,6 +199,7 @@ class NoiseCorrelation:
 
     @classmethod
     def from_json(cls, obj: dict) -> "NoiseCorrelation":
+        reject_unknown(obj, ("rho", "omega"), "noise")
         return cls(rho=float(obj["rho"]), omega=float(obj["omega"]))
 
 
@@ -248,6 +254,8 @@ class HmmDgpParams:
 
     @classmethod
     def from_json(cls, obj: dict) -> "HmmDgpParams":
+        reject_unknown(obj, ("outcomes", "transition", "z_law", "w_law", "noise",
+                             "ar_coefficient"), "DGP")
         phi = obj.get("ar_coefficient")
         return cls(
             outcomes=[RegimeOutcome.from_json(o) for o in obj["outcomes"]],

@@ -1,5 +1,7 @@
 """Exception types shared across the package, and the checks of config keys."""
 
+import numbers
+
 
 class MixRegimeError(Exception):
     """Base class for all package-specific errors."""
@@ -47,17 +49,6 @@ class QuadratureError(MixRegimeError, RuntimeError):
     """A numerical integral or special function has no trustworthy double value."""
 
 
-def require_fixed(obj: dict, key: str, value, error=ValidationError) -> None:
-    """Reject a config entry `key` unless it is absent or equals `value`.
-
-    For settings the package supports with one value only: configs keep the
-    key so that files stay readable, but no other value is accepted.
-    """
-    got = obj.get(key, value)
-    if got != value:
-        raise error(f"{key} supports only {value!r}, got {got!r}")
-
-
 def reject_unknown(obj: dict, known, what: str) -> None:
     """Reject config keys outside `known`.
 
@@ -67,3 +58,21 @@ def reject_unknown(obj: dict, known, what: str) -> None:
     unknown = sorted(set(obj) - set(known))
     if unknown:
         raise ValidationError(f"unknown {what} key(s): {', '.join(unknown)}")
+
+
+def check_types(obj, counts=(), reals=()) -> None:
+    """Reject attributes of `obj` named in `counts` that are not ints, or in
+    `reals` that are not real numbers; a bool is neither.
+
+    Config values are checked, not coerced: int(1600.7) would run another
+    experiment than the file says.
+    """
+    out = []
+    for names, kind, what in ((counts, numbers.Integral, "an int"),
+                              (reals, numbers.Real, "a real number")):
+        for name in names:
+            value = getattr(obj, name)
+            if isinstance(value, bool) or not isinstance(value, kind):
+                out.append(f"{name} must be {what}, got {value!r}")
+    if out:
+        raise ValidationError(out)

@@ -15,7 +15,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment, minimize
 
 from .dgp import RegimeOutcome, Sample, seed_key
-from .errors import EstimationError, ValidationError, reject_unknown
+from .errors import EstimationError, ValidationError, check_types, reject_unknown
 from .mixture import (MixtureParams, ModelSpec, decode, encode, mixture_kernel,
                       neg_loglik_and_score)
 
@@ -27,7 +27,7 @@ _SINGULAR_RTOL = 1e-12
 
 @dataclass
 class EstimatorConfig:
-    """Optimizer settings; seed drives the randomized starts."""
+    """Optimizer settings."""
 
     n_starts: int = 8
     em_max_iter: int = 500
@@ -35,9 +35,10 @@ class EstimatorConfig:
     qn_max_iter: int = 200
     qn_grad_tol: float = 1e-6  # max-norm of the score at convergence
     sigma_floor: float = 1e-6
-    seed: int = 0
 
     def validate(self) -> None:
+        check_types(self, ("n_starts", "em_max_iter", "qn_max_iter"),
+                    ("em_tol", "qn_grad_tol", "sigma_floor"))
         out = []
         if self.n_starts < 1:
             out.append(f"n_starts must be >= 1, got {self.n_starts}")
@@ -52,8 +53,7 @@ class EstimatorConfig:
     def to_json(self) -> dict:
         return {"n_starts": self.n_starts, "em_max_iter": self.em_max_iter,
                 "em_tol": self.em_tol, "qn_max_iter": self.qn_max_iter,
-                "qn_grad_tol": self.qn_grad_tol, "sigma_floor": self.sigma_floor,
-                "seed": self.seed}
+                "qn_grad_tol": self.qn_grad_tol, "sigma_floor": self.sigma_floor}
 
     @classmethod
     def from_json(cls, obj: dict) -> "EstimatorConfig":
@@ -180,13 +180,18 @@ def _em_run(y: np.ndarray, x: np.ndarray, spec: ModelSpec, init: MixtureParams,
     n_eff = len(y)
     rows = _moment_rows(y, x)
     ll_prev = -np.inf
+    gain = np.inf
     n_iter = 0
     degenerate = False
 
-    for _ in range(cfg.em_max_iter):
+    while True:
         lse, resp, _ = mixture_kernel(params, y, x)
         ll_cur = float(lse.mean())
         trace.append(ll_cur)
+        if n_iter == cfg.em_max_iter:
+            notes.append(f"em stopped at em_max_iter = {cfg.em_max_iter} "
+                         f"(last gain {gain:.1e})")
+            break
         if ll_cur < ll_prev - 1e-10:
             notes.append(f"em loglik decreased by {ll_prev - ll_cur:.3e}")
         gain = ll_cur - ll_prev
@@ -219,13 +224,8 @@ def _em_run(y: np.ndarray, x: np.ndarray, spec: ModelSpec, init: MixtureParams,
             notes.append("sigma floor reached")
         ll_prev = ll_cur
         n_iter += 1
-    else:
-        notes.append(f"em stopped at em_max_iter = {cfg.em_max_iter} "
-                     f"(last gain {gain:.1e})")
 
-    ll_final = float(mixture_kernel(params, y, x)[0].mean())
-    trace.append(ll_final)
-    return _EmRun(params=params, loglik=ll_final, trace=trace, n_iter=n_iter,
+    return _EmRun(params=params, loglik=ll_cur, trace=trace, n_iter=n_iter,
                   degenerate=degenerate, notes=notes)
 
 
@@ -254,10 +254,12 @@ def _check_sample_size(n_eff: int, spec: ModelSpec) -> None:
 
 
 def qml_estimate(sample: Sample, spec: ModelSpec,
-                 cfg: Optional[EstimatorConfig] = None) -> EstimationResult:
+                 cfg: Optional[EstimatorConfig] = None,
+                 seed=0) -> EstimationResult:
     """Approximate maximizer of the quasi-log-likelihood.
 
-    Runs cfg.n_starts EM fits from randomized initializations and refines
+    Runs cfg.n_starts EM fits from initializations randomized by `seed` (an
+    int or a tuple of ints; start k draws from seed + (k,)) and refines
     the best one by BFGS on the FreeVector, minimizing
     mixture.neg_loglik_and_score.  BFGS steps only where the likelihood
     rises, so the result never falls below the EM start.  loglik and
@@ -273,7 +275,7 @@ def qml_estimate(sample: Sample, spec: ModelSpec,
 
     runs = []
     for start in range(cfg.n_starts):
-        rng = np.random.default_rng(seed_key(cfg.seed) + (start,))
+        rng = np.random.default_rng(seed_key(seed) + (start,))
         init = _random_init(y, x, spec, rng, cfg.sigma_floor)
         runs.append(_em_run(y, x, spec, init, cfg, rng))
 

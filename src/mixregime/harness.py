@@ -1,6 +1,7 @@
 """Seeded Monte Carlo experiments: replication loop, aggregation, tables.
 
-One experiment = one (DGP design, fitted model, T, n_reps) cell.  Every
+One experiment = one (DGP design, T, n_reps) cell; the fitted model
+follows from the design (ExperimentConfig.spec).  Every
 replication derives its seeds from (master_seed, rep_index), so runs are
 reproducible in any order and adding replications never perturbs
 existing ones.  Aggregation is a pure function of the persisted
@@ -21,7 +22,8 @@ from typing import List, Optional
 import numpy as np
 
 from .dgp import HmmDgpParams, RegimeOutcome, seed_key, simulate_hmm, simulate_msar
-from .errors import ConfigurationError, MixRegimeError, ValidationError, reject_unknown
+from .errors import (ConfigurationError, MixRegimeError, ValidationError,
+                     check_types, reject_unknown)
 from .estimator import EstimatorConfig, align_permutation, qml_estimate
 from .inference import HacConfig, sandwich_cov
 from .mixture import MixtureParams, ModelSpec, encode, natural_vector
@@ -34,7 +36,6 @@ class ExperimentConfig:
     """Everything needed to reproduce one Monte Carlo table cell."""
 
     dgp: HmmDgpParams
-    spec: ModelSpec
     T: int
     n_reps: int
     master_seed: int = 0
@@ -44,7 +45,15 @@ class ExperimentConfig:
     label: str = ""
     out_dir: Optional[str] = None
 
+    @property
+    def spec(self) -> ModelSpec:
+        """The fitted mixture: one component per DGP regime, switching-AR
+        form exactly when the DGP sets ar_coefficient."""
+        form = "hmm" if self.dgp.ar_coefficient is None else "msar"
+        return ModelSpec(d=self.dgp.d, form=form)
+
     def validate(self) -> None:
+        check_types(self, ("T", "n_reps", "burn_in", "master_seed"))
         out = []
         if self.n_reps < 1:
             out.append(f"n_reps must be >= 1, got {self.n_reps}")
@@ -52,22 +61,11 @@ class ExperimentConfig:
             out.append(f"T must be >= 50, got {self.T}")
         if self.burn_in < 0:
             out.append(f"burn_in must be >= 0, got {self.burn_in}")
-        seed = self.master_seed
-        if (isinstance(seed, bool) or not isinstance(seed, (int, np.integer))
-                or seed < 0):
-            out.append(f"master_seed must be a non-negative int, got {seed!r}")
-        if self.estimator.seed != 0:  # replications seed from (master_seed, rep)
-            out.append(f"estimator.seed must be 0, got {self.estimator.seed}; "
-                       "vary master_seed instead")
+        if self.master_seed < 0:
+            out.append(f"master_seed must be >= 0, got {self.master_seed}")
         if out:
             raise ValidationError(out)
         self.dgp.validate()
-        if self.spec.d != self.dgp.d:
-            raise ConfigurationError(f"spec.d = {self.spec.d} disagrees with the "
-                                     f"DGP's {self.dgp.d} regimes")
-        if (self.spec.form == "msar") != (self.dgp.ar_coefficient is not None):
-            raise ConfigurationError(f"spec.form {self.spec.form!r} disagrees with "
-                                     "dgp.ar_coefficient (set only for 'msar')")
         self.estimator.validate()
         self.hac.validate()
 
@@ -75,7 +73,6 @@ class ExperimentConfig:
         return {
             "label": self.label,
             "dgp": self.dgp.to_json(),
-            "spec": self.spec.to_json(),
             "T": self.T,
             "n_reps": self.n_reps,
             "master_seed": self.master_seed,
@@ -88,18 +85,12 @@ class ExperimentConfig:
     @classmethod
     def from_json(cls, obj: dict) -> "ExperimentConfig":
         reject_unknown(obj, [f.name for f in dataclasses.fields(cls)], "experiment")
-        return cls(
-            dgp=HmmDgpParams.from_json(obj["dgp"]),
-            spec=ModelSpec.from_json(obj["spec"]),
-            T=int(obj["T"]),
-            n_reps=int(obj["n_reps"]),
-            master_seed=obj.get("master_seed", 0),
-            estimator=EstimatorConfig.from_json(obj.get("estimator", {})),
-            hac=HacConfig.from_json(obj.get("hac", {})),
-            burn_in=int(obj.get("burn_in", 500)),
-            label=obj.get("label", ""),
-            out_dir=obj.get("out_dir"),
-        )
+        return cls(**{
+            **obj,
+            "dgp": HmmDgpParams.from_json(obj["dgp"]),
+            "estimator": EstimatorConfig.from_json(obj.get("estimator", {})),
+            "hac": HacConfig.from_json(obj.get("hac", {})),
+        })
 
 
 def load_experiment_config(path) -> ExperimentConfig:
@@ -118,11 +109,9 @@ def true_reference(cfg: ExperimentConfig) -> MixtureParams:
     a design-dependent limit, not a DGP parameter).
     """
     d = cfg.dgp.d
-    if cfg.spec.form == "msar":
-        phi = cfg.dgp.ar_coefficient
-        comps = [RegimeOutcome(c.mu, phi, c.sigma) for c in cfg.dgp.outcomes]
-    else:
-        comps = [RegimeOutcome(c.mu, c.gamma, c.sigma) for c in cfg.dgp.outcomes]
+    phi = cfg.dgp.ar_coefficient  # the shared slope of the switching AR
+    comps = [RegimeOutcome(c.mu, c.gamma if phi is None else phi, c.sigma)
+             for c in cfg.dgp.outcomes]
     return MixtureParams(components=comps, weights=np.full(d, 1.0 / d))
 
 
@@ -179,17 +168,17 @@ def run_replication(cfg: ExperimentConfig, rep_index: int) -> ReplicationRecord:
     n_nat = len(truth)
     nan_vec = np.full(n_nat, np.nan)
 
+    spec = cfg.spec
     sim_seed = seed_key(cfg.master_seed) + (rep_index, 0)
     est_seed = seed_key(cfg.master_seed) + (rep_index, 1)
     try:
-        if cfg.spec.form == "msar":
+        if spec.form == "msar":
             sample = simulate_msar(cfg.dgp, T=cfg.T, burn_in=cfg.burn_in,
                                    seed=sim_seed)
         else:
             sample = simulate_hmm(cfg.dgp, T=cfg.T, burn_in=cfg.burn_in,
                                   seed=sim_seed)
-        est_cfg = dataclasses.replace(cfg.estimator, seed=est_seed)
-        result = qml_estimate(sample, cfg.spec, est_cfg)
+        result = qml_estimate(sample, spec, cfg.estimator, seed=est_seed)
 
         ref = true_reference(cfg)
         aligned = align_permutation(result.theta_hat, ref)
@@ -197,8 +186,8 @@ def run_replication(cfg: ExperimentConfig, rep_index: int) -> ReplicationRecord:
         dist_post = _stack_distance(aligned, ref)
 
         hac_info = {}
-        cov, ses = sandwich_cov(encode(aligned, cfg.spec), sample, cfg.spec,
-                                cfg.hac, info=hac_info)
+        cov, ses = sandwich_cov(encode(aligned, spec), sample, spec, cfg.hac,
+                                info=hac_info)
         degenerate = bool(
             (aligned.sigma_vec <= cfg.estimator.sigma_floor * (1 + 1e-9)).any()
             or (aligned.weights < 1e-6).any())
@@ -215,7 +204,7 @@ def run_replication(cfg: ExperimentConfig, rep_index: int) -> ReplicationRecord:
             hac_floored=bool(hac_info.get("floored", False)),
             align_dist_pre=dist_pre,
             align_dist_post=dist_post,
-            estimates=natural_vector(aligned, cfg.spec),
+            estimates=natural_vector(aligned, spec),
             std_errors=np.asarray(ses, dtype=float),
             truth=truth,
             elapsed_s=time.perf_counter() - t0,

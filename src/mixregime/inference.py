@@ -17,7 +17,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .dgp import Sample
-from .errors import EstimationError, ValidationError, reject_unknown, require_fixed
+from .errors import EstimationError, ValidationError, check_types, reject_unknown
 from .mixture import ModelSpec, decode_jacobian, hessian, score_contributions
 
 ANDREWS_RHO_CLAMP = 0.97
@@ -31,25 +31,18 @@ class HacConfig:
     bandwidth: Union[str, float] = "auto"  # "auto" or a fixed value >= 0
 
     def validate(self) -> None:
-        out = []
-        if isinstance(self.bandwidth, str):
-            if self.bandwidth != "auto":
-                out.append(f"bandwidth must be 'auto' or a number, "
-                           f"got {self.bandwidth!r}")
-        elif not (math.isfinite(self.bandwidth) and self.bandwidth >= 0):
-            out.append(f"fixed bandwidth must be >= 0, got {self.bandwidth}")
-        if out:
-            raise ValidationError(out)
+        if self.bandwidth == "auto":
+            return
+        check_types(self, reals=("bandwidth",))
+        if not (math.isfinite(self.bandwidth) and self.bandwidth >= 0):
+            raise ValidationError(f"fixed bandwidth must be >= 0, got {self.bandwidth}")
 
     def to_json(self) -> dict:
-        return {"kernel": "parzen", "bandwidth": self.bandwidth,
-                "demean_scores": True}
+        return {"bandwidth": self.bandwidth}
 
     @classmethod
     def from_json(cls, obj: dict) -> "HacConfig":
         reject_unknown(obj, cls().to_json(), "hac")
-        require_fixed(obj, "kernel", "parzen")
-        require_fixed(obj, "demean_scores", True)
         return cls(bandwidth=obj.get("bandwidth", "auto"))
 
 

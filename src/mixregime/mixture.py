@@ -26,7 +26,7 @@ from typing import Sequence
 import numpy as np
 
 from .dgp import RegimeOutcome, Sample
-from .errors import ConfigurationError, ValidationError, require_fixed
+from .errors import ConfigurationError, ValidationError
 
 _LOG_2PI = math.log(2.0 * math.pi)
 SIGMA_MIN = 1e-6
@@ -35,11 +35,6 @@ _LOG_SIGMA_MIN = math.log(SIGMA_MIN)
 _LOG_SIGMA_MAX = math.log(SIGMA_MAX)
 
 _FORMS = ("hmm", "msar")
-# which coefficients are regime-specific; fixed by the form
-_CANONICAL_FLAGS = {
-    "hmm": {"mu": True, "slope": True, "sigma": True},
-    "msar": {"mu": True, "slope": False, "sigma": True},
-}
 
 
 @dataclass
@@ -56,10 +51,14 @@ class ModelSpec:
             raise ConfigurationError(f"d must be >= 1, got {self.d}")
 
     @property
+    def n_slope(self) -> int:
+        """Slope coefficients: one per component, or one shared (msar)."""
+        return self.d if self.form == "hmm" else 1
+
+    @property
     def q(self) -> int:
         """FreeVector dimension."""
-        n_slope = self.d if self.form == "hmm" else 1
-        return self.d + n_slope + self.d + (self.d - 1)
+        return self.d + self.n_slope + self.d + (self.d - 1)
 
     def regression_frame(self, sample: Sample):
         """Extract the (response, regressor) pair used by the likelihood."""
@@ -81,15 +80,7 @@ class ModelSpec:
                 + [f"weight_{s}" for s in range(1, self.d + 1)])
 
     def to_json(self) -> dict:
-        return {"d": self.d, "form": self.form,
-                "switching_flags": dict(_CANONICAL_FLAGS[self.form])}
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "ModelSpec":
-        spec = cls(d=int(obj["d"]), form=obj["form"])
-        require_fixed(obj, "switching_flags", _CANONICAL_FLAGS[spec.form],
-                      ConfigurationError)
-        return spec
+        return {"d": self.d, "form": self.form}
 
 
 @dataclass
@@ -205,7 +196,7 @@ def decode(free: np.ndarray, spec: ModelSpec) -> MixtureParams:
 
 def _split_free(free: np.ndarray, spec: ModelSpec):
     d = spec.d
-    n_slope = d if spec.form == "hmm" else 1
+    n_slope = spec.n_slope
     mu = free[:d]
     slope = free[d:d + n_slope]
     log_sigma = free[d + n_slope:d + n_slope + d]
@@ -228,7 +219,7 @@ def decode_jacobian(free: np.ndarray, spec: ModelSpec) -> np.ndarray:
     """
     params = decode(free, spec)
     d = spec.d
-    n_slope = d if spec.form == "hmm" else 1
+    n_slope = spec.n_slope
     q = spec.q
     n_nat = d + n_slope + d + d
     jac = np.zeros((n_nat, q))

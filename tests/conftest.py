@@ -33,5 +33,6 @@ def msar_spec():
 
 @pytest.fixture
 def fast_cfg():
-    """Estimator settings tuned for test runtime, still multi-start."""
-    return EstimatorConfig(n_starts=4, seed=7)
+    """Estimator settings tuned for test runtime, still multi-start; the
+    tests fit with them at seed 7."""
+    return EstimatorConfig(n_starts=4)

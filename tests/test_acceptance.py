@@ -42,7 +42,7 @@ class TestAcceptance:
         dgp = hmm_benchmark(rho=0.65, omega=0.0)
         sample = simulate_hmm(dgp, T=20_000, seed=(424242, 0))
         spec = ModelSpec(d=2, form="hmm")
-        res = qml_estimate(sample, spec, EstimatorConfig(seed=0))
+        res = qml_estimate(sample, spec, seed=0)
         reference = MixtureParams(components=dgp.outcomes,
                                   weights=np.array([0.5, 0.5]))
         aligned = align_permutation(res.theta_hat, reference)
@@ -177,7 +177,7 @@ class TestAcceptance:
                 from mixregime import msar_benchmark, simulate_msar
                 sample = simulate_msar(msar_benchmark(), T=600, seed=(7, 2))
             y, x = spec.regression_frame(sample)
-            cfg = EstimatorConfig(seed=5)
+            cfg = EstimatorConfig()
             for start in range(5):
                 rng = np.random.default_rng(seed_key(5) + (start,))
                 init = _random_init(y, x, spec, rng, cfg.sigma_floor)
@@ -260,9 +260,9 @@ class TestAcceptance:
                     break
 
         # identical results whatever order the replications run in
-        cfg = ExperimentConfig(dgp=hmm_benchmark(), spec=ModelSpec(d=2),
-                               T=200, n_reps=4, master_seed=99,
-                               estimator=EstimatorConfig(n_starts=2, seed=0),
+        cfg = ExperimentConfig(dgp=hmm_benchmark(), T=200, n_reps=4,
+                               master_seed=99,
+                               estimator=EstimatorConfig(n_starts=2),
                                label="prop")
         summary = run_experiment(cfg, out_dir=tmp_path)
         reversed_csv = tmp_path / "reversed.csv"

@@ -97,8 +97,8 @@ class TestFit:
         assert "bandwidth" in err["error"]["message"]
 
     def test_experiment_config_accepted(self, tmp_path, sample_csv):
-        cfg = ExperimentConfig(dgp=hmm_benchmark(), spec=ModelSpec(d=2), T=400,
-                               n_reps=1, estimator=EstimatorConfig(n_starts=2))
+        cfg = ExperimentConfig(dgp=hmm_benchmark(), T=400, n_reps=1,
+                               estimator=EstimatorConfig(n_starts=2))
         cfg.hac.bandwidth = 3.0
         cfg_path = tmp_path / "experiment.json"
         cfg_path.write_text(json.dumps(cfg.to_json()))
@@ -133,9 +133,9 @@ class TestFit:
 
 class TestMc:
     def test_tiny_experiment(self, tmp_path, capsys):
-        cfg = ExperimentConfig(dgp=hmm_benchmark(), spec=ModelSpec(d=2),
-                               T=200, n_reps=2, master_seed=11,
-                               estimator=EstimatorConfig(n_starts=2, seed=0),
+        cfg = ExperimentConfig(dgp=hmm_benchmark(), T=200, n_reps=2,
+                               master_seed=11,
+                               estimator=EstimatorConfig(n_starts=2),
                                label="cli-smoke")
         cfg_path = tmp_path / "exp.json"
         cfg_path.write_text(json.dumps(cfg.to_json()))
@@ -207,9 +207,9 @@ class TestCheckId:
 
 class TestRender:
     def test_render_from_mc_output(self, tmp_path, capsys):
-        cfg = ExperimentConfig(dgp=hmm_benchmark(), spec=ModelSpec(d=2),
-                               T=200, n_reps=3, master_seed=12,
-                               estimator=EstimatorConfig(n_starts=2, seed=0),
+        cfg = ExperimentConfig(dgp=hmm_benchmark(), T=200, n_reps=3,
+                               master_seed=12,
+                               estimator=EstimatorConfig(n_starts=2),
                                label="render-smoke")
         cfg_path = tmp_path / "exp.json"
         cfg_path.write_text(json.dumps(cfg.to_json()))
@@ -252,6 +252,15 @@ def readme_commands():
     text = "\n".join(blocks).replace("\\\n", " ")
     return [line.strip() for line in text.splitlines()
             if line.strip().startswith("mixregime ")]
+
+
+def test_readme_library_example_runs(capsys):
+    block, = re.findall(r"^```python\n(.*?)^```", README.read_text(),
+                        flags=re.M | re.S)
+    exec(compile(block, str(README), "exec"), {})
+    printed = capsys.readouterr().out
+    for name in ModelSpec(d=2).natural_names():
+        assert f"'{name}': (" in printed
 
 
 def test_readme_commands_parse():

@@ -92,10 +92,34 @@ class TestValidation:
         assert other.params_hash() != params.params_hash()
 
     def test_transition_link_is_logistic_only(self):
+        # the multinomial logit is the only link, so there is no key for it
         obj = TransitionSpec.two_state((2.0, 2.0), (0.5, -0.5)).to_json()
-        assert obj["link"] == "logistic"
-        with pytest.raises(ValidationError):
+        assert "link" not in obj
+        with pytest.raises(ValidationError, match="unknown transition key.*link"):
             TransitionSpec.from_json({**obj, "link": "probit"})
+
+    @pytest.mark.parametrize("d", [2.5, True, "2"])
+    def test_transition_d_must_be_int(self, d):
+        # int() would load d = 2.5 as two regimes
+        obj = hmm_benchmark().to_json()
+        obj["transition"]["d"] = d
+        with pytest.raises(ValidationError, match="transition d must be an int"):
+            HmmDgpParams.from_json(obj).validate()
+
+    @pytest.mark.parametrize("path, key", [
+        ((), "ar_coeficient"), (("transition",), "links"), (("z_law",), "slop"),
+        (("w_law",), "mean"), (("noise",), "kappa"), (("outcomes", 1), "phi"),
+    ])
+    def test_unknown_keys_rejected(self, path, key):
+        # a misspelled key would otherwise load as its default without a word:
+        # ar_coeficient as a regime regression with ar_coefficient = None
+        obj = msar_benchmark().to_json()
+        block = obj
+        for step in path:
+            block = block[step]
+        block[key] = 0.9
+        with pytest.raises(ValidationError, match=f"unknown .*key.*: {key}$"):
+            HmmDgpParams.from_json(obj)
 
 
 class TestSimulateHmm:

@@ -25,7 +25,7 @@ class TestEmSingleComponent:
         init = MixtureParams(components=[RegimeOutcome(0.0, 0.0, 2.0)],
                              weights=np.array([1.0]))
         y, x = spec.regression_frame(sample)
-        run = _em_run(y, x, spec, init, EstimatorConfig(seed=1), rng=None)
+        run = _em_run(y, x, spec, init, EstimatorConfig(), rng=None)
         assert not run.degenerate
         fit = run.params
         design = np.column_stack([np.ones_like(x), x])
@@ -44,7 +44,7 @@ class TestEmBehaviour:
         init = MixtureParams(
             components=[RegimeOutcome(0.5, 0.1, 2.0), RegimeOutcome(-0.5, 0.9, 2.0)],
             weights=uniform_weights(2))
-        run = _em_run(y, x, hmm_spec, init, EstimatorConfig(seed=0), rng=None)
+        run = _em_run(y, x, hmm_spec, init, EstimatorConfig(), rng=None)
         trace = np.asarray(run.trace)
         assert len(trace) >= 2
         assert (np.diff(trace) >= -1e-10).all()
@@ -54,7 +54,7 @@ class TestEmBehaviour:
         y, x = hmm_spec.regression_frame(hmm_sample)
         init = MixtureParams(components=dgp.outcomes,
                              weights=np.array([0.66, 0.34]))
-        run = _em_run(y, x, hmm_spec, init, EstimatorConfig(seed=0), rng=None)
+        run = _em_run(y, x, hmm_spec, init, EstimatorConfig(), rng=None)
         trace = np.asarray(run.trace)
         assert trace[-1] - trace[0] < 0.01
         assert (np.diff(trace) >= -1e-10).all()
@@ -75,7 +75,7 @@ class TestEmBehaviour:
     def test_wide_separation_resolves_in_two_iterations(self):
         sample, labels, init = self.wide_separation()
         spec = ModelSpec(d=2, form="hmm")
-        cfg = EstimatorConfig(em_max_iter=2, seed=3)
+        cfg = EstimatorConfig(em_max_iter=2)
         y2, x2 = spec.regression_frame(sample)
         run = _em_run(y2, x2, spec, init, cfg, rng=None)
         mus = sorted(c.mu for c in run.params.components)
@@ -91,12 +91,12 @@ class TestEmBehaviour:
         sample, _, init = self.wide_separation()
         spec = ModelSpec(d=2, form="hmm")
         y, x = spec.regression_frame(sample)
-        capped = _em_run(y, x, spec, init, EstimatorConfig(em_max_iter=2, seed=3),
+        capped = _em_run(y, x, spec, init, EstimatorConfig(em_max_iter=2),
                          rng=None)
         assert capped.n_iter == 2
         gain = capped.trace[1] - capped.trace[0]
         assert f"em stopped at em_max_iter = 2 (last gain {gain:.1e})" in capped.notes
-        free = _em_run(y, x, spec, init, EstimatorConfig(seed=3), rng=None)
+        free = _em_run(y, x, spec, init, EstimatorConfig(), rng=None)
         assert free.n_iter < 500
         assert not any(n.startswith("em stopped") for n in free.notes)
 
@@ -109,9 +109,40 @@ class TestEmBehaviour:
             components=[RegimeOutcome(0.0, 0.0, 1.0), RegimeOutcome(1.0, 0.0, 1.0)],
             weights=uniform_weights(2))
         y, x = spec.regression_frame(sample)
-        run = _em_run(y, x, spec, init, EstimatorConfig(seed=5), rng=None)
+        run = _em_run(y, x, spec, init, EstimatorConfig(), rng=None)
         assert run.degenerate
         assert run.notes == ["singular weighted normal equations; fit abandoned"]
+
+    @pytest.mark.parametrize("em_max_iter", [3, 500])
+    def test_one_kernel_call_per_iteration(self, monkeypatch, hmm_sample,
+                                           hmm_spec, em_max_iter):
+        # the evaluation that stops EM, at convergence or at the cap, also
+        # gives the run's loglik
+        from mixregime import estimator
+
+        kernel, em_run = estimator.mixture_kernel, estimator._em_run
+        calls, runs = [], []
+
+        def counted(*args):
+            calls[-1] += 1
+            return kernel(*args)
+
+        def recorded(*args):
+            calls.append(0)
+            runs.append(em_run(*args))
+            return runs[-1]
+
+        monkeypatch.setattr(estimator, "mixture_kernel", counted)
+        monkeypatch.setattr(estimator, "_em_run", recorded)
+        qml_estimate(hmm_sample, hmm_spec,
+                     EstimatorConfig(n_starts=4, em_max_iter=em_max_iter),
+                     seed=7)
+        assert len(runs) == 4
+        for run, n_calls in zip(runs, calls):
+            assert n_calls == run.n_iter + 1
+            assert len(run.trace) == n_calls and run.loglik == run.trace[-1]
+        # both ways out: every start stops at a cap of 3, some converge by 500
+        assert any(r.n_iter < em_max_iter for r in runs) == (em_max_iter == 500)
 
 
 class TestMStep:
@@ -173,7 +204,7 @@ class TestQmlEstimate:
         dgp = hmm_benchmark()
         sample = simulate_hmm(dgp, T=3200, seed=(40, 0))
         spec = ModelSpec(d=2, form="hmm")
-        res = qml_estimate(sample, spec, EstimatorConfig(seed=9))
+        res = qml_estimate(sample, spec, seed=9)
         est = res.theta_hat
         # components come back sorted by mu, so index 1 is the high regime
         assert est.components[1].mu == pytest.approx(1.0, abs=0.15)
@@ -184,7 +215,7 @@ class TestQmlEstimate:
 
     def test_single_component_matches_pooled_fit(self, hmm_sample):
         spec1 = ModelSpec(d=1, form="hmm")
-        res = qml_estimate(hmm_sample, spec1, EstimatorConfig(seed=2))
+        res = qml_estimate(hmm_sample, spec1, seed=2)
         y, x = spec1.regression_frame(hmm_sample)
         design = np.column_stack([np.ones_like(x), x])
         coef = np.linalg.lstsq(design, y, rcond=None)[0]
@@ -193,13 +224,13 @@ class TestQmlEstimate:
         assert comp.gamma == pytest.approx(coef[1], abs=1e-6)
 
     def test_two_components_beat_one(self, hmm_sample, fast_cfg):
-        res1 = qml_estimate(hmm_sample, ModelSpec(d=1), fast_cfg)
-        res2 = qml_estimate(hmm_sample, ModelSpec(d=2), fast_cfg)
+        res1 = qml_estimate(hmm_sample, ModelSpec(d=1), fast_cfg, seed=7)
+        res2 = qml_estimate(hmm_sample, ModelSpec(d=2), fast_cfg, seed=7)
         assert res2.loglik > res1.loglik
 
     def test_msar_fit_recovers_persistence(self, msar_sample, fast_cfg):
         spec = ModelSpec(d=2, form="msar")
-        res = qml_estimate(msar_sample, spec, fast_cfg)
+        res = qml_estimate(msar_sample, spec, fast_cfg, seed=7)
         phi = res.theta_hat.components[0].gamma
         assert res.theta_hat.components[1].gamma == phi
         assert 0.85 < phi < 1.0
@@ -208,11 +239,11 @@ class TestQmlEstimate:
     def test_refinement_never_loses_ground(self, hmm_sample, hmm_spec, fast_cfg):
         from mixregime.dgp import seed_key
 
-        res = qml_estimate(hmm_sample, hmm_spec, fast_cfg)
+        res = qml_estimate(hmm_sample, hmm_spec, fast_cfg, seed=7)
         y, x = hmm_spec.regression_frame(hmm_sample)
         best_em = -np.inf
         for start in range(fast_cfg.n_starts):
-            rng = np.random.default_rng(seed_key(fast_cfg.seed) + (start,))
+            rng = np.random.default_rng(seed_key(7) + (start,))
             init = _random_init(y, x, hmm_spec, rng, fast_cfg.sigma_floor)
             run = _em_run(y, x, hmm_spec, init, fast_cfg, rng=rng)
             if not run.degenerate:
@@ -220,8 +251,8 @@ class TestQmlEstimate:
         assert res.loglik >= best_em - 1e-12
 
     def test_deterministic_given_seed(self, hmm_sample, hmm_spec, fast_cfg):
-        a = qml_estimate(hmm_sample, hmm_spec, fast_cfg)
-        b = qml_estimate(hmm_sample, hmm_spec, fast_cfg)
+        a = qml_estimate(hmm_sample, hmm_spec, fast_cfg, seed=7)
+        b = qml_estimate(hmm_sample, hmm_spec, fast_cfg, seed=7)
         assert a.loglik == b.loglik
         np.testing.assert_array_equal(a.theta_hat.mu_vec, b.theta_hat.mu_vec)
         np.testing.assert_array_equal(a.theta_hat.weights, b.theta_hat.weights)
@@ -235,8 +266,8 @@ class TestQmlEstimate:
         sample = simulate_hmm(dgp, T=800, seed=(41, 0))
         perm = rng.permutation(sample.y.size)
         shuffled = Sample(y=sample.y[perm], w=sample.w[perm])
-        res_a = qml_estimate(sample, hmm_spec, fast_cfg)
-        res_b = qml_estimate(shuffled, hmm_spec, fast_cfg)
+        res_a = qml_estimate(sample, hmm_spec, fast_cfg, seed=7)
+        res_b = qml_estimate(shuffled, hmm_spec, fast_cfg, seed=7)
         assert res_a.loglik == pytest.approx(res_b.loglik, abs=1e-6)
         np.testing.assert_allclose(res_a.theta_hat.mu_vec,
                                    res_b.theta_hat.mu_vec, atol=1e-4)
@@ -245,7 +276,7 @@ class TestQmlEstimate:
         spec = ModelSpec(d=2, form="hmm")
         sample = Sample(y=np.zeros(5), w=np.zeros(5))
         with pytest.raises(ValidationError):
-            qml_estimate(sample, spec, EstimatorConfig(seed=0))
+            qml_estimate(sample, spec, seed=0)
 
     def test_one_kernel_call_per_bfgs_evaluation(self, monkeypatch, msar_sample,
                                                  fast_cfg):
@@ -271,7 +302,7 @@ class TestQmlEstimate:
             return res
 
         monkeypatch.setattr(estimator, "minimize", recorded)
-        qml_estimate(msar_sample, ModelSpec(d=2, form="msar"), fast_cfg)
+        qml_estimate(msar_sample, ModelSpec(d=2, form="msar"), fast_cfg, seed=7)
         (res, during, at_exit), = results
         assert res.nfev > 1
         assert during == res.nfev
@@ -279,19 +310,19 @@ class TestQmlEstimate:
 
     def test_loglik_is_read_from_bfgs(self, msar_sample, fast_cfg):
         spec = ModelSpec(d=2, form="msar")
-        res = qml_estimate(msar_sample, spec, fast_cfg)
+        res = qml_estimate(msar_sample, spec, fast_cfg, seed=7)
         assert res.loglik == quasi_loglik(res.theta_hat, msar_sample, spec)
 
     def test_bfgs_failure_is_noted(self, msar_sample):
-        cfg = EstimatorConfig(n_starts=2, seed=7, qn_max_iter=1)
-        res = qml_estimate(msar_sample, ModelSpec(d=2, form="msar"), cfg)
+        cfg = EstimatorConfig(n_starts=2, qn_max_iter=1)
+        res = qml_estimate(msar_sample, ModelSpec(d=2, form="msar"), cfg, seed=7)
         assert not res.converged
         assert any(note.startswith("bfgs: ") for note in res.notes), res.notes
 
     def test_all_starts_degenerate_is_estimation_error(self):
         sample = Sample(y=np.full(80, 1.0), w=np.full(80, 1.0))
         with pytest.raises(EstimationError):
-            qml_estimate(sample, ModelSpec(d=2), EstimatorConfig(seed=0))
+            qml_estimate(sample, ModelSpec(d=2))
 
 
 class TestEstimatorConfig:
@@ -304,9 +335,19 @@ class TestEstimatorConfig:
             EstimatorConfig(sigma_floor=0.0).validate()
 
     def test_json_round_trip(self):
-        cfg = EstimatorConfig(n_starts=5, seed=11)
+        cfg = EstimatorConfig(n_starts=5, em_tol=1e-8)
         back = EstimatorConfig.from_json(cfg.to_json())
         assert back == cfg
+
+    @pytest.mark.parametrize("key, value", [
+        ("n_starts", 2.5), ("n_starts", True), ("n_starts", "8"),
+        ("em_max_iter", 10.5), ("qn_max_iter", None), ("em_tol", "1e-9"),
+        ("qn_grad_tol", False), ("sigma_floor", [1e-6]),
+    ])
+    def test_values_are_type_checked(self, key, value):
+        # counts must be ints and tolerances real numbers; bools are neither
+        with pytest.raises(ValidationError, match=key):
+            EstimatorConfig.from_json({key: value}).validate()
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ValidationError, match="n_start"):
@@ -367,17 +408,17 @@ class TestMsarEstimator:
             components=[RegimeOutcome(0.5, 0.8, 1.5), RegimeOutcome(-0.5, 0.8, 1.5)],
             weights=uniform_weights(2))
         y, x = spec.regression_frame(msar_sample)
-        run = _em_run(y, x, spec, init, EstimatorConfig(seed=4), rng=None)
+        run = _em_run(y, x, spec, init, EstimatorConfig(), rng=None)
         assert not run.degenerate
         gam = run.params.gamma_vec
         assert gam[0] == gam[1]
 
     def test_lagged_term_carries_the_fit(self, msar_sample, fast_cfg):
         spec_ar = ModelSpec(d=2, form="msar")
-        res_ar = qml_estimate(msar_sample, spec_ar, fast_cfg)
+        res_ar = qml_estimate(msar_sample, spec_ar, fast_cfg, seed=7)
         y, _ = spec_ar.regression_frame(msar_sample)
         # same response, but the lag replaced by an uninformative covariate
         placebo = np.random.default_rng(99).normal(size=y.size)
         res_plain = qml_estimate(Sample(y=y, w=placebo), ModelSpec(d=2),
-                                 fast_cfg)
+                                 fast_cfg, seed=7)
         assert res_ar.loglik > res_plain.loglik + 0.5

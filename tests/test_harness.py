@@ -1,4 +1,5 @@
 import csv
+import importlib.util
 import json
 import math
 from dataclasses import replace
@@ -7,8 +8,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mixregime import (ConfigurationError, EstimatorConfig, ExperimentConfig,
-                       HacConfig, HmmDgpParams, McSummary, ModelSpec,
+from mixregime import (ArLaw, ConfigurationError, EstimatorConfig,
+                       ExperimentConfig, HacConfig, HmmDgpParams, McSummary,
+                       ModelSpec, RegimeOutcome, TransitionSpec,
                        ValidationError, hmm_benchmark, load_experiment_config,
                        msar_benchmark, render_table, run_experiment,
                        run_replication, summarize_csv, true_reference,
@@ -16,9 +18,9 @@ from mixregime import (ConfigurationError, EstimatorConfig, ExperimentConfig,
 
 
 def small_cfg(T=200, n_reps=4, seed=77, label="bench"):
-    return ExperimentConfig(dgp=hmm_benchmark(), spec=ModelSpec(d=2),
-                            T=T, n_reps=n_reps, master_seed=seed,
-                            estimator=EstimatorConfig(n_starts=3, seed=0),
+    return ExperimentConfig(dgp=hmm_benchmark(), T=T, n_reps=n_reps,
+                            master_seed=seed,
+                            estimator=EstimatorConfig(n_starts=3),
                             hac=HacConfig(), label=label)
 
 
@@ -54,39 +56,42 @@ class TestExperimentConfig:
         np.testing.assert_array_equal(ref.gamma_vec, [0.5, 1.0])
 
     def test_true_reference_msar_uses_phi_as_slope(self):
-        cfg = ExperimentConfig(dgp=msar_benchmark(), spec=ModelSpec(d=2, form="msar"),
-                               T=200, n_reps=2)
+        cfg = ExperimentConfig(dgp=msar_benchmark(), T=200, n_reps=2)
         ref = true_reference(cfg)
         np.testing.assert_array_equal(ref.gamma_vec, [0.9, 0.9])
 
-    def test_msar_form_needs_ar_design(self):
-        cfg = ExperimentConfig(dgp=hmm_benchmark(), spec=ModelSpec(d=2, form="msar"),
-                               T=200, n_reps=2)
-        with pytest.raises(ConfigurationError, match="ar_coefficient"):
-            cfg.validate()
-
-    def test_hmm_form_rejects_ar_design(self):
-        cfg = ExperimentConfig(dgp=msar_benchmark(), spec=ModelSpec(d=2, form="hmm"),
-                               T=200, n_reps=2)
-        with pytest.raises(ConfigurationError, match="ar_coefficient"):
-            cfg.validate()
-
-    def test_component_count_must_match_dgp(self):
-        cfg = ExperimentConfig(dgp=hmm_benchmark(), spec=ModelSpec(d=3),
-                               T=200, n_reps=2)
-        with pytest.raises(ConfigurationError, match=r"spec\.d = 3 .* 2 regimes"):
-            cfg.validate()
+    def test_spec_follows_dgp(self):
+        # one component per regime; the switching AR exactly when the DGP
+        # sets ar_coefficient
+        assert small_cfg().spec == ModelSpec(d=2, form="hmm")
+        cfg = ExperimentConfig(dgp=msar_benchmark(), T=200, n_reps=2)
+        assert cfg.spec == ModelSpec(d=2, form="msar")
+        three = HmmDgpParams(
+            outcomes=[RegimeOutcome(m, 0.0, 1.0) for m in (-1.0, 0.0, 1.0)],
+            transition=TransitionSpec(d=3, alpha=np.eye(3), beta=np.zeros((3, 3))),
+            z_law=ArLaw(0.0, 0.5, 1.0), w_law=ArLaw(0.0, 0.5, 1.0))
+        assert ExperimentConfig(dgp=three, T=200, n_reps=2).spec == ModelSpec(d=3)
 
     def test_estimator_seed_rejected(self, tmp_path):
-        # replications seed their starts from (master_seed, rep_index), so a
-        # second seed here would be silently ignored
+        # replications seed their starts from (master_seed, rep_index), so
+        # there is no estimator seed to set
         obj = small_cfg().to_json()
         obj["estimator"]["seed"] = 12345
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(obj))
-        with pytest.raises(ValidationError,
-                           match=r"estimator\.seed.*master_seed"):
+        with pytest.raises(ValidationError, match="unknown estimator key.*seed"):
             load_experiment_config(path)
+
+    @pytest.mark.parametrize("key, value", [
+        ("T", 1600.7), ("T", True), ("n_reps", "200"), ("n_reps", 2.0),
+        ("burn_in", True), ("burn_in", None), ("master_seed", "1002"),
+    ])
+    def test_counts_are_type_checked(self, key, value):
+        # int() would load T = 1600.7 as 1600 and burn_in = true as 1
+        obj = small_cfg().to_json()
+        obj[key] = value
+        with pytest.raises(ValidationError, match=key):
+            ExperimentConfig.from_json(obj).validate()
 
 
 CONFIG_FILES = sorted((Path(__file__).resolve().parent.parent / "configs")
@@ -99,6 +104,20 @@ def test_committed_config_round_trips(path):
     obj = json.loads(path.read_text())
     parse = HmmDgpParams if path.name.startswith("dgp_") else ExperimentConfig
     assert parse.from_json(obj).to_json() == obj
+
+
+def test_gen_configs_reproduces_committed_files(tmp_path, monkeypatch):
+    script = CONFIG_FILES[0].parent.parent / "scripts" / "gen_configs.py"
+    loader = importlib.util.spec_from_file_location("gen_configs", script)
+    gen = importlib.util.module_from_spec(loader)
+    loader.loader.exec_module(gen)
+    monkeypatch.setattr(gen, "ROOT", tmp_path)
+    monkeypatch.setattr(gen, "CONFIG_DIR", tmp_path / "configs")
+    gen.main()
+    written = sorted((tmp_path / "configs").glob("*.json"))
+    assert [p.name for p in written] == [p.name for p in CONFIG_FILES]
+    for new, committed in zip(written, CONFIG_FILES):
+        assert new.read_bytes() == committed.read_bytes(), committed.name
 
 
 def test_unknown_experiment_key_rejected():
@@ -151,8 +170,7 @@ class TestRunReplication:
     def test_floor_hit_marks_degenerate(self):
         # sigma_floor above the data scale pins every scale estimate to it
         cfg = small_cfg()
-        cfg = replace(cfg, estimator=EstimatorConfig(n_starts=2, seed=0,
-                                                     sigma_floor=1e6))
+        cfg = replace(cfg, estimator=EstimatorConfig(n_starts=2, sigma_floor=1e6))
         rec = run_replication(cfg, 0)
         assert rec.ok
         assert rec.degenerate

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from mixregime import (EstimationError, EstimatorConfig, HacConfig,
-                       MixtureParams, ModelSpec, RegimeOutcome, Sample,
+from mixregime import (EstimationError, HacConfig, MixtureParams, ModelSpec,
+                       RegimeOutcome, Sample,
                        ValidationError, andrews_bandwidth, encode, hac_middle,
                        parzen_weight, qml_estimate, sandwich_cov)
 from mixregime.mixture import hessian, score_contributions
@@ -150,9 +150,10 @@ class TestHacMiddle:
         assert info["n_lags"] == int(math.floor(info["bandwidth"]))
 
     def test_config_validation(self):
-        with pytest.raises(ValidationError):
+        # the kernel (Parzen) and the demeaning are not settings: no keys
+        with pytest.raises(ValidationError, match="unknown hac key.*kernel"):
             HacConfig.from_json({"kernel": "bartlett"})
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="unknown hac key.*demean_scores"):
             HacConfig.from_json({"demean_scores": False})
         with pytest.raises(ValidationError, match="bandwith"):
             HacConfig.from_json({"bandwith": 8})
@@ -161,10 +162,16 @@ class TestHacMiddle:
         with pytest.raises(ValidationError):
             HacConfig(bandwidth="wide").validate()
 
+    @pytest.mark.parametrize("value", [True, False, None, "8", [8.0]])
+    def test_bandwidth_is_type_checked(self, value):
+        # True would pass as a fixed bandwidth of 1
+        with pytest.raises(ValidationError, match="bandwidth"):
+            HacConfig.from_json({"bandwidth": value}).validate()
+
 
 class TestSandwichCov:
     def fit_free(self, sample, spec, seed=0):
-        res = qml_estimate(sample, spec, EstimatorConfig(seed=seed))
+        res = qml_estimate(sample, spec, seed=seed)
         return encode(res.theta_hat, spec), res
 
     def test_single_component_matches_classical_ml(self):
@@ -188,7 +195,7 @@ class TestSandwichCov:
 
     def test_covariance_symmetric_psd_and_ordered(self, hmm_sample, hmm_spec,
                                                   fast_cfg):
-        res = qml_estimate(hmm_sample, hmm_spec, fast_cfg)
+        res = qml_estimate(hmm_sample, hmm_spec, fast_cfg, seed=7)
         free = encode(res.theta_hat, hmm_spec)
         cov, se = sandwich_cov(free, hmm_sample, hmm_spec)
         names = hmm_spec.natural_names()
@@ -200,7 +207,7 @@ class TestSandwichCov:
 
     def test_delta_method_sigma_rows(self, hmm_sample, hmm_spec, fast_cfg):
         # SE(sigma) must equal sigma * SE(log sigma) through the chain rule
-        res = qml_estimate(hmm_sample, hmm_spec, fast_cfg)
+        res = qml_estimate(hmm_sample, hmm_spec, fast_cfg, seed=7)
         free = encode(res.theta_hat, hmm_spec)
         cfg = HacConfig(bandwidth=0.0)
         _, se = sandwich_cov(free, hmm_sample, hmm_spec, cfg)
@@ -229,7 +236,7 @@ class TestSandwichCov:
             sandwich_cov(free, sample, spec)
 
     def test_hac_info_passthrough(self, hmm_sample, hmm_spec, fast_cfg):
-        res = qml_estimate(hmm_sample, hmm_spec, fast_cfg)
+        res = qml_estimate(hmm_sample, hmm_spec, fast_cfg, seed=7)
         free = encode(res.theta_hat, hmm_spec)
         info = {}
         sandwich_cov(free, hmm_sample, hmm_spec, HacConfig(), info=info)

@@ -69,14 +69,14 @@ class TestModelSpec:
     def test_bad_form_and_flags(self):
         with pytest.raises(ConfigurationError):
             ModelSpec(d=2, form="arma")
-        with pytest.raises(ConfigurationError):
-            ModelSpec.from_json({"d": 2, "form": "hmm", "switching_flags":
-                                 {"mu": False, "slope": False, "sigma": False}})
-        with pytest.raises(ConfigurationError):  # the hmm pattern under msar
-            ModelSpec.from_json({"d": 2, "form": "msar", "switching_flags":
-                                 {"mu": True, "slope": True, "sigma": True}})
-        assert ModelSpec.from_json({"d": 2, "form": "msar"}) == ModelSpec(
-            d=2, form="msar")
+        # the form fixes which coefficients switch, and an experiment takes
+        # its spec from the DGP: a spec block with switching flags is unknown
+        obj = mixregime.ExperimentConfig(dgp=hmm_benchmark(), T=200,
+                                         n_reps=1).to_json()
+        obj["spec"] = {"d": 2, "form": "hmm", "switching_flags":
+                       {"mu": False, "slope": False, "sigma": False}}
+        with pytest.raises(ValidationError, match="unknown experiment key.*spec"):
+            mixregime.ExperimentConfig.from_json(obj)
 
     def test_msar_frame_conditions_on_first_observation(self):
         spec = ModelSpec(d=2, form="msar")
