@@ -60,17 +60,39 @@ class TestExperimentConfig:
         ref = true_reference(cfg)
         np.testing.assert_array_equal(ref.gamma_vec, [0.9, 0.9])
 
-    def test_spec_follows_dgp(self):
-        # one component per regime; the switching AR exactly when the DGP
-        # sets ar_coefficient
-        assert small_cfg().spec == ModelSpec(d=2, form="hmm")
+    # The fitted model follows from the DGP: one component per regime, the
+    # switching AR exactly when the DGP sets ar_coefficient. A file that
+    # still asks for another model is rejected, since it has no spec key.
+
+    @staticmethod
+    def _with_spec_block(cfg, block):
+        obj = cfg.to_json()
+        obj["spec"] = block
+        return obj
+
+    def test_msar_form_needs_ar_design(self):
+        cfg = small_cfg()
+        assert cfg.spec == ModelSpec(d=2, form="hmm")
+        obj = self._with_spec_block(cfg, {"d": 2, "form": "msar"})
+        with pytest.raises(ValidationError, match="unknown experiment key.*spec"):
+            ExperimentConfig.from_json(obj)
+
+    def test_hmm_form_rejects_ar_design(self):
         cfg = ExperimentConfig(dgp=msar_benchmark(), T=200, n_reps=2)
         assert cfg.spec == ModelSpec(d=2, form="msar")
+        obj = self._with_spec_block(cfg, {"d": 2, "form": "hmm"})
+        with pytest.raises(ValidationError, match="unknown experiment key.*spec"):
+            ExperimentConfig.from_json(obj)
+
+    def test_component_count_must_match_dgp(self):
         three = HmmDgpParams(
             outcomes=[RegimeOutcome(m, 0.0, 1.0) for m in (-1.0, 0.0, 1.0)],
             transition=TransitionSpec(d=3, alpha=np.eye(3), beta=np.zeros((3, 3))),
             z_law=ArLaw(0.0, 0.5, 1.0), w_law=ArLaw(0.0, 0.5, 1.0))
         assert ExperimentConfig(dgp=three, T=200, n_reps=2).spec == ModelSpec(d=3)
+        obj = self._with_spec_block(small_cfg(), {"d": 3, "form": "hmm"})
+        with pytest.raises(ValidationError, match="unknown experiment key.*spec"):
+            ExperimentConfig.from_json(obj)
 
     def test_estimator_seed_rejected(self, tmp_path):
         # replications seed their starts from (master_seed, rep_index), so
