@@ -18,8 +18,7 @@ import numpy as np
 from .dgp import HmmDgpParams, load_sample, save_sample, simulate_hmm, simulate_msar
 from .errors import ConfigurationError, MixRegimeError
 from .estimator import EstimatorConfig, qml_estimate
-from .harness import (McSummary, load_experiment_config, render_table,
-                      run_experiment, summarize_csv)
+from .harness import McSummary, load_experiment_config, render_table, run_experiment
 from .inference import HacConfig, sandwich_cov
 from .mixture import ModelSpec, encode, natural_vector
 from .oracle import (MAX_PATH_LEN, cf_ratio_check, kl_check,

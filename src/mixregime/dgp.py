@@ -25,12 +25,14 @@ import math
 import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
+from types import SimpleNamespace
 from typing import Optional, Sequence
 
 import numpy as np
 from scipy.signal import lfilter
 
-from .errors import ConfigurationError, ParseError, ValidationError, reject_unknown
+from .errors import (ConfigurationError, ParseError, ValidationError,
+                     check_types, reject_unknown)
 
 # Sub-stream labels: one independent RNG stream per noise consumer, so that
 # extending T never reshuffles earlier draws.
@@ -48,6 +50,14 @@ def seed_key(seed) -> tuple:
     if isinstance(seed, (int, np.integer)):
         return (int(seed),)
     return tuple(int(s) for s in seed)
+
+
+def _reals(obj: dict, names) -> dict:
+    """The values of `names` in a JSON block as floats, after check_types:
+    a string or a bool is rejected, not coerced."""
+    values = {name: obj[name] for name in names}
+    check_types(SimpleNamespace(**values), reals=names)
+    return {name: float(value) for name, value in values.items()}
 
 
 def stream_rng(seed, label: int) -> np.random.Generator:
@@ -76,9 +86,9 @@ class RegimeOutcome:
 
     @classmethod
     def from_json(cls, obj: dict) -> "RegimeOutcome":
-        reject_unknown(obj, ("mu", "gamma", "sigma"), "outcome")
-        return cls(mu=float(obj["mu"]), gamma=float(obj["gamma"]),
-                   sigma=float(obj["sigma"]))
+        names = ("mu", "gamma", "sigma")
+        reject_unknown(obj, names, "outcome")
+        return cls(**_reals(obj, names))
 
 
 @dataclass
@@ -166,9 +176,9 @@ class ArLaw:
 
     @classmethod
     def from_json(cls, obj: dict) -> "ArLaw":
-        reject_unknown(obj, ("intercept", "slope", "noise_sd"), "AR law")
-        return cls(intercept=float(obj["intercept"]), slope=float(obj["slope"]),
-                   noise_sd=float(obj["noise_sd"]))
+        names = ("intercept", "slope", "noise_sd")
+        reject_unknown(obj, names, "AR law")
+        return cls(**_reals(obj, names))
 
 
 @dataclass
@@ -199,8 +209,9 @@ class NoiseCorrelation:
 
     @classmethod
     def from_json(cls, obj: dict) -> "NoiseCorrelation":
-        reject_unknown(obj, ("rho", "omega"), "noise")
-        return cls(rho=float(obj["rho"]), omega=float(obj["omega"]))
+        names = ("rho", "omega")
+        reject_unknown(obj, names, "noise")
+        return cls(**_reals(obj, names))
 
 
 @dataclass
@@ -257,13 +268,15 @@ class HmmDgpParams:
         reject_unknown(obj, ("outcomes", "transition", "z_law", "w_law", "noise",
                              "ar_coefficient"), "DGP")
         phi = obj.get("ar_coefficient")
+        if phi is not None:
+            phi = _reals(obj, ("ar_coefficient",))["ar_coefficient"]
         return cls(
             outcomes=[RegimeOutcome.from_json(o) for o in obj["outcomes"]],
             transition=TransitionSpec.from_json(obj["transition"]),
             z_law=ArLaw.from_json(obj["z_law"]),
             w_law=ArLaw.from_json(obj["w_law"]),
             noise=NoiseCorrelation.from_json(obj["noise"]),
-            ar_coefficient=None if phi is None else float(phi),
+            ar_coefficient=phi,
         )
 
 

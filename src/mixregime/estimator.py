@@ -1,15 +1,19 @@
 """QML estimation of the mixture model: multi-start EM plus quasi-Newton.
 
-EM is used for its global stability (monotone likelihood ascent from rough
-starts), then the best start is polished by BFGS on the unconstrained
-parameterization with the analytic score, sharpening the first-order
-condition that the sandwich covariance relies on.
+EM finds basins: from each randomized start it climbs (monotone likelihood
+ascent from rough starts) until its gain per iteration falls below em_tol.
+BFGS on the unconstrained parameterization with the analytic score then
+converges from every usable EM end point, and the start with the highest
+polished likelihood is the estimate.  Ranking the starts after polishing,
+not by their unfinished EM likelihoods, keeps a slow EM start in a higher
+basin from losing to a fast one in a lower basin; BFGS also sharpens the
+first-order condition that the sandwich covariance relies on.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment, minimize
@@ -31,7 +35,7 @@ class EstimatorConfig:
 
     n_starts: int = 8
     em_max_iter: int = 500
-    em_tol: float = 1e-9  # absolute increase of the average log-likelihood
+    em_tol: float = 1e-6  # EM gain below which a start goes to BFGS
     qn_max_iter: int = 200
     qn_grad_tol: float = 1e-6  # max-norm of the score at convergence
     sigma_floor: float = 1e-6
@@ -259,13 +263,15 @@ def qml_estimate(sample: Sample, spec: ModelSpec,
     """Approximate maximizer of the quasi-log-likelihood.
 
     Runs cfg.n_starts EM fits from initializations randomized by `seed` (an
-    int or a tuple of ints; start k draws from seed + (k,)) and refines
-    the best one by BFGS on the FreeVector, minimizing
-    mixture.neg_loglik_and_score.  BFGS steps only where the likelihood
-    rises, so the result never falls below the EM start.  loglik and
-    `converged` (max-norm of the score at most cfg.qn_grad_tol) are read
-    from the BFGS result; when BFGS reports failure its message is added to
-    `notes`.  Components of the returned estimate are sorted by mu ascending.
+    int or a tuple of ints; start k draws from seed + (k,)), each until its
+    gain falls below cfg.em_tol or it reaches cfg.em_max_iter.  BFGS on the
+    FreeVector, minimizing mixture.neg_loglik_and_score, then starts from
+    every non-degenerate EM end point; the estimate is the start with the
+    highest polished loglik (the lowest index on exact ties).  loglik,
+    `converged` (max-norm of the score at most cfg.qn_grad_tol),
+    start_index and n_iterations describe that winning start; when its
+    BFGS reports failure the message is added to `notes`.  Components of
+    the returned estimate are sorted by mu ascending.
     """
     if cfg is None:
         cfg = EstimatorConfig()
@@ -279,19 +285,16 @@ def qml_estimate(sample: Sample, spec: ModelSpec,
         init = _random_init(y, x, spec, rng, cfg.sigma_floor)
         runs.append(_em_run(y, x, spec, init, cfg, rng))
 
-    usable = [(i, r) for i, r in enumerate(runs) if not r.degenerate]
-    if not usable:
+    polished = [(minimize(neg_loglik_and_score, encode(r.params, spec),
+                          args=([sample], spec), jac=True, method="BFGS",
+                          options={"maxiter": cfg.qn_max_iter,
+                                   "gtol": cfg.qn_grad_tol}), i)
+                for i, r in enumerate(runs) if not r.degenerate]
+    if not polished:
         raise EstimationError(
             "all EM starts degenerate",
             diagnostics=[f"start {i}: {'; '.join(r.notes)}" for i, r in enumerate(runs)])
-    best_index, best = usable[0]
-    for i, r in usable[1:]:
-        if r.loglik > best.loglik:
-            best_index, best = i, r
-
-    res = minimize(neg_loglik_and_score, encode(best.params, spec),
-                   args=([sample], spec), jac=True, method="BFGS",
-                   options={"maxiter": cfg.qn_max_iter, "gtol": cfg.qn_grad_tol})
+    res, best_index = min(polished, key=lambda p: p[0].fun)  # first of ties
     notes = [f"start {i}: {note}" for i, r in enumerate(runs) for note in r.notes]
     if not res.success:
         notes.append(f"bfgs: {res.message}")
@@ -300,7 +303,7 @@ def qml_estimate(sample: Sample, spec: ModelSpec,
         theta_hat=decode(res.x, spec).sorted_by_mu(),
         loglik=-float(res.fun),
         converged=bool(np.max(np.abs(res.jac)) <= cfg.qn_grad_tol),
-        n_iterations={"em": best.n_iter, "qn": int(res.nit)},
+        n_iterations={"em": runs[best_index].n_iter, "qn": int(res.nit)},
         start_index=best_index,
         notes=notes,
     )

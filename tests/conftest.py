@@ -1,4 +1,3 @@
-import numpy as np
 import pytest
 
 from mixregime import (EstimatorConfig, ModelSpec, hmm_benchmark, msar_benchmark,

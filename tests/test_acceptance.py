@@ -8,7 +8,6 @@ seeds to the tolerances.
 
 import csv
 import itertools
-import json
 import math
 import time
 from pathlib import Path

@@ -106,6 +106,22 @@ class TestValidation:
         with pytest.raises(ValidationError, match="transition d must be an int"):
             HmmDgpParams.from_json(obj).validate()
 
+    @pytest.mark.parametrize("path, key, value", [
+        (("outcomes", 0), "mu", "1.0"), (("outcomes", 1), "sigma", True),
+        (("z_law",), "slope", "0.5"), (("w_law",), "noise_sd", None),
+        (("noise",), "rho", "0.3"), ((), "ar_coefficient", "0.9"),
+        ((), "ar_coefficient", False),
+    ])
+    def test_reals_are_type_checked(self, path, key, value):
+        # float() would load "1.0" as 1.0 and True as 1.0
+        obj = msar_benchmark().to_json()
+        block = obj
+        for step in path:
+            block = block[step]
+        block[key] = value
+        with pytest.raises(ValidationError, match=f"{key} must be a real number"):
+            HmmDgpParams.from_json(obj)
+
     @pytest.mark.parametrize("path, key", [
         ((), "ar_coeficient"), (("transition",), "links"), (("z_law",), "slop"),
         (("w_law",), "mean"), (("noise",), "kappa"), (("outcomes", 1), "phi"),

@@ -3,12 +3,15 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize
 
 from mixregime import (EstimationError, EstimatorConfig, MixtureParams,
                        ModelSpec, RegimeOutcome, Sample, ValidationError,
-                       align_permutation, hmm_benchmark, qml_estimate,
+                       align_permutation, encode, hmm_benchmark, qml_estimate,
                        quasi_loglik, simulate_hmm)
+from mixregime.dgp import seed_key
 from mixregime.estimator import _em_run, _m_step, _moment_rows, _random_init
+from mixregime.mixture import neg_loglik_and_score
 
 
 def uniform_weights(d):
@@ -237,8 +240,6 @@ class TestQmlEstimate:
         assert res.converged
 
     def test_refinement_never_loses_ground(self, hmm_sample, hmm_spec, fast_cfg):
-        from mixregime.dgp import seed_key
-
         res = qml_estimate(hmm_sample, hmm_spec, fast_cfg, seed=7)
         y, x = hmm_spec.regression_frame(hmm_sample)
         best_em = -np.inf
@@ -303,10 +304,31 @@ class TestQmlEstimate:
 
         monkeypatch.setattr(estimator, "minimize", recorded)
         qml_estimate(msar_sample, ModelSpec(d=2, form="msar"), fast_cfg, seed=7)
-        (res, during, at_exit), = results
-        assert res.nfev > 1
-        assert during == res.nfev
-        assert len(calls) == at_exit  # the optimum is read from the result
+        assert len(results) > 1  # one BFGS run per usable start
+        for res, during, _ in results:
+            assert res.nfev > 1
+            assert during == res.nfev
+        assert len(calls) == results[-1][2]  # the optimum is read from the result
+
+    def test_loglik_is_the_best_polished_start(self, msar_sample, msar_spec,
+                                               fast_cfg):
+        res = qml_estimate(msar_sample, msar_spec, fast_cfg, seed=7)
+        y, x = msar_spec.regression_frame(msar_sample)
+        polished = {}
+        for start in range(fast_cfg.n_starts):
+            rng = np.random.default_rng(seed_key(7) + (start,))
+            init = _random_init(y, x, msar_spec, rng, fast_cfg.sigma_floor)
+            run = _em_run(y, x, msar_spec, init, fast_cfg, rng=rng)
+            if not run.degenerate:
+                bfgs = minimize(neg_loglik_and_score, encode(run.params, msar_spec),
+                                args=([msar_sample], msar_spec), jac=True,
+                                method="BFGS",
+                                options={"maxiter": fast_cfg.qn_max_iter,
+                                         "gtol": fast_cfg.qn_grad_tol})
+                polished[start] = -bfgs.fun
+        assert len(polished) > 1
+        assert res.loglik == max(polished.values())
+        assert res.start_index == max(polished, key=polished.get)
 
     def test_loglik_is_read_from_bfgs(self, msar_sample, fast_cfg):
         spec = ModelSpec(d=2, form="msar")

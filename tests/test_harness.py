@@ -1,20 +1,21 @@
 import csv
 import importlib.util
 import json
-import math
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize
 
 from mixregime import (ArLaw, ConfigurationError, EstimatorConfig,
                        ExperimentConfig, HacConfig, HmmDgpParams, McSummary,
-                       ModelSpec, RegimeOutcome, TransitionSpec,
-                       ValidationError, hmm_benchmark, load_experiment_config,
-                       msar_benchmark, render_table, run_experiment,
-                       run_replication, summarize_csv, true_reference,
-                       write_replications_csv)
+                       MixtureParams, ModelSpec, RegimeOutcome, TransitionSpec,
+                       ValidationError, encode, hmm_benchmark,
+                       load_experiment_config, msar_benchmark, render_table,
+                       run_experiment, run_replication, simulate_msar,
+                       summarize_csv, true_reference, write_replications_csv)
+from mixregime.mixture import neg_loglik_and_score
 
 
 def small_cfg(T=200, n_reps=4, seed=77, label="bench"):
@@ -196,6 +197,30 @@ class TestRunReplication:
         rec = run_replication(cfg, 0)
         assert rec.ok
         assert rec.degenerate
+
+    @pytest.mark.parametrize("rep", [65, 171])
+    def test_no_lower_basin_than_from_theta_star(self, rep):
+        # At these replications the start with the best EM loglik lies in a
+        # lower basin than the one BFGS reaches from the switching-AR limit
+        # point theta* of dgp_msar_rho0, from
+        #   mixregime oracle --config configs/dgp_msar_rho0.json --msar \
+        #       --n-sim 10000000 --seed 0
+        cfg = load_experiment_config(CONFIG_FILES[0].parent / "msar_rho0_T1600.json")
+        phi = 0.965742389524026
+        theta_star = MixtureParams(
+            components=[RegimeOutcome(mu=0.6306555130746531, gamma=phi,
+                                      sigma=1.066285184162304),
+                        RegimeOutcome(mu=-1.0734691374352698, gamma=phi,
+                                      sigma=1.0488171703829046)],
+            weights=np.array([0.6961014985131039, 0.3038985014868961]))
+        sample = simulate_msar(cfg.dgp, T=cfg.T, burn_in=cfg.burn_in,
+                               seed=(cfg.master_seed, rep, 0))
+        from_star = minimize(neg_loglik_and_score, encode(theta_star, cfg.spec),
+                             args=([sample], cfg.spec), jac=True, method="BFGS",
+                             options={"gtol": cfg.estimator.qn_grad_tol})
+        rec = run_replication(cfg, rep)
+        assert rec.ok
+        assert rec.loglik >= -from_star.fun - 1e-9
 
     def test_estimation_failure_is_captured_not_raised(self, monkeypatch):
         from mixregime import EstimationError

@@ -3,8 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from mixregime import (EstimationError, HacConfig, MixtureParams, ModelSpec,
-                       RegimeOutcome, Sample,
+from mixregime import (EstimationError, HacConfig, ModelSpec, Sample,
                        ValidationError, andrews_bandwidth, encode, hac_middle,
                        parzen_weight, qml_estimate, sandwich_cov)
 from mixregime.mixture import hessian, score_contributions
