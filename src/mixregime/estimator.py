@@ -34,7 +34,7 @@ class EstimatorConfig:
     """Optimizer settings."""
 
     n_starts: int = 8
-    em_max_iter: int = 500
+    em_max_iter: int = 100  # EM iterations after which a start goes to BFGS
     em_tol: float = 1e-6  # EM gain below which a start goes to BFGS
     qn_max_iter: int = 200
     qn_grad_tol: float = 1e-6  # max-norm of the score at convergence

@@ -100,7 +100,7 @@ class TestEmBehaviour:
         gain = capped.trace[1] - capped.trace[0]
         assert f"em stopped at em_max_iter = 2 (last gain {gain:.1e})" in capped.notes
         free = _em_run(y, x, spec, init, EstimatorConfig(), rng=None)
-        assert free.n_iter < 500
+        assert free.n_iter < EstimatorConfig().em_max_iter
         assert not any(n.startswith("em stopped") for n in free.notes)
 
     def test_singular_equations_abandon_the_fit(self):
