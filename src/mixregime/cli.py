@@ -75,11 +75,11 @@ def _cmd_fit(args) -> int:
     hac_info = {}
     theta_free = encode(result.theta_hat, spec)
     cov, ses = sandwich_cov(theta_free, sample, spec, hac_cfg, info=hac_info)
-    result.covariance = cov
-    result.std_errors = ses
 
     payload = result.to_json()
     payload.update({
+        "covariance": cov.tolist(),
+        "std_errors": ses.tolist(),
         "natural_names": spec.natural_names(),
         "natural_estimates": natural_vector(result.theta_hat, spec).tolist(),
         "se_scale": "natural",

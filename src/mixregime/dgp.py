@@ -32,7 +32,7 @@ import numpy as np
 from scipy.signal import lfilter
 
 from .errors import (ConfigurationError, ParseError, ValidationError,
-                     check_types, reject_unknown)
+                     check_keys, check_types)
 
 # Sub-stream labels: one independent RNG stream per noise consumer, so that
 # extending T never reshuffles earlier draws.
@@ -87,7 +87,7 @@ class RegimeOutcome:
     @classmethod
     def from_json(cls, obj: dict) -> "RegimeOutcome":
         names = ("mu", "gamma", "sigma")
-        reject_unknown(obj, names, "outcome")
+        check_keys(obj, "outcome", names)
         return cls(**_reals(obj, names))
 
 
@@ -139,7 +139,7 @@ class TransitionSpec:
 
     @classmethod
     def from_json(cls, obj: dict) -> "TransitionSpec":
-        reject_unknown(obj, ("d", "alpha", "beta"), "transition")
+        check_keys(obj, "transition", ("d", "alpha", "beta"))
         return cls(d=obj["d"], alpha=obj["alpha"], beta=obj["beta"])
 
 
@@ -177,7 +177,7 @@ class ArLaw:
     @classmethod
     def from_json(cls, obj: dict) -> "ArLaw":
         names = ("intercept", "slope", "noise_sd")
-        reject_unknown(obj, names, "AR law")
+        check_keys(obj, "AR law", names)
         return cls(**_reals(obj, names))
 
 
@@ -210,7 +210,7 @@ class NoiseCorrelation:
     @classmethod
     def from_json(cls, obj: dict) -> "NoiseCorrelation":
         names = ("rho", "omega")
-        reject_unknown(obj, names, "noise")
+        check_keys(obj, "noise", names)
         return cls(**_reals(obj, names))
 
 
@@ -265,8 +265,9 @@ class HmmDgpParams:
 
     @classmethod
     def from_json(cls, obj: dict) -> "HmmDgpParams":
-        reject_unknown(obj, ("outcomes", "transition", "z_law", "w_law", "noise",
-                             "ar_coefficient"), "DGP")
+        check_keys(obj, "DGP",
+                   ("outcomes", "transition", "z_law", "w_law", "noise"),
+                   ("ar_coefficient",))
         phi = obj.get("ar_coefficient")
         if phi is not None:
             phi = _reals(obj, ("ar_coefficient",))["ar_coefficient"]

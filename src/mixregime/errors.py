@@ -49,15 +49,23 @@ class QuadratureError(MixRegimeError, RuntimeError):
     """A numerical integral or special function has no trustworthy double value."""
 
 
-def reject_unknown(obj: dict, known, what: str) -> None:
-    """Reject config keys outside `known`.
+def check_keys(obj: dict, what: str, required=(), optional=()) -> None:
+    """Reject a config block that lacks a key in `required` or has one
+    outside `required` and `optional`.
 
     A misspelled key would otherwise leave its setting at the default
-    without a word.
+    without a word, and a missing one would surface as a KeyError or
+    TypeError far from the file that lacks it.
     """
-    unknown = sorted(set(obj) - set(known))
+    out = []
+    missing = [key for key in required if key not in obj]
+    if missing:
+        out.append(f"missing {what} key(s): {', '.join(missing)}")
+    unknown = sorted(set(obj) - set(required) - set(optional))
     if unknown:
-        raise ValidationError(f"unknown {what} key(s): {', '.join(unknown)}")
+        out.append(f"unknown {what} key(s): {', '.join(unknown)}")
+    if out:
+        raise ValidationError(out)
 
 
 def check_types(obj, counts=(), reals=()) -> None:

@@ -19,9 +19,9 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment, minimize
 
 from .dgp import RegimeOutcome, Sample, seed_key
-from .errors import EstimationError, ValidationError, check_types, reject_unknown
-from .mixture import (MixtureParams, ModelSpec, decode, encode, mixture_kernel,
-                      neg_loglik_and_score)
+from .errors import EstimationError, ValidationError, check_keys, check_types
+from .mixture import (SIGMA_MIN, MixtureParams, ModelSpec, decode, encode,
+                      mixture_kernel, neg_loglik_and_score)
 
 _COLLAPSE_FRACTION = 1e-8  # of effective sample size, per component
 # Normal equations count as singular below this fraction of their diagonal
@@ -38,30 +38,28 @@ class EstimatorConfig:
     em_tol: float = 1e-6  # EM gain below which a start goes to BFGS
     qn_max_iter: int = 200
     qn_grad_tol: float = 1e-6  # max-norm of the score at convergence
-    sigma_floor: float = 1e-6
 
     def validate(self) -> None:
         check_types(self, ("n_starts", "em_max_iter", "qn_max_iter"),
-                    ("em_tol", "qn_grad_tol", "sigma_floor"))
+                    ("em_tol", "qn_grad_tol"))
         out = []
-        if self.n_starts < 1:
-            out.append(f"n_starts must be >= 1, got {self.n_starts}")
-        for name in ("em_tol", "qn_grad_tol", "sigma_floor"):
+        for name, low in (("n_starts", 1), ("em_max_iter", 1), ("qn_max_iter", 0)):
+            if getattr(self, name) < low:
+                out.append(f"{name} must be >= {low}, got {getattr(self, name)}")
+        for name in ("em_tol", "qn_grad_tol"):
             if not getattr(self, name) > 0:
                 out.append(f"{name} must be > 0, got {getattr(self, name)}")
-        if self.em_max_iter < 1 or self.qn_max_iter < 0:
-            out.append("iteration limits must be positive")
         if out:
             raise ValidationError(out)
 
     def to_json(self) -> dict:
         return {"n_starts": self.n_starts, "em_max_iter": self.em_max_iter,
                 "em_tol": self.em_tol, "qn_max_iter": self.qn_max_iter,
-                "qn_grad_tol": self.qn_grad_tol, "sigma_floor": self.sigma_floor}
+                "qn_grad_tol": self.qn_grad_tol}
 
     @classmethod
     def from_json(cls, obj: dict) -> "EstimatorConfig":
-        reject_unknown(obj, cls().to_json(), "estimator")
+        check_keys(obj, "estimator", optional=cls().to_json())
         return cls(**obj)
 
 
@@ -74,8 +72,6 @@ class EstimationResult:
     converged: bool
     n_iterations: dict
     start_index: int
-    covariance: Optional[np.ndarray] = None
-    std_errors: Optional[np.ndarray] = None
     notes: list = field(default_factory=list)
 
     def to_json(self) -> dict:
@@ -85,8 +81,6 @@ class EstimationResult:
             "converged": self.converged,
             "n_iterations": dict(self.n_iterations),
             "start_index": self.start_index,
-            "covariance": None if self.covariance is None else self.covariance.tolist(),
-            "std_errors": None if self.std_errors is None else self.std_errors.tolist(),
             "notes": list(self.notes),
         }
 
@@ -113,11 +107,11 @@ def _pooled_ols(y: np.ndarray, x: np.ndarray):
 
 
 def _random_init(y: np.ndarray, x: np.ndarray, spec: ModelSpec,
-                 rng: np.random.Generator, sigma_floor: float) -> MixtureParams:
+                 rng: np.random.Generator) -> MixtureParams:
     """Randomized starting point built from pooled-regression summaries."""
     d = spec.d
     intercept, slope, resid = _pooled_ols(y, x)
-    scale = max(float(resid.std()), sigma_floor)
+    scale = max(float(resid.std()), SIGMA_MIN)
     # spread the intercepts across residual quantiles, then jitter
     qs = (np.arange(d) + 0.5) / d
     mu = intercept + np.quantile(resid, qs) + 0.25 * scale * rng.standard_normal(d)
@@ -126,7 +120,7 @@ def _random_init(y: np.ndarray, x: np.ndarray, spec: ModelSpec,
         gamma = slope + 0.3 * slope_scale * rng.standard_normal(d)
     else:
         gamma = np.full(d, slope + 0.1 * rng.standard_normal())
-    sigma = np.maximum(scale * np.exp(0.3 * rng.standard_normal(d)), sigma_floor)
+    sigma = np.maximum(scale * np.exp(0.3 * rng.standard_normal(d)), SIGMA_MIN)
     weights = rng.uniform(0.8, 1.2, d)
     weights /= weights.sum()
     comps = [RegimeOutcome(mu=float(mu[s]), gamma=float(gamma[s]),
@@ -141,7 +135,7 @@ def _moment_rows(y: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 def _m_step(resp: np.ndarray, rows: np.ndarray, spec: ModelSpec,
-            params: MixtureParams, sigma_floor: float):
+            params: MixtureParams):
     """Exact M-step; returns (new params, floor_hit flag) or None when singular.
 
     `rows` comes from _moment_rows.  Both forms solve the weighted normal
@@ -168,20 +162,18 @@ def _m_step(resp: np.ndarray, rows: np.ndarray, spec: ModelSpec,
         gamma = np.full(spec.d, phi)
     resid = rows[3] - mu[:, None] - gamma[:, None] * rows[1]
     sigma = np.sqrt(np.maximum(np.einsum("ts,st->s", resp, resid ** 2) / a, 0.0))
-    floor_hit = bool((sigma < sigma_floor).any())
-    sigma = np.maximum(sigma, sigma_floor)
+    floor_hit = bool((sigma < SIGMA_MIN).any())
+    sigma = np.maximum(sigma, SIGMA_MIN)
     comps = [RegimeOutcome(mu=float(m), gamma=float(g), sigma=float(s))
              for m, g, s in zip(mu, gamma, sigma)]
     return MixtureParams(components=comps, weights=a / rows.shape[1]), floor_hit
 
 
 def _em_run(y: np.ndarray, x: np.ndarray, spec: ModelSpec, init: MixtureParams,
-            cfg: EstimatorConfig, rng: Optional[np.random.Generator]) -> _EmRun:
+            cfg: EstimatorConfig) -> _EmRun:
     params = init
     notes = []
     trace = []
-    reseeded = False
-    n_eff = len(y)
     rows = _moment_rows(y, x)
     ll_prev = -np.inf
     gain = np.inf
@@ -202,23 +194,14 @@ def _em_run(y: np.ndarray, x: np.ndarray, spec: ModelSpec, init: MixtureParams,
         if gain < cfg.em_tol and np.isfinite(ll_prev):
             break
 
-        totals = resp.sum(axis=0)
-        collapsed = np.flatnonzero(totals < _COLLAPSE_FRACTION * n_eff)
+        collapsed = np.flatnonzero(resp.sum(axis=0) < _COLLAPSE_FRACTION * len(y))
         if collapsed.size:
-            if reseeded or rng is None:
-                notes.append(f"component(s) {collapsed.tolist()} collapsed; "
-                             "fit abandoned")
-                degenerate = True
-                break
-            notes.append(f"component(s) {collapsed.tolist()} collapsed; reseeded")
-            params = _reseed_components(params, collapsed, y, x, spec, rng,
-                                        cfg.sigma_floor)
-            reseeded = True
-            ll_prev = -np.inf
-            n_iter += 1
-            continue
+            notes.append(f"component(s) {collapsed.tolist()} collapsed; "
+                         "fit abandoned")
+            degenerate = True
+            break
 
-        stepped = _m_step(resp, rows, spec, params, cfg.sigma_floor)
+        stepped = _m_step(resp, rows, spec, params)
         if stepped is None:
             notes.append("singular weighted normal equations; fit abandoned")
             degenerate = True
@@ -231,22 +214,6 @@ def _em_run(y: np.ndarray, x: np.ndarray, spec: ModelSpec, init: MixtureParams,
 
     return _EmRun(params=params, loglik=ll_cur, trace=trace, n_iter=n_iter,
                   degenerate=degenerate, notes=notes)
-
-
-def _reseed_components(params: MixtureParams, which: np.ndarray, y: np.ndarray,
-                       x: np.ndarray, spec: ModelSpec,
-                       rng: np.random.Generator,
-                       sigma_floor: float) -> MixtureParams:
-    fresh = _random_init(y, x, spec, rng, sigma_floor)
-    comps = list(params.components)
-    for s in which:
-        comps[s] = fresh.components[s]
-    weights = np.full(params.d, 1.0 / params.d)
-    if spec.form == "msar":
-        # keep the slope shared after the swap
-        phi = comps[0].gamma
-        comps = [RegimeOutcome(mu=c.mu, gamma=phi, sigma=c.sigma) for c in comps]
-    return MixtureParams(components=comps, weights=weights)
 
 
 def _check_sample_size(n_eff: int, spec: ModelSpec) -> None:
@@ -282,8 +249,8 @@ def qml_estimate(sample: Sample, spec: ModelSpec,
     runs = []
     for start in range(cfg.n_starts):
         rng = np.random.default_rng(seed_key(seed) + (start,))
-        init = _random_init(y, x, spec, rng, cfg.sigma_floor)
-        runs.append(_em_run(y, x, spec, init, cfg, rng))
+        init = _random_init(y, x, spec, rng)
+        runs.append(_em_run(y, x, spec, init, cfg))
 
     polished = [(minimize(neg_loglik_and_score, encode(r.params, spec),
                           args=([sample], spec), jac=True, method="BFGS",

@@ -23,10 +23,10 @@ import numpy as np
 
 from .dgp import HmmDgpParams, RegimeOutcome, seed_key, simulate_hmm, simulate_msar
 from .errors import (ConfigurationError, MixRegimeError, ValidationError,
-                     check_types, reject_unknown)
+                     check_keys, check_types)
 from .estimator import EstimatorConfig, align_permutation, qml_estimate
 from .inference import HacConfig, sandwich_cov
-from .mixture import MixtureParams, ModelSpec, encode, natural_vector
+from .mixture import SIGMA_MIN, MixtureParams, ModelSpec, encode, natural_vector
 
 CSV_SCHEMA_VERSION = 1
 
@@ -84,7 +84,8 @@ class ExperimentConfig:
 
     @classmethod
     def from_json(cls, obj: dict) -> "ExperimentConfig":
-        reject_unknown(obj, [f.name for f in dataclasses.fields(cls)], "experiment")
+        check_keys(obj, "experiment", ("dgp", "T", "n_reps"),
+                   [f.name for f in dataclasses.fields(cls)])
         return cls(**{
             **obj,
             "dgp": HmmDgpParams.from_json(obj["dgp"]),
@@ -189,7 +190,7 @@ def run_replication(cfg: ExperimentConfig, rep_index: int) -> ReplicationRecord:
         cov, ses = sandwich_cov(encode(aligned, spec), sample, spec, cfg.hac,
                                 info=hac_info)
         degenerate = bool(
-            (aligned.sigma_vec <= cfg.estimator.sigma_floor * (1 + 1e-9)).any()
+            (aligned.sigma_vec <= SIGMA_MIN * (1 + 1e-9)).any()
             or (aligned.weights < 1e-6).any())
         return ReplicationRecord(
             rep_index=rep_index,

@@ -17,7 +17,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .dgp import Sample
-from .errors import EstimationError, ValidationError, check_types, reject_unknown
+from .errors import EstimationError, ValidationError, check_keys, check_types
 from .mixture import ModelSpec, decode_jacobian, hessian, score_contributions
 
 ANDREWS_RHO_CLAMP = 0.97
@@ -42,7 +42,7 @@ class HacConfig:
 
     @classmethod
     def from_json(cls, obj: dict) -> "HacConfig":
-        reject_unknown(obj, cls().to_json(), "hac")
+        check_keys(obj, "hac", optional=cls().to_json())
         return cls(bandwidth=obj.get("bandwidth", "auto"))
 
 

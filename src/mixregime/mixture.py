@@ -29,6 +29,7 @@ from .dgp import RegimeOutcome, Sample
 from .errors import ConfigurationError, ValidationError
 
 _LOG_2PI = math.log(2.0 * math.pi)
+# bounds of a component scale: decode clamps to both, EM floors at SIGMA_MIN
 SIGMA_MIN = 1e-6
 SIGMA_MAX = 1e6
 _LOG_SIGMA_MIN = math.log(SIGMA_MIN)

@@ -179,8 +179,8 @@ class TestAcceptance:
             cfg = EstimatorConfig()
             for start in range(5):
                 rng = np.random.default_rng(seed_key(5) + (start,))
-                init = _random_init(y, x, spec, rng, cfg.sigma_floor)
-                run = _em_run(y, x, spec, init, cfg, rng)
+                init = _random_init(y, x, spec, rng)
+                run = _em_run(y, x, spec, init, cfg)
                 if np.diff(run.trace).min(initial=0.0) < -1e-10:
                     mono_ok = False
         if not mono_ok:

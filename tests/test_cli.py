@@ -31,6 +31,14 @@ def sample_csv(tmp_path, dgp_config):
     return out
 
 
+def validation_error(argv, capsys) -> str:
+    """Message of the ValidationError that the command reports, exit 1."""
+    assert main(argv) == 1
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err["type"] == "ValidationError"
+    return err["message"]
+
+
 class TestSimulate:
     def test_writes_loadable_csv_and_reports_meta(self, tmp_path, dgp_config,
                                                   capsys):
@@ -61,6 +69,16 @@ class TestSimulate:
         assert rc == 1
         err = json.loads(capsys.readouterr().err)
         assert err["error"]["type"] == "ConfigurationError"
+
+
+    def test_dgp_without_noise_is_validation_error(self, tmp_path, capsys):
+        obj = hmm_benchmark().to_json()
+        del obj["noise"]
+        cfg = tmp_path / "dgp.json"
+        cfg.write_text(json.dumps(obj))
+        msg = validation_error(["simulate", "--config", str(cfg), "--T", "300",
+                                "--out", str(tmp_path / "s.csv")], capsys)
+        assert msg == "missing DGP key(s): noise"
 
 
 class TestFit:
@@ -146,6 +164,25 @@ class TestMc:
         assert (out_dir / "summary.json").exists()
         summary = json.loads(capsys.readouterr().out)
         assert summary["n_reps"] == 2
+
+
+    @staticmethod
+    def run_without(tmp_path, capsys, drop) -> str:
+        obj = ExperimentConfig(dgp=hmm_benchmark(), T=200, n_reps=2).to_json()
+        drop(obj)
+        cfg_path = tmp_path / "exp.json"
+        cfg_path.write_text(json.dumps(obj))
+        return validation_error(["mc", "--config", str(cfg_path), "--out-dir",
+                                 str(tmp_path / "mc")], capsys)
+
+    def test_config_without_T_is_validation_error(self, tmp_path, capsys):
+        msg = self.run_without(tmp_path, capsys, lambda obj: obj.pop("T"))
+        assert msg == "missing experiment key(s): T"
+
+    def test_outcome_without_sigma_is_validation_error(self, tmp_path, capsys):
+        msg = self.run_without(tmp_path, capsys,
+                               lambda obj: obj["dgp"]["outcomes"][1].pop("sigma"))
+        assert msg == "missing outcome key(s): sigma"
 
 
 class TestOracle:

@@ -28,7 +28,7 @@ class TestEmSingleComponent:
         init = MixtureParams(components=[RegimeOutcome(0.0, 0.0, 2.0)],
                              weights=np.array([1.0]))
         y, x = spec.regression_frame(sample)
-        run = _em_run(y, x, spec, init, EstimatorConfig(), rng=None)
+        run = _em_run(y, x, spec, init, EstimatorConfig())
         assert not run.degenerate
         fit = run.params
         design = np.column_stack([np.ones_like(x), x])
@@ -47,7 +47,7 @@ class TestEmBehaviour:
         init = MixtureParams(
             components=[RegimeOutcome(0.5, 0.1, 2.0), RegimeOutcome(-0.5, 0.9, 2.0)],
             weights=uniform_weights(2))
-        run = _em_run(y, x, hmm_spec, init, EstimatorConfig(), rng=None)
+        run = _em_run(y, x, hmm_spec, init, EstimatorConfig())
         trace = np.asarray(run.trace)
         assert len(trace) >= 2
         assert (np.diff(trace) >= -1e-10).all()
@@ -57,7 +57,7 @@ class TestEmBehaviour:
         y, x = hmm_spec.regression_frame(hmm_sample)
         init = MixtureParams(components=dgp.outcomes,
                              weights=np.array([0.66, 0.34]))
-        run = _em_run(y, x, hmm_spec, init, EstimatorConfig(), rng=None)
+        run = _em_run(y, x, hmm_spec, init, EstimatorConfig())
         trace = np.asarray(run.trace)
         assert trace[-1] - trace[0] < 0.01
         assert (np.diff(trace) >= -1e-10).all()
@@ -80,7 +80,7 @@ class TestEmBehaviour:
         spec = ModelSpec(d=2, form="hmm")
         cfg = EstimatorConfig(em_max_iter=2)
         y2, x2 = spec.regression_frame(sample)
-        run = _em_run(y2, x2, spec, init, cfg, rng=None)
+        run = _em_run(y2, x2, spec, init, cfg)
         mus = sorted(c.mu for c in run.params.components)
 
         def group_intercept(mask):
@@ -94,12 +94,11 @@ class TestEmBehaviour:
         sample, _, init = self.wide_separation()
         spec = ModelSpec(d=2, form="hmm")
         y, x = spec.regression_frame(sample)
-        capped = _em_run(y, x, spec, init, EstimatorConfig(em_max_iter=2),
-                         rng=None)
+        capped = _em_run(y, x, spec, init, EstimatorConfig(em_max_iter=2))
         assert capped.n_iter == 2
         gain = capped.trace[1] - capped.trace[0]
         assert f"em stopped at em_max_iter = 2 (last gain {gain:.1e})" in capped.notes
-        free = _em_run(y, x, spec, init, EstimatorConfig(), rng=None)
+        free = _em_run(y, x, spec, init, EstimatorConfig())
         assert free.n_iter < EstimatorConfig().em_max_iter
         assert not any(n.startswith("em stopped") for n in free.notes)
 
@@ -112,9 +111,23 @@ class TestEmBehaviour:
             components=[RegimeOutcome(0.0, 0.0, 1.0), RegimeOutcome(1.0, 0.0, 1.0)],
             weights=uniform_weights(2))
         y, x = spec.regression_frame(sample)
-        run = _em_run(y, x, spec, init, EstimatorConfig(), rng=None)
+        run = _em_run(y, x, spec, init, EstimatorConfig())
         assert run.degenerate
         assert run.notes == ["singular weighted normal equations; fit abandoned"]
+
+    def test_collapsed_component_abandons_the_start(self):
+        # standard-normal data give a component at mu = 1e3 no responsibility
+        rng = np.random.default_rng(24)
+        sample = Sample(y=rng.normal(size=400), w=rng.normal(size=400))
+        spec = ModelSpec(d=2, form="hmm")
+        init = MixtureParams(
+            components=[RegimeOutcome(0.0, 0.0, 1.0), RegimeOutcome(1e3, 0.0, 1.0)],
+            weights=uniform_weights(2))
+        y, x = spec.regression_frame(sample)
+        run = _em_run(y, x, spec, init, EstimatorConfig())
+        assert run.degenerate
+        assert run.n_iter == 0
+        assert run.notes == ["component(s) [1] collapsed; fit abandoned"]
 
     @pytest.mark.parametrize("em_max_iter", [3, 500])
     def test_one_kernel_call_per_iteration(self, monkeypatch, hmm_sample,
@@ -167,7 +180,7 @@ class TestMStep:
     def test_matches_weighted_least_squares(self, d, form):
         y, x, resp, params = self.draw(d, form)
         out = _m_step(resp, _moment_rows(y, x), ModelSpec(d=d, form=form),
-                      params, 1e-6)
+                      params)
         assert out is not None
         got, floor_hit = out
         assert not floor_hit
@@ -199,7 +212,7 @@ class TestMStep:
         y, x, resp, params = self.draw(d, form)
         for value in (0.3, 1.1, 2.0, 123.456):
             assert _m_step(resp, _moment_rows(y, np.full_like(x, value)),
-                           ModelSpec(d=d, form=form), params, 1e-6) is None
+                           ModelSpec(d=d, form=form), params) is None
 
 
 class TestQmlEstimate:
@@ -245,8 +258,8 @@ class TestQmlEstimate:
         best_em = -np.inf
         for start in range(fast_cfg.n_starts):
             rng = np.random.default_rng(seed_key(7) + (start,))
-            init = _random_init(y, x, hmm_spec, rng, fast_cfg.sigma_floor)
-            run = _em_run(y, x, hmm_spec, init, fast_cfg, rng=rng)
+            init = _random_init(y, x, hmm_spec, rng)
+            run = _em_run(y, x, hmm_spec, init, fast_cfg)
             if not run.degenerate:
                 best_em = max(best_em, run.loglik)
         assert res.loglik >= best_em - 1e-12
@@ -317,8 +330,8 @@ class TestQmlEstimate:
         polished = {}
         for start in range(fast_cfg.n_starts):
             rng = np.random.default_rng(seed_key(7) + (start,))
-            init = _random_init(y, x, msar_spec, rng, fast_cfg.sigma_floor)
-            run = _em_run(y, x, msar_spec, init, fast_cfg, rng=rng)
+            init = _random_init(y, x, msar_spec, rng)
+            run = _em_run(y, x, msar_spec, init, fast_cfg)
             if not run.degenerate:
                 bfgs = minimize(neg_loglik_and_score, encode(run.params, msar_spec),
                                 args=([msar_sample], msar_spec), jac=True,
@@ -329,6 +342,37 @@ class TestQmlEstimate:
         assert len(polished) > 1
         assert res.loglik == max(polished.values())
         assert res.start_index == max(polished, key=polished.get)
+
+    def test_collapsed_start_is_dropped(self, monkeypatch, hmm_sample,
+                                        hmm_spec, fast_cfg):
+        # start 0 begins with component 1 far from the data; BFGS polishes
+        # only the other starts, and one of them carries the estimate
+        from mixregime import estimator
+
+        random_init, minimize = estimator._random_init, estimator.minimize
+        inits, polished = [], []
+
+        def far_start_zero(*args):
+            init = random_init(*args)
+            if not inits:
+                low, high = init.components
+                init = MixtureParams(
+                    components=[low, RegimeOutcome(1e3, high.gamma, high.sigma)],
+                    weights=init.weights)
+            inits.append(init)
+            return init
+
+        def recorded(*args, **kwargs):
+            polished.append(1)
+            return minimize(*args, **kwargs)
+
+        monkeypatch.setattr(estimator, "_random_init", far_start_zero)
+        monkeypatch.setattr(estimator, "minimize", recorded)
+        res = qml_estimate(hmm_sample, hmm_spec, fast_cfg, seed=7)
+        assert "start 0: component(s) [1] collapsed; fit abandoned" in res.notes
+        assert len(polished) == fast_cfg.n_starts - 1
+        assert res.start_index != 0
+        assert np.isfinite(res.loglik) and np.isfinite(res.theta_hat.mu_vec).all()
 
     def test_loglik_is_read_from_bfgs(self, msar_sample, fast_cfg):
         spec = ModelSpec(d=2, form="msar")
@@ -353,8 +397,11 @@ class TestEstimatorConfig:
             EstimatorConfig(n_starts=0).validate()
         with pytest.raises(ValidationError):
             EstimatorConfig(em_tol=-1.0).validate()
-        with pytest.raises(ValidationError):
-            EstimatorConfig(sigma_floor=0.0).validate()
+        with pytest.raises(ValidationError, match="em_max_iter must be >= 1"):
+            EstimatorConfig(em_max_iter=0).validate()
+        with pytest.raises(ValidationError, match="qn_max_iter must be >= 0"):
+            EstimatorConfig(qn_max_iter=-1).validate()
+        EstimatorConfig(qn_max_iter=0).validate()  # EM only, no BFGS iteration
 
     def test_json_round_trip(self):
         cfg = EstimatorConfig(n_starts=5, em_tol=1e-8)
@@ -364,7 +411,7 @@ class TestEstimatorConfig:
     @pytest.mark.parametrize("key, value", [
         ("n_starts", 2.5), ("n_starts", True), ("n_starts", "8"),
         ("em_max_iter", 10.5), ("qn_max_iter", None), ("em_tol", "1e-9"),
-        ("qn_grad_tol", False), ("sigma_floor", [1e-6]),
+        ("qn_grad_tol", False),
     ])
     def test_values_are_type_checked(self, key, value):
         # counts must be ints and tolerances real numbers; bools are neither
@@ -430,7 +477,7 @@ class TestMsarEstimator:
             components=[RegimeOutcome(0.5, 0.8, 1.5), RegimeOutcome(-0.5, 0.8, 1.5)],
             weights=uniform_weights(2))
         y, x = spec.regression_frame(msar_sample)
-        run = _em_run(y, x, spec, init, EstimatorConfig(), rng=None)
+        run = _em_run(y, x, spec, init, EstimatorConfig())
         assert not run.degenerate
         gam = run.params.gamma_vec
         assert gam[0] == gam[1]

@@ -1,7 +1,6 @@
 import csv
 import importlib.util
 import json
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +14,7 @@ from mixregime import (ArLaw, ConfigurationError, EstimatorConfig,
                        load_experiment_config, msar_benchmark, render_table,
                        run_experiment, run_replication, simulate_msar,
                        summarize_csv, true_reference, write_replications_csv)
-from mixregime.mixture import neg_loglik_and_score
+from mixregime.mixture import SIGMA_MIN, neg_loglik_and_score
 
 
 def small_cfg(T=200, n_reps=4, seed=77, label="bench"):
@@ -191,12 +190,18 @@ class TestRunReplication:
             np.testing.assert_array_equal(a.estimates, b.estimates)
 
     def test_floor_hit_marks_degenerate(self):
-        # sigma_floor above the data scale pins every scale estimate to it
-        cfg = small_cfg()
-        cfg = replace(cfg, estimator=EstimatorConfig(n_starts=2, sigma_floor=1e6))
-        rec = run_replication(cfg, 0)
+        # in this committed replication the winning fit puts sigma(1) at the
+        # floor, where its score cannot reach zero
+        cfg = load_experiment_config(CONFIG_FILES[0].parent / "msar_rho065_T200.json")
+        rec = run_replication(cfg, 2)
         assert rec.ok
+        assert not rec.converged
         assert rec.degenerate
+        sigmas = [v for name, v in zip(cfg.spec.natural_names(), rec.estimates)
+                  if name.startswith("sigma_")]
+        # decode clamps log sigma, so the floor reads back as
+        # exp(log(SIGMA_MIN)), one rounding away from SIGMA_MIN
+        assert min(sigmas) == pytest.approx(SIGMA_MIN, rel=1e-12)
 
     @pytest.mark.parametrize("rep", [65, 171])
     def test_no_lower_basin_than_from_theta_star(self, rep):
