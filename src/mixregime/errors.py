@@ -57,6 +57,9 @@ def check_keys(obj: dict, what: str, required=(), optional=()) -> None:
     without a word, and a missing one would surface as a KeyError or
     TypeError far from the file that lacks it.
     """
+    if not isinstance(obj, dict):
+        raise ValidationError(f"{what} must be a JSON object, "
+                              f"got {type(obj).__name__}")
     out = []
     missing = [key for key in required if key not in obj]
     if missing:

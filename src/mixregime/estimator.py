@@ -12,6 +12,7 @@ first-order condition that the sandwich covariance relies on.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -23,6 +24,7 @@ from .errors import EstimationError, ValidationError, check_keys, check_types
 from .mixture import (SIGMA_MIN, MixtureParams, ModelSpec, decode, encode,
                       mixture_kernel, neg_loglik_and_score)
 
+_LOG_SIGMA_MIN = math.log(SIGMA_MIN)
 _COLLAPSE_FRACTION = 1e-8  # of effective sample size, per component
 # Normal equations count as singular below this fraction of their diagonal
 # product: with a constant regressor, rounding leaves about 1e-15.
@@ -237,8 +239,9 @@ def qml_estimate(sample: Sample, spec: ModelSpec,
     highest polished loglik (the lowest index on exact ties).  loglik,
     `converged` (max-norm of the score at most cfg.qn_grad_tol),
     start_index and n_iterations describe that winning start; when its
-    BFGS reports failure the message is added to `notes`.  Components of
-    the returned estimate are sorted by mu ascending.
+    BFGS reports failure the message is added to `notes`, and when it ends
+    with a log sigma at decode's lower clamp, "sigma floor reached".
+    Components of the returned estimate are sorted by mu ascending.
     """
     if cfg is None:
         cfg = EstimatorConfig()
@@ -265,6 +268,9 @@ def qml_estimate(sample: Sample, spec: ModelSpec,
     notes = [f"start {i}: {note}" for i, r in enumerate(runs) for note in r.notes]
     if not res.success:
         notes.append(f"bfgs: {res.message}")
+    log_sigma = res.x[spec.d + spec.n_slope:2 * spec.d + spec.n_slope]
+    if (log_sigma <= _LOG_SIGMA_MIN).any():  # decode clamps it to SIGMA_MIN
+        notes.append("sigma floor reached")
 
     return EstimationResult(
         theta_hat=decode(res.x, spec).sorted_by_mu(),

@@ -186,12 +186,16 @@ def run_replication(cfg: ExperimentConfig, rep_index: int) -> ReplicationRecord:
         dist_pre = _stack_distance(result.theta_hat, ref)
         dist_post = _stack_distance(aligned, ref)
 
-        hac_info = {}
-        cov, ses = sandwich_cov(encode(aligned, spec), sample, spec, cfg.hac,
-                                info=hac_info)
         degenerate = bool(
             (aligned.sigma_vec <= SIGMA_MIN * (1 + 1e-9)).any()
             or (aligned.weights < 1e-6).any())
+        # a fit on the boundary has no sandwich: at the sigma floor the
+        # curvature is about 1 / SIGMA_MIN^2 and the Hessian is singular
+        hac_info = {}
+        ses = nan_vec.copy()
+        if not degenerate:
+            _, ses = sandwich_cov(encode(aligned, spec), sample, spec, cfg.hac,
+                                  info=hac_info)
         return ReplicationRecord(
             rep_index=rep_index,
             ok=True,

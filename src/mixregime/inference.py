@@ -178,6 +178,9 @@ def sandwich_cov(theta_free: np.ndarray, sample: Sample, spec: ModelSpec,
         cfg = HacConfig()
     cfg.validate()
     theta_free = np.asarray(theta_free, dtype=float)
+    # scores before the Hessian: freed row blocks stay in the heap, and the
+    # score pass's full-length temporaries would otherwise stack on them
+    g = score_contributions(theta_free, sample, spec)
     a_mat = hessian(theta_free, sample, spec)
     cond = np.linalg.cond(a_mat)
     if not np.isfinite(cond) or cond > 1e12:
@@ -185,7 +188,6 @@ def sandwich_cov(theta_free: np.ndarray, sample: Sample, spec: ModelSpec,
             f"Hessian numerically singular (condition number {cond:.3e}); "
             "check estimator convergence and component degeneracy",
             diagnostics=[f"condition_number={cond!r}"])
-    g = score_contributions(theta_free, sample, spec)
     t_len = g.shape[0]
     b_mat = hac_middle(g, cfg, info=info)
     inv_a_b = np.linalg.solve(a_mat, b_mat)

@@ -13,6 +13,8 @@ weights anchored at the last component); all public operations accept
 either natural parameters (MixtureParams) or free vectors as documented.
 mixture_kernel is the one place that forms the weighted log-density
 matrix; EM, the likelihood, the score and BFGS each call it once per point.
+hessian is closed-form (Louis's identity on the responsibilities and the
+per-component gradients), with one kernel call per fixed block of rows.
 neg_loglik_and_score is the one BFGS objective, pooled over samples, that
 both the estimator and the switching-AR oracle minimize.
 """
@@ -36,6 +38,8 @@ _LOG_SIGMA_MIN = math.log(SIGMA_MIN)
 _LOG_SIGMA_MAX = math.log(SIGMA_MAX)
 
 _FORMS = ("hmm", "msar")
+# rows per kernel call in hessian: bounds its (d, rows, q) gradient array
+_HESSIAN_BLOCK_ROWS = 1 << 16
 
 
 @dataclass
@@ -324,17 +328,62 @@ def score(free: np.ndarray, sample: Sample, spec: ModelSpec) -> np.ndarray:
 
 
 def hessian(free: np.ndarray, sample: Sample, spec: ModelSpec) -> np.ndarray:
-    """Hessian of quasi_loglik by central differences of the analytic score.
+    """Hessian of quasi_loglik at decode(free), in closed form (Louis 1982).
 
-    Step 1e-4 scaled by coordinate magnitude; result symmetrized.
+    With a[t, s] the weighted log density of mixture_kernel, g[t, s] its
+    gradient in the FreeVector, rho[t, s] the responsibilities and
+    gbar[t] = sum_s rho[t, s] g[t, s] the score row, the row Hessian is
+    sum_s rho[t, s] (d2 a[t, s] + g[t, s] g[t, s]') - gbar[t] gbar[t]'.
+    Within component s, d2 a is -1/sigma^2 times (1, x, x^2) in the
+    (mu, slope) block, -2 r / sigma and -2 r x / sigma against log sigma,
+    and -2 r^2 on log sigma; the logit block is -(diag w - w w') for every
+    s.  The switching AR's shared slope sums its entries over components.
+    Rows are summed in blocks of _HESSIAN_BLOCK_ROWS, one kernel call per
+    block, so memory stays flat in T; the result is symmetrized.
     """
-    free = np.asarray(free, dtype=float)
-    q = spec.q
-    cols = np.empty((q, q))
-    for i in range(q):
-        h = 1e-4 * max(1.0, abs(free[i]))
-        bump = np.zeros(q)
-        bump[i] = h
-        cols[:, i] = (score(free + bump, sample, spec)
-                      - score(free - bump, sample, spec)) / (2.0 * h)
-    return 0.5 * (cols + cols.T)
+    params = decode(free, spec)
+    params.validate()
+    y, x = spec.regression_frame(sample)
+    d, q = spec.d, spec.q
+    sigma = params.sigma_vec
+    w = params.weights
+    comp = np.arange(d)
+    mu_col = comp
+    slope_col = d + comp if spec.form == "hmm" else np.full(d, d)
+    log_sigma_col = d + spec.n_slope + comp
+    logit = slice(d + spec.n_slope + d, q)
+    # logit entries of g[t, s]: 1{s = k} - w_k, the same on every row
+    logit_grad = np.eye(d)[:, :d - 1] - w[None, :d - 1]
+
+    total = np.zeros((q, q))
+    for lo in range(0, len(y), _HESSIAN_BLOCK_ROWS):
+        yb = y[lo:lo + _HESSIAN_BLOCK_ROWS]
+        xb = x[lo:lo + _HESSIAN_BLOCK_ROWS]
+        _, resp, r = mixture_kernel(params, yb, xb)
+        # grad[s, t] is g[t, s]; component-major so each sum over s adds
+        # contiguous (rows, q) slabs
+        grad = np.zeros((d, len(yb), q))
+        grad[comp, :, mu_col] = (r / sigma[None, :]).T
+        grad[comp, :, slope_col] = grad[comp, :, mu_col] * xb[None, :]
+        grad[comp, :, log_sigma_col] = (r * r - 1.0).T
+        grad[:, :, logit] = logit_grad[:, None, :]
+        weighted = resp.T[:, :, None] * grad
+        score_rows = weighted.sum(axis=0)
+        total += (weighted.reshape(-1, q).T @ grad.reshape(-1, q)
+                  - score_rows.T @ score_rows)
+        # sum over rows of rho[t, s] d2 a[t, s], component by component
+        m0, m1, m2 = np.stack([np.ones_like(xb), xb, xb * xb]) @ resp
+        rr = resp * r
+        n0, n1 = np.stack([np.ones_like(xb), xb]) @ rr
+        n2 = (rr * r).sum(axis=0)
+        for s in range(d):
+            cols = [mu_col[s], slope_col[s], log_sigma_col[s]]
+            a, b = 1.0 / sigma[s] ** 2, 2.0 / sigma[s]
+            total[np.ix_(cols, cols)] -= np.array([
+                [a * m0[s], a * m1[s], b * n0[s]],
+                [a * m1[s], a * m2[s], b * n1[s]],
+                [b * n0[s], b * n1[s], 2.0 * n2[s]]])
+    wl = w[:d - 1]
+    total[logit, logit] -= len(y) * (np.diag(wl) - np.outer(wl, wl))
+    h_mat = total / len(y)
+    return 0.5 * (h_mat + h_mat.T)

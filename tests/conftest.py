@@ -1,7 +1,13 @@
+from pathlib import Path
+
 import pytest
 
-from mixregime import (EstimatorConfig, ModelSpec, hmm_benchmark, msar_benchmark,
+from mixregime import (EstimatorConfig, ModelSpec, hmm_benchmark,
+                       load_experiment_config, msar_benchmark, qml_estimate,
                        simulate_hmm, simulate_msar)
+from mixregime.dgp import seed_key
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 
 @pytest.fixture(scope="session")
@@ -35,3 +41,16 @@ def fast_cfg():
     """Estimator settings tuned for test runtime, still multi-start; the
     tests fit with them at seed 7."""
     return EstimatorConfig(n_starts=4)
+
+
+@pytest.fixture(scope="session")
+def floor_fit():
+    """(config, sample, estimate) of committed replication 2 of
+    msar_rho065_T200, rebuilt with run_replication's seeds: BFGS drives the
+    winning start's sigma(1) to the floor."""
+    cfg = load_experiment_config(CONFIG_DIR / "msar_rho065_T200.json")
+    base = seed_key(cfg.master_seed) + (2,)
+    sample = simulate_msar(cfg.dgp, T=cfg.T, burn_in=cfg.burn_in,
+                           seed=base + (0,))
+    return cfg, sample, qml_estimate(sample, cfg.spec, cfg.estimator,
+                                     seed=base + (1,))

@@ -167,22 +167,35 @@ class TestMc:
 
 
     @staticmethod
-    def run_without(tmp_path, capsys, drop) -> str:
+    def run_edited(tmp_path, capsys, edit) -> str:
         obj = ExperimentConfig(dgp=hmm_benchmark(), T=200, n_reps=2).to_json()
-        drop(obj)
+        edit(obj)
         cfg_path = tmp_path / "exp.json"
         cfg_path.write_text(json.dumps(obj))
         return validation_error(["mc", "--config", str(cfg_path), "--out-dir",
                                  str(tmp_path / "mc")], capsys)
 
     def test_config_without_T_is_validation_error(self, tmp_path, capsys):
-        msg = self.run_without(tmp_path, capsys, lambda obj: obj.pop("T"))
+        msg = self.run_edited(tmp_path, capsys, lambda obj: obj.pop("T"))
         assert msg == "missing experiment key(s): T"
 
     def test_outcome_without_sigma_is_validation_error(self, tmp_path, capsys):
-        msg = self.run_without(tmp_path, capsys,
-                               lambda obj: obj["dgp"]["outcomes"][1].pop("sigma"))
+        msg = self.run_edited(tmp_path, capsys,
+                              lambda obj: obj["dgp"]["outcomes"][1].pop("sigma"))
         assert msg == "missing outcome key(s): sigma"
+
+    def test_estimator_block_not_an_object_is_validation_error(self, tmp_path,
+                                                               capsys):
+        msg = self.run_edited(tmp_path, capsys,
+                              lambda obj: obj.update(estimator=5))
+        assert msg == "estimator must be a JSON object, got int"
+
+    def test_outcome_not_an_object_is_validation_error(self, tmp_path, capsys):
+        def edit(obj):
+            obj["dgp"]["outcomes"][1] = 1.0
+
+        msg = self.run_edited(tmp_path, capsys, edit)
+        assert msg == "outcome must be a JSON object, got float"
 
 
 class TestOracle:

@@ -385,6 +385,13 @@ class TestQmlEstimate:
         assert not res.converged
         assert any(note.startswith("bfgs: ") for note in res.notes), res.notes
 
+    def test_floor_hit_by_bfgs_is_noted(self, floor_fit, msar_sample, fast_cfg):
+        _, _, res = floor_fit
+        assert "sigma floor reached" in res.notes
+        ordinary = qml_estimate(msar_sample, ModelSpec(d=2, form="msar"),
+                                fast_cfg, seed=7)
+        assert "sigma floor reached" not in ordinary.notes
+
     def test_all_starts_degenerate_is_estimation_error(self):
         sample = Sample(y=np.full(80, 1.0), w=np.full(80, 1.0))
         with pytest.raises(EstimationError):

@@ -202,6 +202,8 @@ class TestRunReplication:
         # decode clamps log sigma, so the floor reads back as
         # exp(log(SIGMA_MIN)), one rounding away from SIGMA_MIN
         assert min(sigmas) == pytest.approx(SIGMA_MIN, rel=1e-12)
+        # no sandwich at a fit on the boundary
+        assert np.isnan(rec.std_errors).all()
 
     @pytest.mark.parametrize("rep", [65, 171])
     def test_no_lower_basin_than_from_theta_star(self, rep):

@@ -234,6 +234,12 @@ class TestSandwichCov:
         with pytest.raises(EstimationError):
             sandwich_cov(free, sample, spec)
 
+    def test_fit_at_the_sigma_floor_rejected(self, floor_fit):
+        # curvature about 1 / SIGMA_MIN^2 along the floored log sigma
+        cfg, sample, res = floor_fit
+        with pytest.raises(EstimationError, match="numerically singular"):
+            sandwich_cov(encode(res.theta_hat, cfg.spec), sample, cfg.spec)
+
     def test_hac_info_passthrough(self, hmm_sample, hmm_spec, fast_cfg):
         res = qml_estimate(hmm_sample, hmm_spec, fast_cfg, seed=7)
         free = encode(res.theta_hat, hmm_spec)

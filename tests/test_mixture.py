@@ -375,4 +375,42 @@ class TestHessian:
             [x.mean() / sig ** 2, (x ** 2).mean() / sig ** 2, 0.0],
             [0.0, 0.0, 2.0],
         ])
-        np.testing.assert_allclose(h_mat, want, rtol=1e-4, atol=1e-6)
+        np.testing.assert_allclose(h_mat, want, rtol=1e-10, atol=1e-12)
+
+    def test_matches_finite_differences_on_100_random_cases(self):
+        # drawn as ACCEPTANCE 7 draws its score cases
+        rng = np.random.default_rng(20)
+        for _ in range(100):
+            d = int(rng.integers(1, 4))
+            form = "hmm" if rng.random() < 0.5 else "msar"
+            spec = ModelSpec(d=d, form=form)
+            sample = random_sample(rng, 60)
+            free = rng.normal(size=spec.q) * 0.7
+            h_fd = np.empty((spec.q, spec.q))
+            for i in range(spec.q):
+                bump = np.zeros(spec.q)
+                bump[i] = 1e-5
+                h_fd[:, i] = (score(free + bump, sample, spec)
+                              - score(free - bump, sample, spec)) / 2e-5
+            h_mat = hessian(free, sample, spec)
+            assert (np.abs(h_mat - h_fd)
+                    <= 1e-6 * np.maximum(np.abs(h_fd), 1.0)).all(), (d, form)
+
+    def test_row_blocks_sum_every_row_once(self):
+        # 140,000 rows span three row blocks; the Hessian is a row average,
+        # so it equals the row-weighted average over pieces cut elsewhere
+        rng = np.random.default_rng(21)
+        spec = ModelSpec(d=2, form="msar")
+        y = np.empty(140_001)
+        y[0] = 0.0
+        for t, e in enumerate(rng.normal(size=140_000), start=1):
+            y[t] = 0.6 * y[t - 1] + e
+        sample = Sample(y=y, w=np.zeros_like(y))
+        free = encode(random_params(rng, 2, "msar"), spec)
+        cuts = [0, 50_000, 110_000, 140_000]  # rows of the regression frame
+        pieces = sum((hi - lo) * hessian(free, Sample(y=y[lo:hi + 1],
+                                                      w=np.zeros(hi + 1 - lo)),
+                                         spec)
+                     for lo, hi in zip(cuts[:-1], cuts[1:]))
+        np.testing.assert_allclose(hessian(free, sample, spec),
+                                   pieces / 140_000, rtol=1e-10, atol=1e-12)
