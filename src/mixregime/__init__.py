@@ -17,7 +17,7 @@ from .mixture import (MixtureParams, ModelSpec, decode, decode_jacobian, encode,
                       hessian, natural_vector, quasi_loglik, score,
                       score_contributions)
 from .oracle import (CfCheckReport, KlCheckReport, MsarPseudoTrueResult,
-                     PseudoTrueResult, build_quadrature_grid, cf_ratio_check,
+                     PseudoTrueResult, cf_ratio_check,
                      kl_check, linear_independence_check, perturbation_grid,
                      pseudo_true_msar, pseudo_true_weights)
 
@@ -31,7 +31,7 @@ __all__ = [
     "ParseError",
     "PseudoTrueResult", "QuadratureError", "RegimeOutcome", "ReplicationRecord",
     "Sample", "TransitionSpec", "ValidationError", "align_permutation",
-    "andrews_bandwidth", "build_quadrature_grid", "cf_ratio_check",
+    "andrews_bandwidth", "cf_ratio_check",
     "decode", "decode_jacobian", "encode",
     "hac_middle", "hessian", "hmm_benchmark", "kl_check",
     "linear_independence_check", "load_experiment_config", "load_sample",

@@ -15,7 +15,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .dgp import HmmDgpParams, load_sample, save_sample, simulate_hmm, simulate_msar
+from .dgp import (DEFAULT_BURN_IN, HmmDgpParams, load_sample, save_sample,
+                  simulate_hmm, simulate_msar)
 from .errors import ConfigurationError, MixRegimeError
 from .estimator import EstimatorConfig, qml_estimate
 from .harness import McSummary, load_experiment_config, render_table, run_experiment
@@ -73,8 +74,12 @@ def _cmd_fit(args) -> int:
 
     result = qml_estimate(sample, spec, est_cfg, seed=args.seed)
     hac_info = {}
-    theta_free = encode(result.theta_hat, spec)
-    cov, ses = sandwich_cov(theta_free, sample, spec, hac_cfg, info=hac_info)
+    n_nat = len(spec.natural_names())
+    cov = np.full((n_nat, n_nat), np.nan)
+    ses = np.full(n_nat, np.nan)
+    if not result.degenerate:
+        cov, ses = sandwich_cov(encode(result.theta_hat, spec), sample, spec,
+                                hac_cfg, info=hac_info)
 
     payload = result.to_json()
     payload.update({
@@ -162,7 +167,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim = sub.add_parser("simulate", help="simulate a dataset to CSV")
     p_sim.add_argument("--config", required=True, help="DGP parameter JSON file")
     p_sim.add_argument("--T", type=int, required=True)
-    p_sim.add_argument("--burn-in", type=int, default=500)
+    p_sim.add_argument("--burn-in", type=int, default=DEFAULT_BURN_IN)
     p_sim.add_argument("--seed", type=int, default=0)
     p_sim.add_argument("--out", required=True, help="output CSV path")
     p_sim.add_argument("--msar", action="store_true",
@@ -190,7 +195,7 @@ def build_parser() -> argparse.ArgumentParser:
                                "with --msar the switching-AR limit point")
     p_or.add_argument("--config", required=True, help="DGP parameter JSON file")
     p_or.add_argument("--n-sim", type=int, required=True)
-    p_or.add_argument("--burn-in", type=int, default=500)
+    p_or.add_argument("--burn-in", type=int, default=DEFAULT_BURN_IN)
     p_or.add_argument("--seed", type=int, default=0)
     p_or.add_argument("--msar", action="store_true",
                       help="maximize the switching-AR quasi-likelihood at "

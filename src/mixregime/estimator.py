@@ -72,6 +72,7 @@ class EstimationResult:
     theta_hat: MixtureParams
     loglik: float
     converged: bool
+    degenerate: bool  # on the boundary; no sandwich covariance exists there
     n_iterations: dict
     start_index: int
     notes: list = field(default_factory=list)
@@ -81,6 +82,7 @@ class EstimationResult:
             "theta_hat": self.theta_hat.to_json(),
             "loglik": self.loglik,
             "converged": self.converged,
+            "degenerate": self.degenerate,
             "n_iterations": dict(self.n_iterations),
             "start_index": self.start_index,
             "notes": list(self.notes),
@@ -241,6 +243,10 @@ def qml_estimate(sample: Sample, spec: ModelSpec,
     start_index and n_iterations describe that winning start; when its
     BFGS reports failure the message is added to `notes`, and when it ends
     with a log sigma at decode's lower clamp, "sigma floor reached".
+    `degenerate` marks an estimate on the boundary of the parameter space:
+    a sigma within 1e-9 relative of SIGMA_MIN or a weight below 1e-6.  At
+    the sigma floor the curvature is about 1 / SIGMA_MIN^2, so such a fit
+    has no sandwich covariance.
     Components of the returned estimate are sorted by mu ascending.
     """
     if cfg is None:
@@ -272,10 +278,13 @@ def qml_estimate(sample: Sample, spec: ModelSpec,
     if (log_sigma <= _LOG_SIGMA_MIN).any():  # decode clamps it to SIGMA_MIN
         notes.append("sigma floor reached")
 
+    theta_hat = decode(res.x, spec).sorted_by_mu()
     return EstimationResult(
-        theta_hat=decode(res.x, spec).sorted_by_mu(),
+        theta_hat=theta_hat,
         loglik=-float(res.fun),
         converged=bool(np.max(np.abs(res.jac)) <= cfg.qn_grad_tol),
+        degenerate=bool((theta_hat.sigma_vec <= SIGMA_MIN * (1 + 1e-9)).any()
+                        or (theta_hat.weights < 1e-6).any()),
         n_iterations={"em": runs[best_index].n_iter, "qn": int(res.nit)},
         start_index=best_index,
         notes=notes,

@@ -21,12 +21,13 @@ from typing import List, Optional
 
 import numpy as np
 
-from .dgp import HmmDgpParams, RegimeOutcome, seed_key, simulate_hmm, simulate_msar
+from .dgp import (DEFAULT_BURN_IN, HmmDgpParams, RegimeOutcome, seed_key,
+                  simulate_hmm, simulate_msar)
 from .errors import (ConfigurationError, MixRegimeError, ValidationError,
                      check_keys, check_types)
 from .estimator import EstimatorConfig, align_permutation, qml_estimate
 from .inference import HacConfig, sandwich_cov
-from .mixture import SIGMA_MIN, MixtureParams, ModelSpec, encode, natural_vector
+from .mixture import MixtureParams, ModelSpec, encode, natural_vector
 
 CSV_SCHEMA_VERSION = 1
 
@@ -41,7 +42,7 @@ class ExperimentConfig:
     master_seed: int = 0
     estimator: EstimatorConfig = field(default_factory=EstimatorConfig)
     hac: HacConfig = field(default_factory=HacConfig)
-    burn_in: int = 500
+    burn_in: int = DEFAULT_BURN_IN
     label: str = ""
     out_dir: Optional[str] = None
 
@@ -124,27 +125,41 @@ def _truth_vector(cfg: ExperimentConfig) -> np.ndarray:
     return vec
 
 
-@dataclass
+@dataclass(kw_only=True)
 class ReplicationRecord:
-    """Flat per-replication result, one CSV row."""
+    """Flat per-replication result, one CSV row.
+
+    The defaults are a failed replication's values.
+    """
 
     rep_index: int
-    ok: bool
-    converged: bool
-    degenerate: bool
-    loglik: float
-    start_index: int
-    n_em_iter: int
-    n_qn_iter: int
-    hac_bandwidth: float
-    hac_floored: bool
-    align_dist_pre: float
-    align_dist_post: float
+    ok: bool = False
+    converged: bool = False
+    degenerate: bool = False
+    loglik: float = float("nan")
+    start_index: int = -1
+    n_em_iter: int = 0
+    n_qn_iter: int = 0
+    hac_bandwidth: float = float("nan")
+    hac_floored: bool = False
+    align_dist_pre: float = float("nan")
+    align_dist_post: float = float("nan")
     estimates: np.ndarray  # natural scale, aligned; NaN when failed
     std_errors: np.ndarray
     truth: np.ndarray
     elapsed_s: float
     error: str = ""
+
+
+# replications.csv columns, in order.  "design" and "T" come from the
+# experiment config; estimates, std_errors and truth take one column per
+# natural parameter, named with these prefixes.
+_CSV_FIELDS = ("rep_index", "design", "T", "ok", "converged", "degenerate",
+               "loglik", "start_index", "n_em_iter", "n_qn_iter",
+               "hac_bandwidth", "hac_floored", "align_dist_pre",
+               "align_dist_post", "elapsed_s", "estimates", "std_errors",
+               "truth", "error")
+_CSV_PREFIXES = {"estimates": "est_", "std_errors": "se_", "truth": "true_"}
 
 
 def _stack_distance(a: MixtureParams, b: MixtureParams) -> float:
@@ -186,21 +201,16 @@ def run_replication(cfg: ExperimentConfig, rep_index: int) -> ReplicationRecord:
         dist_pre = _stack_distance(result.theta_hat, ref)
         dist_post = _stack_distance(aligned, ref)
 
-        degenerate = bool(
-            (aligned.sigma_vec <= SIGMA_MIN * (1 + 1e-9)).any()
-            or (aligned.weights < 1e-6).any())
-        # a fit on the boundary has no sandwich: at the sigma floor the
-        # curvature is about 1 / SIGMA_MIN^2 and the Hessian is singular
         hac_info = {}
         ses = nan_vec.copy()
-        if not degenerate:
+        if not result.degenerate:
             _, ses = sandwich_cov(encode(aligned, spec), sample, spec, cfg.hac,
                                   info=hac_info)
         return ReplicationRecord(
             rep_index=rep_index,
             ok=True,
             converged=result.converged,
-            degenerate=degenerate,
+            degenerate=result.degenerate,
             loglik=result.loglik,
             start_index=result.start_index,
             n_em_iter=result.n_iterations["em"],
@@ -216,10 +226,7 @@ def run_replication(cfg: ExperimentConfig, rep_index: int) -> ReplicationRecord:
         )
     except (MixRegimeError, np.linalg.LinAlgError, FloatingPointError) as exc:
         return ReplicationRecord(
-            rep_index=rep_index, ok=False, converged=False, degenerate=False,
-            loglik=float("nan"), start_index=-1, n_em_iter=0, n_qn_iter=0,
-            hac_bandwidth=float("nan"), hac_floored=False,
-            align_dist_pre=float("nan"), align_dist_post=float("nan"),
+            rep_index=rep_index,
             estimates=nan_vec.copy(), std_errors=nan_vec.copy(), truth=truth,
             elapsed_s=time.perf_counter() - t0,
             error=f"{type(exc).__name__}: {exc}",
@@ -230,34 +237,30 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _csv_columns(names: List[str]) -> List[str]:
-    head = ["rep_index", "design", "T", "ok", "converged", "degenerate",
-            "loglik", "start_index", "n_em_iter", "n_qn_iter",
-            "hac_bandwidth", "hac_floored", "align_dist_pre", "align_dist_post",
-            "elapsed_s"]
-    return (head + [f"est_{n}" for n in names] + [f"se_{n}" for n in names]
-            + [f"true_{n}" for n in names] + ["error"])
+def _cells(value) -> List[str]:
+    if isinstance(value, np.ndarray):
+        return [_fmt(v) for v in value]
+    if isinstance(value, bool):
+        return [str(int(value))]
+    if isinstance(value, (int, str)):
+        return [str(value)]
+    return [_fmt(value)]
 
 
 def write_replications_csv(path, records: List[ReplicationRecord],
                            cfg: ExperimentConfig) -> None:
     names = cfg.spec.natural_names()
+    header = []
+    for name in _CSV_FIELDS:
+        prefix = _CSV_PREFIXES.get(name)
+        header += [name] if prefix is None else [prefix + n for n in names]
+    from_cfg = {"design": cfg.label, "T": cfg.T}
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(_csv_columns(names))
+        writer.writerow(header)
         for rec in sorted(records, key=lambda r: r.rep_index):
-            row = [str(rec.rep_index), cfg.label, str(cfg.T),
-                   str(int(rec.ok)), str(int(rec.converged)),
-                   str(int(rec.degenerate)), _fmt(rec.loglik),
-                   str(rec.start_index), str(rec.n_em_iter), str(rec.n_qn_iter),
-                   _fmt(rec.hac_bandwidth), str(int(rec.hac_floored)),
-                   _fmt(rec.align_dist_pre), _fmt(rec.align_dist_post),
-                   _fmt(rec.elapsed_s)]
-            row += [_fmt(v) for v in rec.estimates]
-            row += [_fmt(v) for v in rec.std_errors]
-            row += [_fmt(v) for v in rec.truth]
-            row.append(rec.error)
-            writer.writerow(row)
+            writer.writerow([cell for name in _CSV_FIELDS for cell in _cells(
+                from_cfg[name] if name in from_cfg else getattr(rec, name))])
 
 
 @dataclass

@@ -17,7 +17,8 @@ converge to:
 * cf_ratio_check / linear_independence_check: numerical versions of the
   tail-ratio and linear-independence conditions under which the mixture
   representation is unique; the Student-t characteristic function comes
-  from its Bessel closed form, the Gram matrix from Simpson's rule.
+  from its Bessel closed form, the Gram matrix from the Gaussian overlap
+  integral.
 """
 
 from __future__ import annotations
@@ -27,12 +28,11 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.integrate import simpson
 from scipy.optimize import minimize
 from scipy.special import gammaln, kve
 
-from .dgp import (HmmDgpParams, RegimeOutcome, Sample, seed_key,
-                  simulate_hmm, simulate_msar)
+from .dgp import (DEFAULT_BURN_IN, HmmDgpParams, RegimeOutcome, Sample,
+                  seed_key, simulate_hmm, simulate_msar)
 from .errors import ConfigurationError, QuadratureError, ValidationError
 from .estimator import EstimatorConfig, align_permutation
 from .inference import HacConfig, sandwich_cov
@@ -91,8 +91,8 @@ class PseudoTrueResult:
         }
 
 
-def pseudo_true_weights(dgp: HmmDgpParams, n_sim: int, burn_in: int = 500,
-                        seed=0) -> PseudoTrueResult:
+def pseudo_true_weights(dgp: HmmDgpParams, n_sim: int,
+                        burn_in: int = DEFAULT_BURN_IN, seed=0) -> PseudoTrueResult:
     """Stationary expectation of the transition rows, by long simulation.
 
     weights_star[s] averages P(S_{t+1} = s+1 | Z_t, S_t) over the simulated
@@ -166,8 +166,8 @@ class MsarPseudoTrueResult:
                 "n_sim": self.n_sim, "n_paths": self.n_paths}
 
 
-def pseudo_true_msar(dgp: HmmDgpParams, n_sim: int, burn_in: int = 500,
-                     seed=0) -> MsarPseudoTrueResult:
+def pseudo_true_msar(dgp: HmmDgpParams, n_sim: int,
+                     burn_in: int = DEFAULT_BURN_IN, seed=0) -> MsarPseudoTrueResult:
     """Quasi-likelihood maximizer of the shared-slope mixture at large n_sim.
 
     White's (1982) pseudo-true value maximizes the expected
@@ -266,7 +266,7 @@ class KlCheckReport:
 
 def kl_check(dgp: HmmDgpParams, theta_star: MixtureParams,
              perturbations: Sequence[Tuple[str, MixtureParams]], n_sim: int,
-             seed=0, burn_in: int = 500) -> KlCheckReport:
+             seed=0, burn_in: int = DEFAULT_BURN_IN) -> KlCheckReport:
     """Compare expected log mixture density at theta_star vs perturbations.
 
     One path is simulated from the true process and every parameter is
@@ -454,44 +454,20 @@ def cf_ratio_check(family: str, a1: float, a2: float,
                          threshold=CF_RATIO_THRESHOLD)
 
 
-def build_quadrature_grid(theta: MixtureParams, w_probe: float,
-                          half_width_sds: float = 12.0, n: int = 4001) -> np.ndarray:
-    """Uniform grid covering every component mean +/- half_width_sds sigmas."""
-    means = theta.mu_vec + theta.gamma_vec * w_probe
-    sigma = theta.sigma_vec
-    lo = float((means - half_width_sds * sigma).min())
-    hi = float((means + half_width_sds * sigma).max())
-    return np.linspace(lo, hi, n)
-
-
-def linear_independence_check(theta: MixtureParams, w_probe: float,
-                              grid: np.ndarray) -> float:
+def linear_independence_check(theta: MixtureParams, w_probe: float) -> float:
     """Smallest eigenvalue of the Gram matrix of component densities.
 
-    G[s, s'] = int phi_s(y) phi_s'(y) dy at the probe covariate value,
-    evaluated on `grid` (must span at least 10 sigmas around every
-    component mean).  A value bounded away from zero certifies the
-    component densities are linearly independent there.
+    G[s, s'] = int phi_s(y) phi_s'(y) dy at the probe covariate value, in
+    closed form: the Gaussian overlap integral
+    exp(-(m_s - m_s')^2 / (2 v)) / sqrt(2 pi v) with m = mu + gamma w_probe
+    and v = sigma_s^2 + sigma_s'^2.  A value bounded away from zero
+    certifies the component densities are linearly independent there.
     """
     theta.validate()
-    grid = np.asarray(grid, dtype=float)
-    if grid.ndim != 1 or grid.size < 51 or (np.diff(grid) <= 0).any():
-        raise ValidationError("grid must be a strictly increasing vector "
-                              "with at least 51 nodes")
     if not np.isfinite(w_probe):
         raise ValidationError(f"w_probe must be finite, got {w_probe}")
     means = theta.mu_vec + theta.gamma_vec * w_probe
-    sigma = theta.sigma_vec
-    if (grid[0] > (means - 10.0 * sigma)).any() or (grid[-1] < (means + 10.0 * sigma)).any():
-        raise ValidationError("grid must span at least 10 standard deviations "
-                              "around every component mean")
-    dens = np.exp(-0.5 * ((grid[None, :] - means[:, None]) / sigma[:, None]) ** 2)
-    dens /= (sigma[:, None] * math.sqrt(2.0 * math.pi))
-    d = theta.d
-    gram = np.empty((d, d))
-    for i in range(d):
-        for j in range(i, d):
-            val = simpson(dens[i] * dens[j], x=grid)
-            gram[i, j] = val
-            gram[j, i] = val
+    var = theta.sigma_vec[:, None] ** 2 + theta.sigma_vec[None, :] ** 2
+    gap = means[:, None] - means[None, :]
+    gram = np.exp(-gap ** 2 / (2.0 * var)) / np.sqrt(2.0 * math.pi * var)
     return float(np.linalg.eigvalsh(gram)[0])

@@ -17,7 +17,7 @@ import pytest
 
 from mixregime import (EstimatorConfig, ExperimentConfig, HacConfig,
                        MixtureParams, ModelSpec, RegimeOutcome, Sample,
-                       align_permutation, build_quadrature_grid,
+                       align_permutation,
                        cf_ratio_check, encode, hac_middle, hmm_benchmark,
                        kl_check, linear_independence_check,
                        load_experiment_config, natural_vector, parzen_weight,
@@ -149,8 +149,7 @@ class TestAcceptance:
         same = RegimeOutcome(0.3, 0.7, 1.1)
         dup = MixtureParams(components=[same, RegimeOutcome(0.3, 0.7, 1.1)],
                             weights=np.array([0.5, 0.5]))
-        lam = linear_independence_check(dup, 1.0,
-                                        build_quadrature_grid(dup, 1.0))
+        lam = linear_independence_check(dup, 1.0)
         gram_ok = lam <= 1e-8
 
         ok = gauss_ok and student_ok and gram_ok

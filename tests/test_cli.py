@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 from mixregime import (EstimatorConfig, ExperimentConfig, ModelSpec,
-                       hmm_benchmark, load_sample, msar_benchmark)
+                       hmm_benchmark, load_sample, msar_benchmark,
+                       save_sample)
 from mixregime.cli import build_parser, main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -141,6 +142,23 @@ class TestFit:
         assert rc == 1
         err = json.loads(capsys.readouterr().err)["error"]
         assert err["type"] == "ValidationError" and "n_start" in err["message"]
+
+    def test_degenerate_fit_gets_nan_ses_and_exits_0(self, tmp_path,
+                                                     floor_fit, capsys):
+        # every EM seed's winner on this sample has a scale on the floor
+        _, sample, _ = floor_fit
+        data = tmp_path / "floor.csv"
+        save_sample(sample, data)
+        out = tmp_path / "fit.json"
+        rc = main(["fit", "--data", str(data), "--d", "2", "--form", "msar",
+                   "--out", str(out)])
+        assert rc == 0
+        payload = json.loads(out.read_text())
+        assert payload["degenerate"] is True
+        assert np.isnan(payload["std_errors"]).all()
+        assert np.isnan(payload["covariance"]).all()
+        assert np.isfinite(payload["natural_estimates"]).all()
+        capsys.readouterr()
 
     def test_missing_data_file_fails_nonzero(self, tmp_path, capsys):
         rc = main(["fit", "--data", str(tmp_path / "nope.csv"), "--d", "2",

@@ -392,6 +392,15 @@ class TestQmlEstimate:
                                 fast_cfg, seed=7)
         assert "sigma floor reached" not in ordinary.notes
 
+    def test_fit_on_the_sigma_floor_is_degenerate(self, floor_fit, msar_sample,
+                                                  fast_cfg):
+        _, _, res = floor_fit
+        assert res.degenerate
+        assert res.to_json()["degenerate"] is True
+        ordinary = qml_estimate(msar_sample, ModelSpec(d=2, form="msar"),
+                                fast_cfg, seed=7)
+        assert not ordinary.degenerate
+
     def test_all_starts_degenerate_is_estimation_error(self):
         sample = Sample(y=np.full(80, 1.0), w=np.full(80, 1.0))
         with pytest.raises(EstimationError):

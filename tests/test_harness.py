@@ -9,7 +9,8 @@ from scipy.optimize import minimize
 
 from mixregime import (ArLaw, ConfigurationError, EstimatorConfig,
                        ExperimentConfig, HacConfig, HmmDgpParams, McSummary,
-                       MixtureParams, ModelSpec, RegimeOutcome, TransitionSpec,
+                       MixtureParams, ModelSpec, RegimeOutcome,
+                       ReplicationRecord, TransitionSpec,
                        ValidationError, encode, hmm_benchmark,
                        load_experiment_config, msar_benchmark, render_table,
                        run_experiment, run_replication, simulate_msar,
@@ -322,6 +323,38 @@ class TestRunExperiment:
         assert summary.n_used >= 10
         for name in ("mu_1", "mu_2"):
             assert abs(summary.params[name]["bias"]) < 0.5
+
+
+class TestWriteReplicationsCsv:
+    def test_header_and_failed_row_are_pinned(self, tmp_path):
+        cfg = small_cfg(n_reps=1)
+        names = cfg.spec.natural_names()
+        nan_vec = np.full(len(names), np.nan)
+        truth = np.arange(len(names), dtype=float)
+        rec = ReplicationRecord(rep_index=0, estimates=nan_vec,
+                                std_errors=nan_vec, truth=truth,
+                                elapsed_s=0.25, error="ValidationError: x")
+        path = tmp_path / "reps.csv"
+        write_replications_csv(path, [rec], cfg)
+        with open(path, newline="") as fh:
+            header, row = csv.reader(fh)
+        assert header == [
+            "rep_index", "design", "T", "ok", "converged", "degenerate",
+            "loglik", "start_index", "n_em_iter", "n_qn_iter",
+            "hac_bandwidth", "hac_floored", "align_dist_pre",
+            "align_dist_post", "elapsed_s",
+            "est_mu_1", "est_mu_2", "est_gamma_1", "est_gamma_2",
+            "est_sigma_1", "est_sigma_2", "est_weight_1", "est_weight_2",
+            "se_mu_1", "se_mu_2", "se_gamma_1", "se_gamma_2",
+            "se_sigma_1", "se_sigma_2", "se_weight_1", "se_weight_2",
+            "true_mu_1", "true_mu_2", "true_gamma_1", "true_gamma_2",
+            "true_sigma_1", "true_sigma_2", "true_weight_1", "true_weight_2",
+            "error"]
+        # a record built from the defaults is a failed row
+        assert row == (["0", "bench", "200", "0", "0", "0", "nan", "-1", "0",
+                        "0", "nan", "0", "nan", "nan", "0.25"]
+                       + ["nan"] * 16 + ["0", "1", "2", "3", "4", "5", "6", "7"]
+                       + ["ValidationError: x"])
 
 
 class TestSummarizeCsv:

@@ -2,11 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import simpson
 
 from mixregime import (ArLaw, ConfigurationError, HmmDgpParams,
                        MixtureParams, ModelSpec, NoiseCorrelation,
                        QuadratureError, RegimeOutcome, TransitionSpec,
-                       ValidationError, build_quadrature_grid, cf_ratio_check,
+                       ValidationError, cf_ratio_check,
                        encode, hmm_benchmark, kl_check,
                        linear_independence_check, msar_benchmark,
                        perturbation_grid, pseudo_true_msar,
@@ -315,28 +316,24 @@ class TestLinearIndependence:
     def test_identical_components_are_dependent(self):
         theta = two_state_mixture(mu=(0.0, 0.0), gamma=(0.5, 0.5),
                                   sigma=(1.0, 1.0))
-        grid = build_quadrature_grid(theta, w_probe=1.0)
-        assert linear_independence_check(theta, 1.0, grid) <= 1e-8
+        assert linear_independence_check(theta, 1.0) <= 1e-8
 
     def test_benchmark_components_are_independent(self):
         theta = two_state_mixture()
-        grid = build_quadrature_grid(theta, w_probe=1.0)
-        assert linear_independence_check(theta, 1.0, grid) > 1e-3
+        assert linear_independence_check(theta, 1.0) > 1e-3
 
     def test_wide_separation_gives_orthogonal_densities(self):
         theta = two_state_mixture(mu=(20.0, -20.0), gamma=(0.0, 0.0))
-        grid = build_quadrature_grid(theta, w_probe=0.0, n=8001)
-        lam = linear_independence_check(theta, 0.0, grid)
+        lam = linear_independence_check(theta, 0.0)
         # Gram approx diag(1/(2 sigma sqrt(pi))); smallest eigenvalue is the
         # density's own L2 norm
-        assert lam == pytest.approx(1.0 / (2.0 * math.sqrt(math.pi)), rel=1e-4)
+        assert lam == pytest.approx(1.0 / (2.0 * math.sqrt(math.pi)), rel=1e-12)
 
     def test_gram_matches_gaussian_overlap_formula(self):
         theta = two_state_mixture(mu=(0.8, -0.4), gamma=(0.3, 0.9),
                                   sigma=(1.1, 0.7))
         w_probe = 0.6
-        grid = build_quadrature_grid(theta, w_probe, n=16001)
-        lam = linear_independence_check(theta, w_probe, grid)
+        lam = linear_independence_check(theta, w_probe)
 
         means = theta.mu_vec + theta.gamma_vec * w_probe
         sig = theta.sigma_vec
@@ -347,16 +344,14 @@ class TestLinearIndependence:
                 2 * math.pi * v)
 
         gram = np.array([[overlap(i, j) for j in range(2)] for i in range(2)])
-        want = np.linalg.eigvalsh(gram).min()
-        assert lam == pytest.approx(want, rel=1e-6)
+        assert lam == pytest.approx(np.linalg.eigvalsh(gram).min(), rel=1e-12)
 
-    def test_grid_requirements(self):
-        theta = two_state_mixture()
-        with pytest.raises(ValidationError):
-            linear_independence_check(theta, 1.0, np.linspace(-40, 40, 21))
-        with pytest.raises(ValidationError):
-            linear_independence_check(theta, 1.0, np.linspace(-2, 2, 2001))
-        bad = np.concatenate([np.linspace(-40, 0, 1000),
-                              np.linspace(-10, 40, 1001)])
-        with pytest.raises(ValidationError):
-            linear_independence_check(theta, 1.0, bad)
+        # independent reference: Simpson's rule on a grid spanning 12
+        # standard deviations around every component mean
+        grid = np.linspace((means - 12 * sig).min(), (means + 12 * sig).max(),
+                           16001)
+        dens = (np.exp(-0.5 * ((grid - means[:, None]) / sig[:, None]) ** 2)
+                / (sig[:, None] * math.sqrt(2 * math.pi)))
+        quad = np.array([[simpson(dens[i] * dens[j], x=grid)
+                          for j in range(2)] for i in range(2)])
+        assert lam == pytest.approx(np.linalg.eigvalsh(quad).min(), rel=1e-6)
