@@ -12,10 +12,10 @@ for the simulate/oracle subcommands.
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 
 from mixregime import ExperimentConfig, hmm_benchmark, msar_benchmark
+from mixregime.errors import write_json
 
 ROOT = Path(__file__).resolve().parent.parent
 CONFIG_DIR = ROOT / "configs"
@@ -52,7 +52,7 @@ def main() -> None:
                 label=f"rho*={rho}, omega*={omega}",
                 out_dir=f"out/hmm_{slug}_T{t_len}")
             path = CONFIG_DIR / f"hmm_{slug}_T{t_len}.json"
-            path.write_text(json.dumps(cfg.to_json(), indent=2, sort_keys=True) + "\n")
+            write_json(cfg, path)
             written.append(path)
 
     seed_counter = 2000
@@ -65,18 +65,16 @@ def main() -> None:
                 label=f"rho*={rho}",
                 out_dir=f"out/msar_{slug}_T{t_len}")
             path = CONFIG_DIR / f"msar_{slug}_T{t_len}.json"
-            path.write_text(json.dumps(cfg.to_json(), indent=2, sort_keys=True) + "\n")
+            write_json(cfg, path)
             written.append(path)
 
     for slug, rho, omega in HMM_DESIGNS:
         path = CONFIG_DIR / f"dgp_hmm_{slug}.json"
-        path.write_text(json.dumps(hmm_benchmark(rho, omega).to_json(),
-                                   indent=2, sort_keys=True) + "\n")
+        write_json(hmm_benchmark(rho, omega), path)
         written.append(path)
     for slug, rho in MSAR_DESIGNS:
         path = CONFIG_DIR / f"dgp_msar_{slug}.json"
-        path.write_text(json.dumps(msar_benchmark(rho=rho, phi=0.9).to_json(),
-                                   indent=2, sort_keys=True) + "\n")
+        write_json(msar_benchmark(rho=rho, phi=0.9), path)
         written.append(path)
 
     for path in written:

@@ -17,7 +17,7 @@ import numpy as np
 
 from .dgp import (DEFAULT_BURN_IN, HmmDgpParams, load_sample, save_sample,
                   simulate_hmm, simulate_msar)
-from .errors import ConfigurationError, MixRegimeError
+from .errors import ConfigurationError, MixRegimeError, read_json, write_json
 from .estimator import EstimatorConfig, qml_estimate
 from .harness import McSummary, load_experiment_config, render_table, run_experiment
 from .inference import HacConfig, sandwich_cov
@@ -26,26 +26,13 @@ from .oracle import (MAX_PATH_LEN, cf_ratio_check, kl_check,
                      perturbation_grid, pseudo_true_msar, pseudo_true_weights)
 
 
-def _read_json(path) -> dict:
-    with open(path) as fh:
-        return json.load(fh)
-
-
-def _dump(obj: dict, out=None) -> None:
-    text = json.dumps(obj, indent=2, sort_keys=True)
-    if out:
-        Path(out).write_text(text + "\n")
-    else:
-        print(text)
-
-
 def _cmd_simulate(args) -> int:
-    params = HmmDgpParams.from_json(_read_json(args.config))
+    params = HmmDgpParams.from_json(read_json(args.config))
     sim = simulate_msar if args.msar else simulate_hmm
     sample = sim(params, T=args.T, burn_in=args.burn_in, seed=args.seed)
     save_sample(sample, args.out)
-    _dump({"out": str(args.out), "T": sample.T, "variant": sample.meta["variant"],
-           "seed": sample.meta["seed"], "params_hash": sample.meta["params_hash"]})
+    write_json({"out": str(args.out), "T": sample.T, "variant": sample.meta["variant"],
+                "seed": sample.meta["seed"], "params_hash": sample.meta["params_hash"]})
     return 0
 
 
@@ -62,9 +49,9 @@ def _parse_bandwidth(text: str):
 def _cmd_fit(args) -> int:
     sample = load_sample(args.data)
     spec = ModelSpec(d=args.d, form=args.form)
-    cfg_obj = _read_json(args.config) if args.config else {}
-    if "estimator" in cfg_obj:  # an experiment config
-        est_obj = cfg_obj["estimator"]
+    cfg_obj = read_json(args.config) if args.config else {}
+    if "dgp" in cfg_obj:  # an experiment config; estimator and hac may be absent
+        est_obj = cfg_obj.get("estimator", {})
     else:  # estimator settings, with an optional "hac" block
         est_obj = {k: v for k, v in cfg_obj.items() if k != "hac"}
     est_cfg = EstimatorConfig.from_json(est_obj)
@@ -81,19 +68,18 @@ def _cmd_fit(args) -> int:
         cov, ses = sandwich_cov(encode(result.theta_hat, spec), sample, spec,
                                 hac_cfg, info=hac_info)
 
-    payload = result.to_json()
-    payload.update({
-        "covariance": cov.tolist(),
-        "std_errors": ses.tolist(),
+    write_json({
+        **result.to_json(),
+        "covariance": cov,
+        "std_errors": ses,
         "natural_names": spec.natural_names(),
-        "natural_estimates": natural_vector(result.theta_hat, spec).tolist(),
+        "natural_estimates": natural_vector(result.theta_hat, spec),
         "se_scale": "natural",
-        "hac": {"config": hac_cfg.to_json(), **hac_info},
-        "spec": spec.to_json(),
+        "hac": {"config": hac_cfg, **hac_info},
+        "spec": spec,
         "data": str(args.data),
         "n_obs": sample.T,
-    })
-    _dump(payload, args.out)
+    }, args.out)
     if args.out:
         print(json.dumps({"out": str(args.out), "converged": result.converged,
                           "loglik": result.loglik}))
@@ -103,16 +89,16 @@ def _cmd_fit(args) -> int:
 def _cmd_mc(args) -> int:
     cfg = load_experiment_config(args.config)
     summary = run_experiment(cfg, out_dir=args.out_dir)
-    _dump(summary.to_json())
+    write_json(summary)
     return 0
 
 
 def _cmd_oracle(args) -> int:
-    params = HmmDgpParams.from_json(_read_json(args.config))
+    params = HmmDgpParams.from_json(read_json(args.config))
     if not args.msar:
         result = pseudo_true_weights(params, n_sim=args.n_sim,
                                      burn_in=args.burn_in, seed=args.seed)
-        _dump(result.to_json(), args.out)
+        write_json(result, args.out)
         return 0
     result = pseudo_true_msar(params, n_sim=args.n_sim, burn_in=args.burn_in,
                               seed=args.seed)
@@ -122,19 +108,23 @@ def _cmd_oracle(args) -> int:
                       perturbation_grid(result.theta_star, form="msar"),
                       n_sim=min(args.n_sim, MAX_PATH_LEN), seed=kl_seed,
                       burn_in=args.burn_in)
-    payload = result.to_json()
-    payload["kl_check"] = {**report.to_json(), "seed": kl_seed,
-                           "all_dominated_3se": report.all_dominated(3.0)}
-    _dump(payload, args.out)
+    write_json({**result.to_json(),
+                "kl_check": {**report.to_json(), "seed": kl_seed,
+                             "all_dominated_3se": report.all_dominated(3.0)}},
+               args.out)
     return 0
 
 
 def _cmd_check_id(args) -> int:
     grid = None
     if args.tau_grid:
-        grid = np.array([float(v) for v in args.tau_grid.split(",")])
+        try:
+            grid = np.array([float(v) for v in args.tau_grid.split(",")])
+        except ValueError:
+            raise ConfigurationError(f"--tau-grid must be comma-separated "
+                                     f"numbers, got {args.tau_grid!r}") from None
     report = cf_ratio_check(args.family, a1=args.a1, a2=args.a2, tau_grid=grid)
-    _dump(report.to_json(), args.out)
+    write_json(report, args.out)
     return 0
 
 
@@ -142,7 +132,7 @@ def _load_summary(path) -> McSummary:
     path = Path(path)
     if path.is_dir():
         path = path / "summary.json"
-    obj = _read_json(path)
+    obj = read_json(path)
     return McSummary.from_json(obj.get("summary", obj))
 
 

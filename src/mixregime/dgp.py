@@ -19,6 +19,7 @@ bit-identical output for identical inputs.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import hashlib
 import json
 import math
@@ -31,8 +32,8 @@ from typing import Optional, Sequence
 import numpy as np
 from scipy.signal import lfilter
 
-from .errors import (ConfigurationError, ParseError, ValidationError,
-                     check_keys, check_types)
+from .errors import (ConfigurationError, JsonRecord, ParseError,
+                     ValidationError, check_keys, check_types)
 
 # Sub-stream labels: one independent RNG stream per noise consumer, so that
 # extending T never reshuffles earlier draws.
@@ -60,13 +61,21 @@ def _reals(obj: dict, names) -> dict:
     return {name: float(value) for name, value in values.items()}
 
 
+def _real_record(cls, obj: dict, what: str):
+    """An instance of the all-real dataclass `cls` from its JSON block,
+    which must have exactly one key per field."""
+    names = [f.name for f in dataclasses.fields(cls)]
+    check_keys(obj, what, names)
+    return cls(**_reals(obj, names))
+
+
 def stream_rng(seed, label: int) -> np.random.Generator:
     """Independent generator for sub-stream `label` of `seed`."""
     return np.random.default_rng(seed_key(seed) + (label,))
 
 
 @dataclass
-class RegimeOutcome:
+class RegimeOutcome(JsonRecord):
     """Outcome-equation coefficients for a single regime."""
 
     mu: float
@@ -81,18 +90,13 @@ class RegimeOutcome:
             out.append(f"sigma must be > 0, got {self.sigma}")
         return out
 
-    def to_json(self) -> dict:
-        return {"mu": self.mu, "gamma": self.gamma, "sigma": self.sigma}
-
     @classmethod
     def from_json(cls, obj: dict) -> "RegimeOutcome":
-        names = ("mu", "gamma", "sigma")
-        check_keys(obj, "outcome", names)
-        return cls(**_reals(obj, names))
+        return _real_record(cls, obj, "outcome")
 
 
 @dataclass
-class TransitionSpec:
+class TransitionSpec(JsonRecord):
     """Covariate-dependent transition kernel of the regime chain.
 
     Row probabilities follow a multinomial logit over destination regimes:
@@ -133,10 +137,6 @@ class TransitionSpec:
                 out.append(f"transition {name} must be finite")
         return out
 
-    def to_json(self) -> dict:
-        return {"d": self.d, "alpha": self.alpha.tolist(),
-                "beta": self.beta.tolist()}
-
     @classmethod
     def from_json(cls, obj: dict) -> "TransitionSpec":
         check_keys(obj, "transition", ("d", "alpha", "beta"))
@@ -144,7 +144,7 @@ class TransitionSpec:
 
 
 @dataclass
-class ArLaw:
+class ArLaw(JsonRecord):
     """Stationary Gaussian AR(1): x_t = intercept + slope x_{t-1} + sd e_t."""
 
     intercept: float
@@ -170,19 +170,13 @@ class ArLaw:
             out.append(f"noise_sd must be > 0, got {self.noise_sd}")
         return out
 
-    def to_json(self) -> dict:
-        return {"intercept": self.intercept, "slope": self.slope,
-                "noise_sd": self.noise_sd}
-
     @classmethod
     def from_json(cls, obj: dict) -> "ArLaw":
-        names = ("intercept", "slope", "noise_sd")
-        check_keys(obj, "AR law", names)
-        return cls(**_reals(obj, names))
+        return _real_record(cls, obj, "AR law")
 
 
 @dataclass
-class NoiseCorrelation:
+class NoiseCorrelation(JsonRecord):
     """Correlation of the outcome noise U1 with the Z and W innovations."""
 
     rho: float = 0.0
@@ -204,18 +198,13 @@ class NoiseCorrelation:
                        f"(rho^2 + omega^2 = {self.rho ** 2 + self.omega ** 2:.6g} >= 1)")
         return out
 
-    def to_json(self) -> dict:
-        return {"rho": self.rho, "omega": self.omega}
-
     @classmethod
     def from_json(cls, obj: dict) -> "NoiseCorrelation":
-        names = ("rho", "omega")
-        check_keys(obj, "noise", names)
-        return cls(**_reals(obj, names))
+        return _real_record(cls, obj, "noise")
 
 
 @dataclass
-class HmmDgpParams:
+class HmmDgpParams(JsonRecord):
     """Full truth for one simulated design."""
 
     outcomes: list  # list[RegimeOutcome], one per regime
@@ -252,16 +241,6 @@ class HmmDgpParams:
     def params_hash(self) -> str:
         blob = json.dumps(self.to_json(), sort_keys=True)
         return hashlib.sha1(blob.encode()).hexdigest()[:12]
-
-    def to_json(self) -> dict:
-        return {
-            "outcomes": [oc.to_json() for oc in self.outcomes],
-            "transition": self.transition.to_json(),
-            "z_law": self.z_law.to_json(),
-            "w_law": self.w_law.to_json(),
-            "noise": self.noise.to_json(),
-            "ar_coefficient": self.ar_coefficient,
-        }
 
     @classmethod
     def from_json(cls, obj: dict) -> "HmmDgpParams":

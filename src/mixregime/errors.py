@@ -1,6 +1,14 @@
-"""Exception types shared across the package, and the checks of config keys."""
+"""Exception types, the checks of config keys, and the JSON layer: the one
+encoder, reader and writer of every JSON file the package reads or writes."""
 
+import dataclasses
+import json
+import math
 import numbers
+import sys
+from pathlib import Path
+
+import numpy as np
 
 
 class MixRegimeError(Exception):
@@ -87,3 +95,51 @@ def check_types(obj, counts=(), reals=()) -> None:
                 out.append(f"{name} must be {what}, got {value!r}")
     if out:
         raise ValidationError(out)
+
+
+class JsonRecord:
+    """Base of the package's dataclass records: to_json has one key per
+    field, each value encoded by json_value."""
+
+    def to_json(self) -> dict:
+        return {f.name: json_value(getattr(self, f.name))
+                for f in dataclasses.fields(self)}
+
+
+def json_value(obj):
+    """`obj` as plain JSON data: a record through its to_json, a dict value
+    by value, an array, list or tuple as a list, and a non-finite float as
+    None, since strict JSON (RFC 8259) has no token for it."""
+    if isinstance(obj, JsonRecord):
+        return obj.to_json()
+    if isinstance(obj, np.ndarray):
+        obj = obj.tolist()
+    if isinstance(obj, dict):
+        return {key: json_value(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [json_value(value) for value in obj]
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return None
+    return obj
+
+
+def read_json(path):
+    """Parse the JSON file at `path`; malformed JSON is a ParseError that
+    names the line it fails on."""
+    with open(path) as fh:
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"invalid JSON in {path}: {exc.msg} "
+                             f"(column {exc.colno})", line=exc.lineno) from None
+
+
+def write_json(obj, path=None) -> None:
+    """Write json_value(obj) as strict JSON, indented and key-sorted with a
+    trailing newline, to `path`, or to stdout when `path` is None."""
+    text = json.dumps(json_value(obj), indent=2, sort_keys=True,
+                      allow_nan=False) + "\n"
+    if path is None:
+        sys.stdout.write(text)
+    else:
+        Path(path).write_text(text)

@@ -20,7 +20,8 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment, minimize
 
 from .dgp import RegimeOutcome, Sample, seed_key
-from .errors import EstimationError, ValidationError, check_keys, check_types
+from .errors import (EstimationError, JsonRecord, ValidationError, check_keys,
+                     check_types)
 from .mixture import (SIGMA_MIN, MixtureParams, ModelSpec, decode, encode,
                       mixture_kernel, neg_loglik_and_score)
 
@@ -32,7 +33,7 @@ _SINGULAR_RTOL = 1e-12
 
 
 @dataclass
-class EstimatorConfig:
+class EstimatorConfig(JsonRecord):
     """Optimizer settings."""
 
     n_starts: int = 8
@@ -54,11 +55,6 @@ class EstimatorConfig:
         if out:
             raise ValidationError(out)
 
-    def to_json(self) -> dict:
-        return {"n_starts": self.n_starts, "em_max_iter": self.em_max_iter,
-                "em_tol": self.em_tol, "qn_max_iter": self.qn_max_iter,
-                "qn_grad_tol": self.qn_grad_tol}
-
     @classmethod
     def from_json(cls, obj: dict) -> "EstimatorConfig":
         check_keys(obj, "estimator", optional=cls().to_json())
@@ -66,7 +62,7 @@ class EstimatorConfig:
 
 
 @dataclass
-class EstimationResult:
+class EstimationResult(JsonRecord):
     """Outcome of one qml_estimate call; components sorted by mu ascending."""
 
     theta_hat: MixtureParams
@@ -76,17 +72,6 @@ class EstimationResult:
     n_iterations: dict
     start_index: int
     notes: list = field(default_factory=list)
-
-    def to_json(self) -> dict:
-        return {
-            "theta_hat": self.theta_hat.to_json(),
-            "loglik": self.loglik,
-            "converged": self.converged,
-            "degenerate": self.degenerate,
-            "n_iterations": dict(self.n_iterations),
-            "start_index": self.start_index,
-            "notes": list(self.notes),
-        }
 
 
 @dataclass

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import csv
 import dataclasses
-import json
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -23,8 +22,9 @@ import numpy as np
 
 from .dgp import (DEFAULT_BURN_IN, HmmDgpParams, RegimeOutcome, seed_key,
                   simulate_hmm, simulate_msar)
-from .errors import (ConfigurationError, MixRegimeError, ValidationError,
-                     check_keys, check_types)
+from .errors import (ConfigurationError, JsonRecord, MixRegimeError,
+                     ValidationError, check_keys, check_types, read_json,
+                     write_json)
 from .estimator import EstimatorConfig, align_permutation, qml_estimate
 from .inference import HacConfig, sandwich_cov
 from .mixture import MixtureParams, ModelSpec, encode, natural_vector
@@ -33,7 +33,7 @@ CSV_SCHEMA_VERSION = 1
 
 
 @dataclass
-class ExperimentConfig:
+class ExperimentConfig(JsonRecord):
     """Everything needed to reproduce one Monte Carlo table cell."""
 
     dgp: HmmDgpParams
@@ -70,19 +70,6 @@ class ExperimentConfig:
         self.estimator.validate()
         self.hac.validate()
 
-    def to_json(self) -> dict:
-        return {
-            "label": self.label,
-            "dgp": self.dgp.to_json(),
-            "T": self.T,
-            "n_reps": self.n_reps,
-            "master_seed": self.master_seed,
-            "estimator": self.estimator.to_json(),
-            "hac": self.hac.to_json(),
-            "burn_in": self.burn_in,
-            "out_dir": self.out_dir,
-        }
-
     @classmethod
     def from_json(cls, obj: dict) -> "ExperimentConfig":
         check_keys(obj, "experiment", ("dgp", "T", "n_reps"),
@@ -96,9 +83,7 @@ class ExperimentConfig:
 
 
 def load_experiment_config(path) -> ExperimentConfig:
-    with open(path) as fh:
-        obj = json.load(fh)
-    cfg = ExperimentConfig.from_json(obj)
+    cfg = ExperimentConfig.from_json(read_json(path))
     cfg.validate()
     return cfg
 
@@ -264,7 +249,7 @@ def write_replications_csv(path, records: List[ReplicationRecord],
 
 
 @dataclass
-class McSummary:
+class McSummary(JsonRecord):
     """Bias / SD / mean SE / SD-over-SE per parameter for one experiment."""
 
     design: str
@@ -275,14 +260,6 @@ class McSummary:
     n_degenerate: int
     n_failed: int
     params: dict  # name -> {"bias", "sd", "mean_se", "sd_se_ratio"}
-
-    def to_json(self) -> dict:
-        return {
-            "design": self.design, "T": self.T, "n_reps": self.n_reps,
-            "n_used": self.n_used, "n_converged": self.n_converged,
-            "n_degenerate": self.n_degenerate, "n_failed": self.n_failed,
-            "params": {k: dict(v) for k, v in self.params.items()},
-        }
 
     @classmethod
     def from_json(cls, obj: dict) -> "McSummary":
@@ -359,12 +336,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> McSummary:
     csv_path = target / "replications.csv"
     write_replications_csv(csv_path, records, cfg)
     summary = summarize_csv(csv_path)
-    payload = {"schema_version": CSV_SCHEMA_VERSION,
-               "config": cfg.to_json(),
-               "summary": summary.to_json()}
-    with open(target / "summary.json", "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json({"schema_version": CSV_SCHEMA_VERSION, "config": cfg,
+                "summary": summary}, target / "summary.json")
     return summary
 
 

@@ -17,7 +17,8 @@ from typing import Optional, Union
 import numpy as np
 
 from .dgp import Sample
-from .errors import EstimationError, ValidationError, check_keys, check_types
+from .errors import (EstimationError, JsonRecord, ValidationError, check_keys,
+                     check_types)
 from .mixture import ModelSpec, decode_jacobian, hessian, score_contributions
 
 ANDREWS_RHO_CLAMP = 0.97
@@ -25,7 +26,7 @@ _PARZEN_CONSTANT = 2.6614  # Andrews' optimal-rate constant for the Parzen kerne
 
 
 @dataclass
-class HacConfig:
+class HacConfig(JsonRecord):
     """Bandwidth policy of the HAC middle (Parzen kernel, demeaned scores)."""
 
     bandwidth: Union[str, float] = "auto"  # "auto" or a fixed value >= 0
@@ -36,9 +37,6 @@ class HacConfig:
         check_types(self, reals=("bandwidth",))
         if not (math.isfinite(self.bandwidth) and self.bandwidth >= 0):
             raise ValidationError(f"fixed bandwidth must be >= 0, got {self.bandwidth}")
-
-    def to_json(self) -> dict:
-        return {"bandwidth": self.bandwidth}
 
     @classmethod
     def from_json(cls, obj: dict) -> "HacConfig":

@@ -28,7 +28,7 @@ from typing import Sequence
 import numpy as np
 
 from .dgp import RegimeOutcome, Sample
-from .errors import ConfigurationError, ValidationError
+from .errors import ConfigurationError, JsonRecord, ValidationError
 
 _LOG_2PI = math.log(2.0 * math.pi)
 # bounds of a component scale: decode clamps to both, EM floors at SIGMA_MIN
@@ -43,7 +43,7 @@ _HESSIAN_BLOCK_ROWS = 1 << 16
 
 
 @dataclass
-class ModelSpec:
+class ModelSpec(JsonRecord):
     """Shape of the fitted mixture: component count and outcome form."""
 
     d: int
@@ -84,12 +84,9 @@ class ModelSpec:
                 + [f"sigma_{s}" for s in range(1, self.d + 1)]
                 + [f"weight_{s}" for s in range(1, self.d + 1)])
 
-    def to_json(self) -> dict:
-        return {"d": self.d, "form": self.form}
-
 
 @dataclass
-class MixtureParams:
+class MixtureParams(JsonRecord):
     """Mixture parameter point: per-component coefficients plus weights."""
 
     components: list  # list[RegimeOutcome]
@@ -149,15 +146,6 @@ class MixtureParams:
         """Canonical reporting order: components sorted by mu ascending."""
         order = np.argsort(self.mu_vec, kind="stable")
         return self.permuted(order.tolist())
-
-    def to_json(self) -> dict:
-        return {"components": [c.to_json() for c in self.components],
-                "weights": self.weights.tolist()}
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "MixtureParams":
-        return cls(components=[RegimeOutcome.from_json(c) for c in obj["components"]],
-                   weights=np.asarray(obj["weights"], dtype=float))
 
 
 def encode(params: MixtureParams, spec: ModelSpec) -> np.ndarray:

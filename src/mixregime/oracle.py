@@ -33,7 +33,8 @@ from scipy.special import gammaln, kve
 
 from .dgp import (DEFAULT_BURN_IN, HmmDgpParams, RegimeOutcome, Sample,
                   seed_key, simulate_hmm, simulate_msar)
-from .errors import ConfigurationError, QuadratureError, ValidationError
+from .errors import (ConfigurationError, JsonRecord, QuadratureError,
+                     ValidationError)
 from .estimator import EstimatorConfig, align_permutation
 from .inference import HacConfig, sandwich_cov
 from .mixture import (MixtureParams, ModelSpec, decode, encode, loglik_terms,
@@ -59,7 +60,7 @@ def _batch_means_se(values: np.ndarray, n_batches: int = DEFAULT_N_BATCHES):
 
 
 @dataclass
-class PseudoTrueResult:
+class PseudoTrueResult(JsonRecord):
     """Ergodic estimate of the limit mixture weights for a given DGP."""
 
     weights_star: np.ndarray
@@ -78,17 +79,6 @@ class PseudoTrueResult:
                 "coefficients; compute it with pseudo_true_msar")
         return MixtureParams(components=list(self.outcome_star),
                              weights=self.weights_star.copy())
-
-    def to_json(self) -> dict:
-        return {
-            "weights_star": self.weights_star.tolist(),
-            "outcome_star": [c.to_json() for c in self.outcome_star],
-            "mc_error": self.mc_error.tolist(),
-            "n_sim": self.n_sim,
-            "occupancy": self.occupancy.tolist(),
-            "occupancy_error": self.occupancy_error.tolist(),
-            "ar_coefficient": self.ar_coefficient,
-        }
 
 
 def pseudo_true_weights(dgp: HmmDgpParams, n_sim: int,
@@ -134,7 +124,7 @@ _MSAR_PREFIX_SHARE = 10  # the first BFGS stage uses n_sim // 10
 
 
 @dataclass
-class MsarPseudoTrueResult:
+class MsarPseudoTrueResult(JsonRecord):
     """Large-sample quasi-likelihood optimum for a switching-AR process.
 
     theta_star lists components in the generator's regime order.
@@ -157,13 +147,7 @@ class MsarPseudoTrueResult:
                         natural_vector(self.theta_star, spec).tolist()))
 
     def to_json(self) -> dict:
-        return {"theta_star": self.theta_star.to_json(),
-                "estimates": self.estimates(),
-                "mc_error": dict(self.mc_error),
-                "loglik": self.loglik, "grad_max": self.grad_max,
-                "converged": self.converged,
-                "n_iterations": dict(self.n_iterations),
-                "n_sim": self.n_sim, "n_paths": self.n_paths}
+        return {**super().to_json(), "estimates": self.estimates()}
 
 
 def pseudo_true_msar(dgp: HmmDgpParams, n_sim: int,
@@ -236,19 +220,16 @@ def pseudo_true_msar(dgp: HmmDgpParams, n_sim: int,
 
 
 @dataclass
-class KlComparison:
+class KlComparison(JsonRecord):
     """One candidate-vs-perturbation gap in expected log density."""
 
     label: str
     delta: float  # M(theta_star) - M(theta), positive favors theta_star
     se: float  # paired batch-means standard error of delta
 
-    def to_json(self) -> dict:
-        return {"label": self.label, "delta": self.delta, "se": self.se}
-
 
 @dataclass
-class KlCheckReport:
+class KlCheckReport(JsonRecord):
     m_star: float
     comparisons: List[KlComparison]
     n_sim: int
@@ -257,11 +238,6 @@ class KlCheckReport:
     def all_dominated(self, n_se: float = 3.0) -> bool:
         """True when every perturbation loses by more than n_se paired SEs."""
         return all(c.delta > n_se * c.se for c in self.comparisons)
-
-    def to_json(self) -> dict:
-        return {"m_star": self.m_star,
-                "comparisons": [c.to_json() for c in self.comparisons],
-                "n_sim": self.n_sim, "n_batches": self.n_batches}
 
 
 def kl_check(dgp: HmmDgpParams, theta_star: MixtureParams,
@@ -348,7 +324,7 @@ CF_RATIO_THRESHOLD = 1e-8
 
 
 @dataclass
-class CfCheckReport:
+class CfCheckReport(JsonRecord):
     """Tail behavior of the ratio of characteristic functions."""
 
     family: str
@@ -357,11 +333,6 @@ class CfCheckReport:
     ratio_trace: list  # [(tau, ratio)] with tau strictly increasing
     verdict: bool
     threshold: float  # the verdict's bound on the final ratio
-
-    def to_json(self) -> dict:
-        return {"family": self.family, "a1": self.a1, "a2": self.a2,
-                "ratio_trace": [[t, r] for t, r in self.ratio_trace],
-                "verdict": self.verdict, "threshold": self.threshold}
 
 
 def _parse_family(family: str):

@@ -13,7 +13,8 @@ from mixregime import (EstimatorConfig, ExperimentConfig, ModelSpec,
                        save_sample)
 from mixregime.cli import build_parser, main
 
-README = Path(__file__).resolve().parent.parent / "README.md"
+ROOT = Path(__file__).resolve().parent.parent
+README = ROOT / "README.md"
 
 
 @pytest.fixture()
@@ -143,6 +144,26 @@ class TestFit:
         err = json.loads(capsys.readouterr().err)["error"]
         assert err["type"] == "ValidationError" and "n_start" in err["message"]
 
+    def test_experiment_config_without_estimator_or_hac_uses_defaults(
+            self, tmp_path, sample_csv, capsys):
+        fits = []
+        for dropped in ((), ("estimator", "hac")):
+            obj = json.loads(
+                (ROOT / "configs" / "hmm_rho0_omega0_T200.json").read_text())
+            for key in dropped:
+                del obj[key]
+            cfg_path = tmp_path / "experiment.json"
+            cfg_path.write_text(json.dumps(obj))
+            out = tmp_path / "fit.json"
+            rc = main(["fit", "--data", str(sample_csv), "--d", "2",
+                       "--config", str(cfg_path), "--out", str(out)])
+            assert rc == 0
+            fits.append(json.loads(out.read_text()))
+        full, bare = fits
+        assert bare["theta_hat"] == full["theta_hat"]
+        assert bare["std_errors"] == full["std_errors"]
+        capsys.readouterr()
+
     def test_degenerate_fit_gets_nan_ses_and_exits_0(self, tmp_path,
                                                      floor_fit, capsys):
         # every EM seed's winner on this sample has a scale on the floor
@@ -153,10 +174,16 @@ class TestFit:
         rc = main(["fit", "--data", str(data), "--d", "2", "--form", "msar",
                    "--out", str(out)])
         assert rc == 0
-        payload = json.loads(out.read_text())
+
+        def reject(token):
+            raise ValueError(f"{token} is not RFC 8259 JSON")
+
+        # the missing SEs are nulls, not bare NaN tokens
+        payload = json.loads(out.read_text(), parse_constant=reject)
         assert payload["degenerate"] is True
-        assert np.isnan(payload["std_errors"]).all()
-        assert np.isnan(payload["covariance"]).all()
+        n = len(payload["natural_names"])
+        assert payload["std_errors"] == [None] * n
+        assert payload["covariance"] == [[None] * n] * n
         assert np.isfinite(payload["natural_estimates"]).all()
         capsys.readouterr()
 
@@ -265,6 +292,14 @@ class TestCheckId:
         payload = json.loads(capsys.readouterr().out)
         assert [t for t, _ in payload["ratio_trace"]] == [0.0, 1.0, 2.0]
 
+    def test_bad_tau_grid_is_configuration_error(self, capsys):
+        rc = main(["check-id", "--family", "gaussian", "--a1", "2.0",
+                   "--a2", "1.0", "--tau-grid", "1,abc"])
+        assert rc == 1
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["type"] == "ConfigurationError"
+        assert "tau-grid" in err["message"]
+
     def test_bad_family_fails(self, capsys):
         rc = main(["check-id", "--family", "levy", "--a1", "2.0",
                    "--a2", "1.0"])
@@ -297,6 +332,19 @@ class TestRender:
         rc = main(["render", str(tmp_path / "absent")])
         assert rc != 0
         assert "error" in json.loads(capsys.readouterr().err)
+
+
+def test_malformed_json_is_parse_error_with_its_line(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"T": 200,\n "dgp": }')
+    for argv in (["mc", "--config", str(bad), "--out-dir", str(tmp_path)],
+                 ["simulate", "--config", str(bad), "--T", "300",
+                  "--out", str(tmp_path / "s.csv")],
+                 ["render", str(bad)]):
+        assert main(argv) == 1, argv
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["type"] == "ParseError"
+        assert "line 2" in err["message"]
 
 
 def test_module_entry_point_smoke(tmp_path):
