@@ -17,7 +17,8 @@ import numpy as np
 
 from .dgp import (DEFAULT_BURN_IN, HmmDgpParams, load_sample, save_sample,
                   simulate_hmm, simulate_msar)
-from .errors import ConfigurationError, MixRegimeError, read_json, write_json
+from .errors import (ConfigurationError, MixRegimeError, ValidationError,
+                     read_json, write_json)
 from .estimator import EstimatorConfig, qml_estimate
 from .harness import McSummary, load_experiment_config, render_table, run_experiment
 from .inference import HacConfig, sandwich_cov
@@ -50,6 +51,9 @@ def _cmd_fit(args) -> int:
     sample = load_sample(args.data)
     spec = ModelSpec(d=args.d, form=args.form)
     cfg_obj = read_json(args.config) if args.config else {}
+    if not isinstance(cfg_obj, dict):
+        raise ValidationError(f"fit config must be a JSON object, "
+                              f"got {type(cfg_obj).__name__}")
     if "dgp" in cfg_obj:  # an experiment config; estimator and hac may be absent
         est_obj = cfg_obj.get("estimator", {})
     else:  # estimator settings, with an optional "hac" block
@@ -133,7 +137,9 @@ def _load_summary(path) -> McSummary:
     if path.is_dir():
         path = path / "summary.json"
     obj = read_json(path)
-    return McSummary.from_json(obj.get("summary", obj))
+    if isinstance(obj, dict):
+        obj = obj.get("summary", obj)
+    return McSummary.from_json(obj)
 
 
 def _cmd_render(args) -> int:

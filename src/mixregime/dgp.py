@@ -13,7 +13,10 @@ Two outcome recursions are supported:
 * switching AR:       Y_t = mu(S_t) + phi Y_{t-1}   + sigma(S_t) U1_t
 
 All simulators are pure functions of (params, T, burn_in, seed) and return
-bit-identical output for identical inputs.
+bit-identical output for identical inputs.  Each AR(1) path (Z, W and the
+switching-AR outcome) comes from one LAPACK solve of a unit lower-bidiagonal
+system; it never pivots, so the path is bit-identical to the recursion
+x_t = v_t + slope x_{t-1} written as a loop.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from types import SimpleNamespace
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.signal import lfilter
+from scipy.linalg.lapack import dgtsv
 
 from .errors import (ConfigurationError, JsonRecord, ParseError,
                      ValidationError, check_keys, check_types)
@@ -229,8 +232,11 @@ class HmmDgpParams(JsonRecord):
         if len(self.outcomes) != self.transition.d:
             out.append(f"need one outcome per regime: got {len(self.outcomes)} "
                        f"outcomes for d = {self.transition.d}")
-        if self.ar_coefficient is not None and not math.isfinite(self.ar_coefficient):
+        phi = self.ar_coefficient
+        if phi is not None and not math.isfinite(phi):
             out.append("ar_coefficient must be finite when present")
+        elif phi is not None and not abs(phi) < 1:
+            out.append(f"|ar_coefficient| must be < 1 for stationarity, got {phi}")
         return out
 
     def validate(self) -> None:
@@ -345,10 +351,25 @@ def _simulate_regime_path(spec: TransitionSpec, z_prev: np.ndarray, s0: int,
     return np.asarray(out, dtype=np.int64)
 
 
+def _ar1(slope: float, x0: float, driven: np.ndarray) -> np.ndarray:
+    """x_t = driven_t + slope x_{t-1} from x_{-1} = x0, solved in `driven`.
+
+    The path solves the unit lower-bidiagonal system with sub-diagonal
+    -slope.  For |slope| < 1 dgtsv never pivots: each step computes
+    driven_t + slope x_{t-1} unfused and its back substitution divides by
+    1, so the path equals the loop bit for bit.
+    """
+    n = len(driven)
+    driven[0] += slope * x0
+    off = max(n - 1, 1)  # the wrapper rejects empty off-diagonals
+    *_, x, _ = dgtsv(np.full(off, -slope), np.ones(n), np.zeros(off), driven,
+                     overwrite_dl=True, overwrite_d=True, overwrite_du=True,
+                     overwrite_b=True)
+    return x
+
+
 def _ar1_path(law: ArLaw, x0: float, shocks: np.ndarray) -> np.ndarray:
-    driven = law.intercept + law.noise_sd * shocks
-    out, _ = lfilter([1.0], [1.0, -law.slope], driven, zi=[law.slope * x0])
-    return out
+    return _ar1(law.slope, x0, law.intercept + law.noise_sd * shocks)
 
 
 def _simulate(params: HmmDgpParams, T: int, burn_in: int, seed,
@@ -388,8 +409,7 @@ def _simulate(params: HmmDgpParams, T: int, burn_in: int, seed,
     gamma = np.array([oc.gamma for oc in params.outcomes])
     sigma = np.array([oc.sigma for oc in params.outcomes])
     if msar:
-        driven = mu[s] + sigma[s] * u[:, 0]
-        y, _ = lfilter([1.0], [1.0, -params.ar_coefficient], driven, zi=[0.0])
+        y = _ar1(params.ar_coefficient, 0.0, mu[s] + sigma[s] * u[:, 0])
     else:
         y = mu[s] + gamma[s] * w + sigma[s] * u[:, 0]
 

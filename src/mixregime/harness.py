@@ -263,6 +263,7 @@ class McSummary(JsonRecord):
 
     @classmethod
     def from_json(cls, obj: dict) -> "McSummary":
+        check_keys(obj, "summary", [f.name for f in dataclasses.fields(cls)])
         return cls(design=obj["design"], T=int(obj["T"]), n_reps=int(obj["n_reps"]),
                    n_used=int(obj["n_used"]), n_converged=int(obj["n_converged"]),
                    n_degenerate=int(obj["n_degenerate"]),

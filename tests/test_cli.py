@@ -187,6 +187,14 @@ class TestFit:
         assert np.isfinite(payload["natural_estimates"]).all()
         capsys.readouterr()
 
+    def test_config_not_an_object_is_validation_error(self, tmp_path,
+                                                      sample_csv, capsys):
+        cfg_path = tmp_path / "list.json"
+        cfg_path.write_text("[1, 2]")
+        msg = validation_error(["fit", "--data", str(sample_csv), "--d", "2",
+                                "--config", str(cfg_path)], capsys)
+        assert msg == "fit config must be a JSON object, got list"
+
     def test_missing_data_file_fails_nonzero(self, tmp_path, capsys):
         rc = main(["fit", "--data", str(tmp_path / "nope.csv"), "--d", "2",
                    "--form", "hmm"])
@@ -327,6 +335,18 @@ class TestRender:
         text = table_path.read_text()
         assert "mu(1)" in text
         assert "Bias" in text and "SD/SE" in text
+
+    @pytest.mark.parametrize("text, message", [
+        ('{"summary": {"design": "x"}}',
+         "missing summary key(s): T, n_reps, n_used, n_converged, "
+         "n_degenerate, n_failed, params"),
+        ("[1, 2]", "summary must be a JSON object, got list"),
+    ])
+    def test_malformed_summary_is_validation_error(self, tmp_path, capsys,
+                                                   text, message):
+        path = tmp_path / "summary.json"
+        path.write_text(text)
+        assert validation_error(["render", str(path)], capsys) == message
 
     def test_missing_summary_fails(self, tmp_path, capsys):
         rc = main(["render", str(tmp_path / "absent")])

@@ -1,5 +1,9 @@
 import hashlib
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,7 +12,9 @@ from mixregime import (ArLaw, ConfigurationError, HmmDgpParams, NoiseCorrelation
                        ParseError, RegimeOutcome, Sample, TransitionSpec,
                        ValidationError, hmm_benchmark, load_sample, msar_benchmark,
                        save_sample, simulate_hmm, simulate_msar, transition_row)
-from mixregime.dgp import stream_rng
+from mixregime.dgp import _ar1, stream_rng
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def logistic(x):
@@ -76,6 +82,14 @@ class TestValidation:
         assert RegimeOutcome(0.0, 0.0, -1.0).violations()
         assert ArLaw(0.2, 1.0, 1.0).violations()
         assert ArLaw(0.2, 0.8, 0.0).violations()
+
+    @pytest.mark.parametrize("phi", [1.0, -1.0, 1.5])
+    def test_switching_ar_coefficient_must_be_stationary(self, phi):
+        # at phi = 1.5 and T = 2000 a third of y would overflow to +-inf
+        with pytest.raises(ValidationError,
+                           match=r"\|ar_coefficient\| must be < 1"):
+            msar_benchmark(phi=phi).validate()
+        msar_benchmark(phi=0.9).validate()
 
     def test_outcome_count_must_match_regimes(self):
         params = hmm_benchmark()
@@ -201,6 +215,13 @@ class TestSimulateHmm:
         frac = (sample.s == 1).mean()
         assert 0.6 < frac < 0.73
 
+    @pytest.mark.parametrize("simulate, params", [(simulate_msar, msar_benchmark),
+                                                  (simulate_hmm, hmm_benchmark)])
+    def test_single_step_without_burn_in(self, simulate, params):
+        sample = simulate(params(), T=1, burn_in=0, seed=3)
+        assert sample.T == 1 and np.isfinite(sample.y).all()
+        assert len(sample.z) == len(sample.w) == 1
+
     def test_input_validation(self, hmm_params):
         with pytest.raises(ValidationError):
             simulate_hmm(hmm_params, T=0, seed=1)
@@ -229,6 +250,38 @@ class TestSimulateMsar:
         assert len(sample.w) == 200 and np.isfinite(sample.w).all()
 
 
+class TestAr1:
+    @pytest.mark.parametrize("n", [1, 2, 1000])
+    @pytest.mark.parametrize("slope", [0.0, 0.3, -0.7, 0.9, -0.95, 0.99,
+                                       0.123456789])
+    def test_equals_the_recursion_bit_for_bit(self, n, slope):
+        driven = np.random.default_rng(n).normal(0.3, 1.7, size=n)
+        x0 = 0.77
+        expected = np.empty(n)
+        x = x0
+        for t in range(n):
+            x = driven[t] + slope * x
+            expected[t] = x
+        assert np.array_equal(_ar1(slope, x0, driven.copy()), expected)
+
+
+class TestImports:
+    @pytest.mark.parametrize("args", [["-c", "import mixregime"],
+                                      ["-m", "mixregime.cli", "--help"]])
+    def test_scipy_signal_is_not_imported(self, args):
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run([sys.executable, "-X", "importtime", *args],
+                              capture_output=True, text=True, env=env,
+                              timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        imported = [line.rsplit("|", 1)[-1].strip()
+                    for line in proc.stderr.splitlines()
+                    if line.startswith("import time:")]
+        assert "mixregime.dgp" in imported
+        assert not [m for m in imported if m.split(".")[:2] == ["scipy", "signal"]]
+
+
 class TestRegimePath:
     # sha256 of the int64 regime labels recorded from the earlier
     # two-regime stay/leave loop; the table walk must reproduce it exactly
@@ -239,6 +292,25 @@ class TestRegimePath:
     def test_two_regime_path_is_pinned(self, simulate, params):
         s = simulate(params(), T=5000, seed=0).s
         assert hashlib.sha256(s.astype("<i8").tobytes()).hexdigest() == self.PINNED
+
+    # sha256 of the float64 AR paths recorded from scipy's lfilter, before the
+    # bidiagonal solve replaced it; z and w share their laws in both designs
+    PINNED_Z = "fa11a7c6a8a42601cd8c4a8924c7c0b61c45732d739c4f4d0b7831f2d98dad44"
+    PINNED_W = "d919aa4745c718740d967783715f0b2220934b12ce06816a88ee2941c589e7f5"
+    PINNED_Y = {
+        "msar": "7153b76077d6d61fccc3dcdc60fbc915712b2bf58c940c162d4373b8d67c4cfe",
+        "hmm": "a8376b90927c39fdd297b298dc0f3cb09c00618de26c686fd03a33c786296870",
+    }
+
+    @pytest.mark.parametrize("simulate, params", [(simulate_msar, msar_benchmark),
+                                                  (simulate_hmm, hmm_benchmark)])
+    def test_ar_paths_are_pinned(self, simulate, params):
+        sample = simulate(params(), T=5000, seed=0)
+        digests = {name: hashlib.sha256(getattr(sample, name).astype("<f8")
+                                        .tobytes()).hexdigest()
+                   for name in ("y", "z", "w")}
+        assert digests == {"y": self.PINNED_Y[sample.meta["variant"]],
+                           "z": self.PINNED_Z, "w": self.PINNED_W}
 
     def test_three_regime_frequencies_match_transition_rows(self):
         spec = TransitionSpec(d=3, alpha=[[1.5, 0.0, -0.5], [0.2, 1.0, 0.0],
