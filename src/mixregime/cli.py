@@ -29,7 +29,7 @@ from .oracle import (MAX_PATH_LEN, cf_ratio_check, kl_check,
 
 def _cmd_simulate(args) -> int:
     params = HmmDgpParams.from_json(read_json(args.config))
-    sim = simulate_msar if args.msar else simulate_hmm
+    sim = simulate_hmm if params.ar_coefficient is None else simulate_msar
     sample = sim(params, T=args.T, burn_in=args.burn_in, seed=args.seed)
     save_sample(sample, args.out)
     write_json({"out": str(args.out), "T": sample.T, "variant": sample.meta["variant"],
@@ -161,13 +161,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_sim = sub.add_parser("simulate", help="simulate a dataset to CSV")
-    p_sim.add_argument("--config", required=True, help="DGP parameter JSON file")
+    p_sim.add_argument("--config", required=True,
+                       help="DGP parameter JSON file; one that sets "
+                            "ar_coefficient simulates the switching AR")
     p_sim.add_argument("--T", type=int, required=True)
     p_sim.add_argument("--burn-in", type=int, default=DEFAULT_BURN_IN)
     p_sim.add_argument("--seed", type=int, default=0)
     p_sim.add_argument("--out", required=True, help="output CSV path")
-    p_sim.add_argument("--msar", action="store_true",
-                       help="use the switching-AR outcome equation")
     p_sim.set_defaults(func=_cmd_simulate)
 
     p_fit = sub.add_parser("fit", help="fit the mixture model to a CSV sample")

@@ -12,7 +12,6 @@ first-order condition that the sandwich covariance relies on.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -22,10 +21,9 @@ from scipy.optimize import linear_sum_assignment, minimize
 from .dgp import RegimeOutcome, Sample, seed_key
 from .errors import (EstimationError, JsonRecord, ValidationError, check_keys,
                      check_types)
-from .mixture import (SIGMA_MIN, MixtureParams, ModelSpec, decode, encode,
-                      mixture_kernel, neg_loglik_and_score)
+from .mixture import (LOG_SIGMA_MIN, SIGMA_MIN, MixtureParams, ModelSpec,
+                      decode, encode, mixture_kernel, neg_loglik_and_score)
 
-_LOG_SIGMA_MIN = math.log(SIGMA_MIN)
 _COLLAPSE_FRACTION = 1e-8  # of effective sample size, per component
 # Normal equations count as singular below this fraction of their diagonal
 # product: with a constant regressor, rounding leaves about 1e-15.
@@ -259,8 +257,8 @@ def qml_estimate(sample: Sample, spec: ModelSpec,
     notes = [f"start {i}: {note}" for i, r in enumerate(runs) for note in r.notes]
     if not res.success:
         notes.append(f"bfgs: {res.message}")
-    log_sigma = res.x[spec.d + spec.n_slope:2 * spec.d + spec.n_slope]
-    if (log_sigma <= _LOG_SIGMA_MIN).any():  # decode clamps it to SIGMA_MIN
+    # decode clamps a log sigma at or below LOG_SIGMA_MIN to SIGMA_MIN
+    if (res.x[spec.blocks.log_sigma] <= LOG_SIGMA_MIN).any():
         notes.append("sigma floor reached")
 
     theta_hat = decode(res.x, spec).sorted_by_mu()

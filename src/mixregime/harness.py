@@ -29,7 +29,7 @@ from .estimator import EstimatorConfig, align_permutation, qml_estimate
 from .inference import HacConfig, sandwich_cov
 from .mixture import MixtureParams, ModelSpec, encode, natural_vector
 
-CSV_SCHEMA_VERSION = 1
+CSV_SCHEMA_VERSION = 2
 
 
 @dataclass
@@ -126,7 +126,6 @@ class ReplicationRecord:
     n_em_iter: int = 0
     n_qn_iter: int = 0
     hac_bandwidth: float = float("nan")
-    hac_floored: bool = False
     align_dist_pre: float = float("nan")
     align_dist_post: float = float("nan")
     estimates: np.ndarray  # natural scale, aligned; NaN when failed
@@ -141,9 +140,8 @@ class ReplicationRecord:
 # natural parameter, named with these prefixes.
 _CSV_FIELDS = ("rep_index", "design", "T", "ok", "converged", "degenerate",
                "loglik", "start_index", "n_em_iter", "n_qn_iter",
-               "hac_bandwidth", "hac_floored", "align_dist_pre",
-               "align_dist_post", "elapsed_s", "estimates", "std_errors",
-               "truth", "error")
+               "hac_bandwidth", "align_dist_pre", "align_dist_post",
+               "elapsed_s", "estimates", "std_errors", "truth", "error")
 _CSV_PREFIXES = {"estimates": "est_", "std_errors": "se_", "truth": "true_"}
 
 
@@ -201,7 +199,6 @@ def run_replication(cfg: ExperimentConfig, rep_index: int) -> ReplicationRecord:
             n_em_iter=result.n_iterations["em"],
             n_qn_iter=result.n_iterations["qn"],
             hac_bandwidth=float(hac_info.get("bandwidth", np.nan)),
-            hac_floored=bool(hac_info.get("floored", False)),
             align_dist_pre=dist_pre,
             align_dist_post=dist_post,
             estimates=natural_vector(aligned, spec),
@@ -248,6 +245,9 @@ def write_replications_csv(path, records: List[ReplicationRecord],
                 from_cfg[name] if name in from_cfg else getattr(rec, name))])
 
 
+_PARAM_STATS = ("bias", "sd", "mean_se", "sd_se_ratio")
+
+
 @dataclass
 class McSummary(JsonRecord):
     """Bias / SD / mean SE / SD-over-SE per parameter for one experiment."""
@@ -259,16 +259,20 @@ class McSummary(JsonRecord):
     n_converged: int
     n_degenerate: int
     n_failed: int
-    params: dict  # name -> {"bias", "sd", "mean_se", "sd_se_ratio"}
+    params: dict  # name -> {stat: value for stat in _PARAM_STATS}
 
     @classmethod
     def from_json(cls, obj: dict) -> "McSummary":
         check_keys(obj, "summary", [f.name for f in dataclasses.fields(cls)])
-        return cls(design=obj["design"], T=int(obj["T"]), n_reps=int(obj["n_reps"]),
-                   n_used=int(obj["n_used"]), n_converged=int(obj["n_converged"]),
-                   n_degenerate=int(obj["n_degenerate"]),
-                   n_failed=int(obj["n_failed"]),
-                   params={k: dict(v) for k, v in obj["params"].items()})
+        summary = cls(**obj)
+        check_types(summary, ("T", "n_reps", "n_used", "n_converged",
+                              "n_degenerate", "n_failed"))
+        if not isinstance(summary.params, dict):
+            raise ValidationError(f"summary params must be a JSON object, "
+                                  f"got {type(summary.params).__name__}")
+        for name, entry in summary.params.items():
+            check_keys(entry, f"summary params.{name}", _PARAM_STATS)
+        return summary
 
 
 def summarize_csv(path) -> McSummary:
@@ -298,7 +302,7 @@ def summarize_csv(path) -> McSummary:
         est = np.array([float(r[f"est_{name}"]) for r in used])
         ses = np.array([float(r[f"se_{name}"]) for r in used])
         true_vals = np.array([float(r[f"true_{name}"]) for r in used])
-        entry = {"bias": None, "sd": None, "mean_se": None, "sd_se_ratio": None}
+        entry = dict.fromkeys(_PARAM_STATS)
         if len(est) >= 2:
             sd = float(est.std(ddof=1))
             mean_se = float(ses.mean())

@@ -60,7 +60,6 @@ def _ar1_column_fits(scores: np.ndarray):
     Columns with (numerically) zero variance are dropped; returns the
     kept columns' (rho, sigma2) arrays.
     """
-    t_len, _ = scores.shape
     rhos = []
     sig2s = []
     for col in scores.T:
@@ -108,10 +107,15 @@ def hac_middle(scores: np.ndarray, cfg: Optional[HacConfig] = None,
     """Long-run variance estimate of the score rows.
 
     B = Gamma_0 + sum_{j=1}^{floor(S_T)} k(j/S_T) (Gamma_j + Gamma_j'),
-    Gamma_j = T^{-1} sum_t g_t g_{t-j}'.  Symmetrized, then projected to
-    PSD by flooring negative eigenvalues at zero (flagged via `info` and a
-    warning).  Pass a dict as `info` to collect diagnostics (bandwidth,
-    lag count, truncation and flooring flags).
+    Gamma_j = T^{-1} sum_t g_t g_{t-j}', symmetrized.  B is positive
+    semidefinite by construction, so it needs no repair: with the 1/T
+    autocovariances, a'Ba = T^{-1} sum_{t,u} k((t-u)/S_T) x_t x_u for
+    x_t = a'g_t, and the Parzen kernel has a nonnegative spectral window,
+    so the matrix [k((t-u)/S_T)] is PSD for every S_T > 0 (Andrews 1991).
+    Rounding alone leaves a negative eigenvalue, of the order of machine
+    epsilon times the largest.  Pass a dict as `info` to collect
+    diagnostics (bandwidth, lag count, truncation flag, smallest
+    eigenvalue).
     """
     if cfg is None:
         cfg = HacConfig()
@@ -137,7 +141,6 @@ def hac_middle(scores: np.ndarray, cfg: Optional[HacConfig] = None,
 
     b_mat = g.T @ g / t_len
     n_lags = int(math.floor(s_t)) if s_t > 0 else 0
-    n_lags = min(n_lags, t_len - 1)
     for j in range(1, n_lags + 1):
         k = parzen_weight(j / s_t)
         if k == 0.0:
@@ -145,20 +148,9 @@ def hac_middle(scores: np.ndarray, cfg: Optional[HacConfig] = None,
         gamma_j = g[j:].T @ g[:-j] / t_len
         b_mat = b_mat + k * (gamma_j + gamma_j.T)
     b_mat = 0.5 * (b_mat + b_mat.T)
-
-    eigvals, eigvecs = np.linalg.eigh(b_mat)
-    # repair only genuine indefiniteness, not rounding dust, so that the
-    # zero-lag case stays bit-identical to the outer-product average
-    psd_tol = 1e-12 * max(1.0, float(np.abs(eigvals).max()))
-    floored = bool(eigvals.min() < -psd_tol)
-    if floored:
-        warnings.warn(f"HAC middle matrix indefinite (min eigenvalue "
-                      f"{eigvals.min():.3e}); floored to PSD", stacklevel=2)
-        b_mat = (eigvecs * np.maximum(eigvals, 0.0)) @ eigvecs.T
-        b_mat = 0.5 * (b_mat + b_mat.T)
     if info is not None:
         info.update({"bandwidth": s_t, "n_lags": n_lags, "truncated": truncated,
-                     "floored": floored, "min_eig": float(eigvals.min())})
+                     "min_eig": float(np.linalg.eigvalsh(b_mat)[0])})
     return b_mat
 
 

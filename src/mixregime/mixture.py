@@ -9,8 +9,9 @@ index.  Two outcome forms are supported:
 * "msar": index mu(s) + phi y_{t-1}, slope phi shared across regimes
 
 Optimization works on an unconstrained FreeVector (log sigmas, logit
-weights anchored at the last component); all public operations accept
-either natural parameters (MixtureParams) or free vectors as documented.
+weights anchored at the last component), laid out in the blocks that
+ModelSpec.blocks names; all public operations accept either natural
+parameters (MixtureParams) or free vectors as documented.
 mixture_kernel is the one place that forms the weighted log-density
 matrix; EM, the likelihood, the score and BFGS each call it once per point.
 hessian is closed-form (Louis's identity on the responsibilities and the
@@ -23,7 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -34,12 +35,21 @@ _LOG_2PI = math.log(2.0 * math.pi)
 # bounds of a component scale: decode clamps to both, EM floors at SIGMA_MIN
 SIGMA_MIN = 1e-6
 SIGMA_MAX = 1e6
-_LOG_SIGMA_MIN = math.log(SIGMA_MIN)
+LOG_SIGMA_MIN = math.log(SIGMA_MIN)
 _LOG_SIGMA_MAX = math.log(SIGMA_MAX)
 
 _FORMS = ("hmm", "msar")
 # rows per kernel call in hessian: bounds its (d, rows, q) gradient array
 _HESSIAN_BLOCK_ROWS = 1 << 16
+
+
+class FreeBlocks(NamedTuple):
+    """FreeVector slices of the four parameter blocks, in this order."""
+
+    mu: slice
+    slope: slice
+    log_sigma: slice
+    logit: slice
 
 
 @dataclass
@@ -64,6 +74,13 @@ class ModelSpec(JsonRecord):
     def q(self) -> int:
         """FreeVector dimension."""
         return self.d + self.n_slope + self.d + (self.d - 1)
+
+    @property
+    def blocks(self) -> FreeBlocks:
+        """Where each parameter block sits in the FreeVector."""
+        d, k = self.d, self.n_slope
+        return FreeBlocks(slice(0, d), slice(d, d + k), slice(d + k, 2 * d + k),
+                          slice(2 * d + k, None))
 
     def regression_frame(self, sample: Sample):
         """Extract the (response, regressor) pair used by the likelihood."""
@@ -175,8 +192,8 @@ def decode(free: np.ndarray, spec: ModelSpec) -> MixtureParams:
         raise ValidationError(f"free vector must have length {spec.q}, "
                               f"got shape {free.shape}")
     d = spec.d
-    mu, slope, log_sigma, logits = _split_free(free, spec)
-    sigma = np.exp(np.clip(log_sigma, _LOG_SIGMA_MIN, _LOG_SIGMA_MAX))
+    mu, slope, log_sigma, logits = [free[b] for b in spec.blocks]
+    sigma = np.exp(np.clip(log_sigma, LOG_SIGMA_MIN, _LOG_SIGMA_MAX))
     full_logits = np.concatenate([logits, [0.0]])
     full_logits -= full_logits.max()
     weights = np.exp(full_logits)
@@ -185,16 +202,6 @@ def decode(free: np.ndarray, spec: ModelSpec) -> MixtureParams:
     components = [RegimeOutcome(mu=mu[s], gamma=gamma[s], sigma=sigma[s])
                   for s in range(d)]
     return MixtureParams(components=components, weights=weights)
-
-
-def _split_free(free: np.ndarray, spec: ModelSpec):
-    d = spec.d
-    n_slope = spec.n_slope
-    mu = free[:d]
-    slope = free[d:d + n_slope]
-    log_sigma = free[d + n_slope:d + n_slope + d]
-    logits = free[d + n_slope + d:]
-    return mu, slope, log_sigma, logits
 
 
 def natural_vector(params: MixtureParams, spec: ModelSpec) -> np.ndarray:
@@ -211,21 +218,15 @@ def decode_jacobian(free: np.ndarray, spec: ModelSpec) -> np.ndarray:
     d w_j / d l_s = w_j (1{j=s} - w_s) for the weight block.
     """
     params = decode(free, spec)
-    d = spec.d
-    n_slope = spec.n_slope
-    q = spec.q
-    n_nat = d + n_slope + d + d
-    jac = np.zeros((n_nat, q))
-    jac[:d + n_slope, :d + n_slope] = np.eye(d + n_slope)
-    sigma = params.sigma_vec
-    for s in range(d):
-        jac[d + n_slope + s, d + n_slope + s] = sigma[s]
+    blocks = spec.blocks
+    n_lin = blocks.slope.stop  # mu and slope coordinates are natural already
     w = params.weights
-    row0 = d + n_slope + d
-    col0 = d + n_slope + d
-    for j in range(d):
-        for s in range(d - 1):
-            jac[row0 + j, col0 + s] = w[j] * ((1.0 if j == s else 0.0) - w[s])
+    # the natural vector has d weights where the FreeVector has d - 1 logits
+    jac = np.zeros((spec.q + 1, spec.q))
+    jac[:n_lin, :n_lin] = np.eye(n_lin)
+    jac[blocks.log_sigma, blocks.log_sigma] = np.diag(params.sigma_vec)
+    jac[blocks.logit.start:, blocks.logit] = w[:, None] * (
+        np.eye(spec.d)[:, :spec.d - 1] - w[None, :spec.d - 1])
     return jac
 
 
@@ -336,10 +337,12 @@ def hessian(free: np.ndarray, sample: Sample, spec: ModelSpec) -> np.ndarray:
     sigma = params.sigma_vec
     w = params.weights
     comp = np.arange(d)
-    mu_col = comp
-    slope_col = d + comp if spec.form == "hmm" else np.full(d, d)
-    log_sigma_col = d + spec.n_slope + comp
-    logit = slice(d + spec.n_slope + d, q)
+    cols, blocks = np.arange(q), spec.blocks
+    mu_col = cols[blocks.mu]
+    # the switching AR's one slope column serves every component
+    slope_col = np.broadcast_to(cols[blocks.slope], d)
+    log_sigma_col = cols[blocks.log_sigma]
+    logit = blocks.logit
     # logit entries of g[t, s]: 1{s = k} - w_k, the same on every row
     logit_grad = np.eye(d)[:, :d - 1] - w[None, :d - 1]
 

@@ -40,23 +40,23 @@ from .inference import HacConfig, sandwich_cov
 from .mixture import (MixtureParams, ModelSpec, decode, encode, loglik_terms,
                       natural_vector, neg_loglik_and_score)
 
-DEFAULT_N_BATCHES = 50
+N_BATCHES = 50
 
 
-def _batch_means_se(values: np.ndarray, n_batches: int = DEFAULT_N_BATCHES):
+def _batch_means_se(values: np.ndarray):
     """Standard error of the mean of a serially dependent series.
 
-    Splits the series into n_batches consecutive blocks; the variance of
+    Splits the series into N_BATCHES consecutive blocks; the variance of
     the block means absorbs the autocorrelation.
     """
     n = len(values)
-    width = n // n_batches
+    width = n // N_BATCHES
     if width < 1:
-        raise ValidationError(f"need at least {n_batches} observations for "
-                              f"{n_batches} batches, got {n}")
-    trimmed = values[: width * n_batches]
-    means = trimmed.reshape(n_batches, width).mean(axis=1)
-    return float(means.std(ddof=1) / math.sqrt(n_batches))
+        raise ValidationError(f"need at least {N_BATCHES} observations for "
+                              f"{N_BATCHES} batches, got {n}")
+    trimmed = values[: width * N_BATCHES]
+    means = trimmed.reshape(N_BATCHES, width).mean(axis=1)
+    return float(means.std(ddof=1) / math.sqrt(N_BATCHES))
 
 
 @dataclass
@@ -270,7 +270,7 @@ def kl_check(dgp: HmmDgpParams, theta_star: MixtureParams,
         se = _batch_means_se(diffs)
         comparisons.append(KlComparison(label=label, delta=delta, se=se))
     return KlCheckReport(m_star=m_star, comparisons=comparisons, n_sim=n_sim,
-                         n_batches=DEFAULT_N_BATCHES)
+                         n_batches=N_BATCHES)
 
 
 def perturbation_grid(theta_star: MixtureParams, form: str = "hmm") -> list:

@@ -10,7 +10,7 @@ import pytest
 
 from mixregime import (EstimatorConfig, ExperimentConfig, ModelSpec,
                        hmm_benchmark, load_sample, msar_benchmark,
-                       save_sample)
+                       save_sample, simulate_msar)
 from mixregime.cli import build_parser, main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -31,6 +31,13 @@ def sample_csv(tmp_path, dgp_config):
                "--seed", "5", "--out", str(out)])
     assert rc == 0
     return out
+
+
+def summary_text(**fields) -> str:
+    """summary.json text with every McSummary key, `fields` overriding."""
+    obj = {"design": "x", "T": 200, "n_reps": 3, "n_used": 3,
+           "n_converged": 3, "n_degenerate": 0, "n_failed": 0, "params": {}}
+    return json.dumps({"summary": {**obj, **fields}})
 
 
 def validation_error(argv, capsys) -> str:
@@ -55,23 +62,17 @@ class TestSimulate:
         assert sample.T == 250
         assert sample.z is not None and sample.s is not None
 
-    def test_msar_switch(self, tmp_path, capsys):
+    def test_msar_dgp_simulates_msar(self, tmp_path, capsys):
+        # the outcome equation follows the DGP's ar_coefficient; no flag
         cfg = tmp_path / "msar.json"
         cfg.write_text(json.dumps(msar_benchmark().to_json()))
         out = tmp_path / "m.csv"
         rc = main(["simulate", "--config", str(cfg), "--T", "300",
-                   "--seed", "2", "--out", str(out), "--msar"])
+                   "--seed", "2", "--out", str(out)])
         assert rc == 0
         assert json.loads(capsys.readouterr().out)["variant"] == "msar"
-
-    def test_msar_switch_requires_phi(self, tmp_path, dgp_config, capsys):
-        out = tmp_path / "m.csv"
-        rc = main(["simulate", "--config", str(dgp_config), "--T", "300",
-                   "--seed", "2", "--out", str(out), "--msar"])
-        assert rc == 1
-        err = json.loads(capsys.readouterr().err)
-        assert err["error"]["type"] == "ConfigurationError"
-
+        want = simulate_msar(msar_benchmark(), T=300, seed=2)
+        np.testing.assert_array_equal(load_sample(out).y, want.y)
 
     def test_dgp_without_noise_is_validation_error(self, tmp_path, capsys):
         obj = hmm_benchmark().to_json()
@@ -341,6 +342,16 @@ class TestRender:
          "missing summary key(s): T, n_reps, n_used, n_converged, "
          "n_degenerate, n_failed, params"),
         ("[1, 2]", "summary must be a JSON object, got list"),
+        pytest.param(summary_text(T="abc"), "T must be an int, got 'abc'",
+                     id="T-string"),
+        pytest.param(summary_text(T=1600.7), "T must be an int, got 1600.7",
+                     id="T-fractional"),
+        pytest.param(summary_text(params=5),
+                     "summary params must be a JSON object, got int",
+                     id="params-not-object"),
+        pytest.param(summary_text(params={"mu_1": 5}),
+                     "summary params.mu_1 must be a JSON object, got int",
+                     id="params-entry-not-object"),
     ])
     def test_malformed_summary_is_validation_error(self, tmp_path, capsys,
                                                    text, message):

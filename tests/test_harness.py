@@ -278,7 +278,7 @@ class TestRunExperiment:
         again = summarize_csv(csv_path)
         payload = json.loads(json_path.read_text())
         assert payload["summary"] == again.to_json() == summary.to_json()
-        assert payload["schema_version"] == 1
+        assert payload["schema_version"] == 2
         assert payload["config"]["label"] == "bench"
 
         with open(csv_path, newline="") as fh:
@@ -341,8 +341,8 @@ class TestWriteReplicationsCsv:
         assert header == [
             "rep_index", "design", "T", "ok", "converged", "degenerate",
             "loglik", "start_index", "n_em_iter", "n_qn_iter",
-            "hac_bandwidth", "hac_floored", "align_dist_pre",
-            "align_dist_post", "elapsed_s",
+            "hac_bandwidth", "align_dist_pre", "align_dist_post",
+            "elapsed_s",
             "est_mu_1", "est_mu_2", "est_gamma_1", "est_gamma_2",
             "est_sigma_1", "est_sigma_2", "est_weight_1", "est_weight_2",
             "se_mu_1", "se_mu_2", "se_gamma_1", "se_gamma_2",
@@ -352,7 +352,7 @@ class TestWriteReplicationsCsv:
             "error"]
         # a record built from the defaults is a failed row
         assert row == (["0", "bench", "200", "0", "0", "0", "nan", "-1", "0",
-                        "0", "nan", "0", "nan", "nan", "0.25"]
+                        "0", "nan", "nan", "nan", "0.25"]
                        + ["nan"] * 16 + ["0", "1", "2", "3", "4", "5", "6", "7"]
                        + ["ValidationError: x"])
 

@@ -133,19 +133,38 @@ class TestHacMiddle:
         assert info["truncated"]
         assert info["bandwidth"] == 19.0
 
-    def test_result_symmetric_psd(self):
-        x = ar1_series(0.8, 2000, 41)
-        g = np.column_stack([x, np.roll(x, 3), x ** 2 - x.mean()])
-        b = hac_middle(g, HacConfig())
+    # Parzen weights make B PSD by construction, so no input may push its
+    # smallest eigenvalue below rounding: alternating signs (negative odd-lag
+    # autocovariances), rank-deficient scores (exact zero eigenvalues),
+    # fixed bandwidths across (0, T], integer ones (k = 0 at the last lag)
+    # and ones truncated to T - 1.
+    @pytest.mark.filterwarnings("ignore:HAC bandwidth")
+    @pytest.mark.parametrize("bandwidth", ["auto", 0.5, 1.5, 2.0, 7.0, 63.7,
+                                           199.0, 200.0, 5000.0])
+    @pytest.mark.parametrize("kind", ["ar1", "alternating", "rank_deficient"])
+    def test_result_symmetric_psd(self, kind, bandwidth):
+        rng = np.random.default_rng(41)
+        if kind == "ar1":
+            x = ar1_series(0.8, 2000, 41)
+            g = np.column_stack([x, np.roll(x, 3), x ** 2 - x.mean()])
+        elif kind == "alternating":
+            sign = (-1.0) ** np.arange(200)
+            g = sign[:, None] * (1.0 + 0.1 * rng.normal(size=(200, 3)))
+        else:
+            g = rng.normal(size=(200, 2)) @ rng.normal(size=(2, 4))
+        info = {}
+        b = hac_middle(g, HacConfig(bandwidth=bandwidth), info=info)
         np.testing.assert_array_equal(b, b.T)
-        assert np.linalg.eigvalsh(b).min() >= -1e-12
+        eigvals = np.linalg.eigvalsh(b)
+        assert info["min_eig"] == eigvals[0]
+        # relative to B's largest eigenvalue, and at most 1e-12 absolute
+        assert info["min_eig"] >= -1e-12 * min(1.0, np.abs(eigvals).max())
 
     def test_info_dict_populated(self):
         rng = np.random.default_rng(42)
         info = {}
         hac_middle(rng.normal(size=(250, 2)), HacConfig(), info=info)
-        assert set(info) == {"bandwidth", "n_lags", "truncated", "floored",
-                             "min_eig"}
+        assert set(info) == {"bandwidth", "n_lags", "truncated", "min_eig"}
         assert info["n_lags"] == int(math.floor(info["bandwidth"]))
 
     def test_config_validation(self):
