@@ -121,16 +121,18 @@ def _moment_rows(y: np.ndarray, x: np.ndarray) -> np.ndarray:
     return np.stack([np.ones_like(x), x, x * x, y, x * y])
 
 
-def _m_step(resp: np.ndarray, rows: np.ndarray, spec: ModelSpec,
-            params: MixtureParams):
-    """Exact M-step; returns (new params, floor_hit flag) or None when singular.
+def _m_step(stats: np.ndarray, resp: np.ndarray, rows: np.ndarray,
+            spec: ModelSpec, sigma: np.ndarray):
+    """Exact M-step from the current sigmas; returns ((mu, gamma, sigma,
+    weights), floor_hit flag) or None when singular.
 
-    `rows` comes from _moment_rows.  Both forms solve the weighted normal
-    equations from the same per-component sums; the switching AR pools them
-    across components for its shared slope, precision-weighted by the
-    current sigmas (an ECM step).
+    `rows` comes from _moment_rows and `stats` is rows @ resp, the
+    per-component sufficient statistics.  Both forms solve the weighted
+    normal equations from them; the switching AR pools them across
+    components for its shared slope, precision-weighted by the current
+    sigmas (an ECM step).
     """
-    a, b, c, dy, exy = rows @ resp
+    a, b, c, dy, exy = stats
     if spec.form == "hmm":
         det = a * c - b * b
         if not np.all(det > _SINGULAR_RTOL * a * c):
@@ -140,7 +142,7 @@ def _m_step(resp: np.ndarray, rows: np.ndarray, spec: ModelSpec,
     else:
         if (a <= 0).any():
             return None
-        inv_var = 1.0 / params.sigma_vec ** 2
+        inv_var = 1.0 / sigma ** 2
         denom = (inv_var * (c - b * b / a)).sum()
         if not denom > _SINGULAR_RTOL * (inv_var * c).sum():
             return None
@@ -150,15 +152,14 @@ def _m_step(resp: np.ndarray, rows: np.ndarray, spec: ModelSpec,
     resid = rows[3] - mu[:, None] - gamma[:, None] * rows[1]
     sigma = np.sqrt(np.maximum(np.einsum("ts,st->s", resp, resid ** 2) / a, 0.0))
     floor_hit = bool((sigma < SIGMA_MIN).any())
-    sigma = np.maximum(sigma, SIGMA_MIN)
-    comps = [RegimeOutcome(mu=float(m), gamma=float(g), sigma=float(s))
-             for m, g, s in zip(mu, gamma, sigma)]
-    return MixtureParams(components=comps, weights=a / rows.shape[1]), floor_hit
+    return (mu, gamma, np.maximum(sigma, SIGMA_MIN), a / rows.shape[1]), floor_hit
 
 
 def _em_run(y: np.ndarray, x: np.ndarray, spec: ModelSpec, init: MixtureParams,
             cfg: EstimatorConfig) -> _EmRun:
-    params = init
+    """EM from `init` on the arrays (mu, gamma, sigma, weights); the point
+    where it stops comes back as one MixtureParams."""
+    point = (init.mu_vec, init.gamma_vec, init.sigma_vec, init.weights)
     notes = []
     trace = []
     rows = _moment_rows(y, x)
@@ -168,7 +169,7 @@ def _em_run(y: np.ndarray, x: np.ndarray, spec: ModelSpec, init: MixtureParams,
     degenerate = False
 
     while True:
-        lse, resp, _ = mixture_kernel(params, y, x)
+        lse, resp, _ = mixture_kernel(*point, y, x)
         ll_cur = float(lse.mean())
         trace.append(ll_cur)
         if n_iter == cfg.em_max_iter:
@@ -181,24 +182,31 @@ def _em_run(y: np.ndarray, x: np.ndarray, spec: ModelSpec, init: MixtureParams,
         if gain < cfg.em_tol and np.isfinite(ll_prev):
             break
 
-        collapsed = np.flatnonzero(resp.sum(axis=0) < _COLLAPSE_FRACTION * len(y))
+        stats = rows @ resp
+        # stats[0] is each component's responsibility mass
+        collapsed = np.flatnonzero(stats[0] < _COLLAPSE_FRACTION * len(y))
         if collapsed.size:
             notes.append(f"component(s) {collapsed.tolist()} collapsed; "
                          "fit abandoned")
             degenerate = True
             break
 
-        stepped = _m_step(resp, rows, spec, params)
+        stepped = _m_step(stats, resp, rows, spec, point[2])
         if stepped is None:
             notes.append("singular weighted normal equations; fit abandoned")
             degenerate = True
             break
-        params, floor_hit = stepped
+        point, floor_hit = stepped
         if floor_hit and "sigma floor reached" not in notes:
             notes.append("sigma floor reached")
         ll_prev = ll_cur
         n_iter += 1
 
+    mu, gamma, sigma, weights = point
+    params = MixtureParams(
+        components=[RegimeOutcome(mu=float(m), gamma=float(g), sigma=float(s))
+                    for m, g, s in zip(mu, gamma, sigma)],
+        weights=weights)
     return _EmRun(params=params, loglik=ll_cur, trace=trace, n_iter=n_iter,
                   degenerate=degenerate, notes=notes)
 

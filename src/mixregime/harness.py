@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import numbers
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -267,11 +268,21 @@ class McSummary(JsonRecord):
         summary = cls(**obj)
         check_types(summary, ("T", "n_reps", "n_used", "n_converged",
                               "n_degenerate", "n_failed"))
+        if not isinstance(summary.design, str):
+            raise ValidationError(f"summary design must be a string, "
+                                  f"got {summary.design!r}")
         if not isinstance(summary.params, dict):
             raise ValidationError(f"summary params must be a JSON object, "
                                   f"got {type(summary.params).__name__}")
         for name, entry in summary.params.items():
             check_keys(entry, f"summary params.{name}", _PARAM_STATS)
+            for stat, value in entry.items():
+                # null stands for a statistic too few rows define
+                if value is not None and (isinstance(value, bool) or
+                                          not isinstance(value, numbers.Real)):
+                    raise ValidationError(
+                        f"summary params.{name}.{stat} must be a real number "
+                        f"or null, got {value!r}")
         return summary
 
 

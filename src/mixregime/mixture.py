@@ -14,6 +14,9 @@ ModelSpec.blocks names; all public operations accept either natural
 parameters (MixtureParams) or free vectors as documented.
 mixture_kernel is the one place that forms the weighted log-density
 matrix; EM, the likelihood, the score and BFGS each call it once per point.
+It works on the four parameter arrays (mu, gamma, sigma, weights), so EM
+iterates on arrays and builds one MixtureParams when a run ends.  For d = 2
+its row-wise log-sum-exp takes max and min instead of a sort.
 hessian is closed-form (Louis's identity on the responsibilities and the
 per-component gradients), with one kernel call per fixed block of rows.
 neg_loglik_and_score is the one BFGS objective, pooled over samples, that
@@ -22,6 +25,7 @@ both the estimator and the switching-AR oracle minimize.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
@@ -52,6 +56,14 @@ class FreeBlocks(NamedTuple):
     logit: slice
 
 
+@functools.lru_cache(maxsize=None)
+def _free_blocks(d: int, k: int) -> FreeBlocks:
+    """FreeBlocks of d components with k slope coefficients; decode reads
+    them on every BFGS evaluation, so each layout is built once."""
+    return FreeBlocks(slice(0, d), slice(d, d + k), slice(d + k, 2 * d + k),
+                      slice(2 * d + k, None))
+
+
 @dataclass
 class ModelSpec(JsonRecord):
     """Shape of the fitted mixture: component count and outcome form."""
@@ -78,9 +90,7 @@ class ModelSpec(JsonRecord):
     @property
     def blocks(self) -> FreeBlocks:
         """Where each parameter block sits in the FreeVector."""
-        d, k = self.d, self.n_slope
-        return FreeBlocks(slice(0, d), slice(d, d + k), slice(d + k, 2 * d + k),
-                          slice(2 * d + k, None))
+        return _free_blocks(self.d, self.n_slope)
 
     def regression_frame(self, sample: Sample):
         """Extract the (response, regressor) pair used by the likelihood."""
@@ -230,24 +240,29 @@ def decode_jacobian(free: np.ndarray, spec: ModelSpec) -> np.ndarray:
     return jac
 
 
-def mixture_kernel(params: MixtureParams, y: np.ndarray, x: np.ndarray):
+def mixture_kernel(mu: np.ndarray, gamma: np.ndarray, sigma: np.ndarray,
+                   weights: np.ndarray, y: np.ndarray, x: np.ndarray):
     """Per-row log mixture density, responsibilities and standardized residuals.
 
     All three come from the weighted log-density matrix a[t, s] = ln(w_s) +
-    ln N(y_t; mu_s + gamma_s x_t, sigma_s).  Its row-wise log-sum-exp adds
-    the terms in sorted order, so the floating-point reduction does not
-    depend on column order: relabeling the components changes nothing, not
-    even in the last bit.
+    ln N(y_t; mu_s + gamma_s x_t, sigma_s), one column per entry of the
+    length-d parameter arrays.  Its row-wise log-sum-exp adds the terms in
+    sorted order, so the floating-point reduction does not depend on column
+    order: relabeling the components changes nothing, not even in the last
+    bit.  For two terms, max and min are that sorted order, so d = 2 skips
+    the sort and gives the same bits.
     """
-    mu = params.mu_vec
-    gamma = params.gamma_vec
-    sigma = params.sigma_vec
     r = (y[:, None] - mu[None, :] - gamma[None, :] * x[:, None]) / sigma[None, :]
-    a = (np.log(params.weights)[None, :] - np.log(sigma)[None, :]
+    a = (np.log(weights)[None, :] - np.log(sigma)[None, :]
          - 0.5 * _LOG_2PI - 0.5 * r * r)
-    srt = np.sort(a, axis=1)
-    top = srt[:, -1]
-    lse = top + np.log1p(np.exp(srt[:, :-1] - top[:, None]).sum(axis=1))
+    if len(mu) == 2:
+        a0, a1 = a[:, 0], a[:, 1]
+        top = np.maximum(a0, a1)
+        lse = top + np.log1p(np.exp(np.minimum(a0, a1) - top))
+    else:
+        srt = np.sort(a, axis=1)
+        top = srt[:, -1]
+        lse = top + np.log1p(np.exp(srt[:, :-1] - top[:, None]).sum(axis=1))
     return lse, np.exp(a - lse[:, None]), r
 
 
@@ -257,7 +272,8 @@ def loglik_terms(params: MixtureParams, sample: Sample, spec: ModelSpec) -> np.n
     if params.d != spec.d:
         raise ValidationError(f"params have d = {params.d}, spec expects {spec.d}")
     y, x = spec.regression_frame(sample)
-    return mixture_kernel(params, y, x)[0]
+    return mixture_kernel(params.mu_vec, params.gamma_vec, params.sigma_vec,
+                          params.weights, y, x)[0]
 
 
 def quasi_loglik(params: MixtureParams, sample: Sample, spec: ModelSpec) -> float:
@@ -272,8 +288,10 @@ def loglik_and_score_contributions(free: np.ndarray, sample: Sample,
     params = decode(free, spec)
     params.validate()
     y, x = spec.regression_frame(sample)
-    lse, resp, r = mixture_kernel(params, y, x)
-    d_mu = resp * r / params.sigma_vec[None, :]
+    sigma = params.sigma_vec
+    lse, resp, r = mixture_kernel(params.mu_vec, params.gamma_vec, sigma,
+                                  params.weights, y, x)
+    d_mu = resp * r / sigma[None, :]
     d_slope = d_mu * x[:, None]
     if spec.form == "msar":
         d_slope = d_slope.sum(axis=1, keepdims=True)
@@ -334,7 +352,7 @@ def hessian(free: np.ndarray, sample: Sample, spec: ModelSpec) -> np.ndarray:
     params.validate()
     y, x = spec.regression_frame(sample)
     d, q = spec.d, spec.q
-    sigma = params.sigma_vec
+    mu, gamma, sigma = params.mu_vec, params.gamma_vec, params.sigma_vec
     w = params.weights
     comp = np.arange(d)
     cols, blocks = np.arange(q), spec.blocks
@@ -350,7 +368,7 @@ def hessian(free: np.ndarray, sample: Sample, spec: ModelSpec) -> np.ndarray:
     for lo in range(0, len(y), _HESSIAN_BLOCK_ROWS):
         yb = y[lo:lo + _HESSIAN_BLOCK_ROWS]
         xb = x[lo:lo + _HESSIAN_BLOCK_ROWS]
-        _, resp, r = mixture_kernel(params, yb, xb)
+        _, resp, r = mixture_kernel(mu, gamma, sigma, w, yb, xb)
         # grad[s, t] is g[t, s]; component-major so each sum over s adds
         # contiguous (rows, q) slabs
         grad = np.zeros((d, len(yb), q))

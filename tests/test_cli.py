@@ -352,6 +352,17 @@ class TestRender:
         pytest.param(summary_text(params={"mu_1": 5}),
                      "summary params.mu_1 must be a JSON object, got int",
                      id="params-entry-not-object"),
+        pytest.param(summary_text(design=7),
+                     "summary design must be a string, got 7",
+                     id="design-not-string"),
+        pytest.param(summary_text(params={"mu_1": {
+            "bias": "0.1", "sd": 0.2, "mean_se": 0.2, "sd_se_ratio": None}}),
+                     "summary params.mu_1.bias must be a real number or null, "
+                     "got '0.1'", id="stat-string"),
+        pytest.param(summary_text(params={"mu_1": {
+            "bias": 0.1, "sd": 0.2, "mean_se": 0.2, "sd_se_ratio": True}}),
+                     "summary params.mu_1.sd_se_ratio must be a real number "
+                     "or null, got True", id="stat-bool"),
     ])
     def test_malformed_summary_is_validation_error(self, tmp_path, capsys,
                                                    text, message):

@@ -175,14 +175,19 @@ class TestMStep:
         return y, x, resp, MixtureParams(components=comps,
                                          weights=uniform_weights(d))
 
+    @staticmethod
+    def m_step(resp, y, x, spec, params):
+        """_m_step as EM calls it, from the incoming sigmas."""
+        rows = _moment_rows(y, x)
+        return _m_step(rows @ resp, resp, rows, spec, params.sigma_vec)
+
     @pytest.mark.parametrize("form", ["hmm", "msar"])
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_matches_weighted_least_squares(self, d, form):
         y, x, resp, params = self.draw(d, form)
-        out = _m_step(resp, _moment_rows(y, x), ModelSpec(d=d, form=form),
-                      params)
+        out = self.m_step(resp, y, x, ModelSpec(d=d, form=form), params)
         assert out is not None
-        got, floor_hit = out
+        (got_mu, got_gamma, got_sigma, got_weights), floor_hit = out
         assert not floor_hit
         if form == "hmm":
             coef = np.empty((d, 2))
@@ -201,18 +206,18 @@ class TestMStep:
             mu, gamma = coef[:d], np.full(d, coef[d])
         resid = y[:, None] - mu[None, :] - gamma[None, :] * x[:, None]
         sigma = np.sqrt((resp * resid ** 2).sum(axis=0) / resp.sum(axis=0))
-        np.testing.assert_allclose(got.mu_vec, mu, rtol=1e-10)
-        np.testing.assert_allclose(got.gamma_vec, gamma, rtol=1e-10)
-        np.testing.assert_allclose(got.sigma_vec, sigma, rtol=1e-10)
-        np.testing.assert_allclose(got.weights, resp.mean(axis=0), rtol=1e-10)
+        np.testing.assert_allclose(got_mu, mu, rtol=1e-10)
+        np.testing.assert_allclose(got_gamma, gamma, rtol=1e-10)
+        np.testing.assert_allclose(got_sigma, sigma, rtol=1e-10)
+        np.testing.assert_allclose(got_weights, resp.mean(axis=0), rtol=1e-10)
 
     @pytest.mark.parametrize("form", ["hmm", "msar"])
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_constant_regressor_is_singular(self, d, form):
         y, x, resp, params = self.draw(d, form)
         for value in (0.3, 1.1, 2.0, 123.456):
-            assert _m_step(resp, _moment_rows(y, np.full_like(x, value)),
-                           ModelSpec(d=d, form=form), params) is None
+            assert self.m_step(resp, y, np.full_like(x, value),
+                               ModelSpec(d=d, form=form), params) is None
 
 
 class TestQmlEstimate:

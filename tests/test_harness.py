@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import importlib.util
 import json
 from pathlib import Path
@@ -265,6 +266,34 @@ class TestRunReplication:
             run_replication(small_cfg(), 0)
 
 
+def rows_without_elapsed(path) -> list:
+    """replications.csv rows, header included, minus the elapsed_s column."""
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    idx = rows[0].index("elapsed_s")
+    return [r[:idx] + r[idx + 1:] for r in rows]
+
+
+@pytest.mark.parametrize("name, n_rows, digest", [
+    ("msar_rho0_T1600", 2,
+     "977b4e68c16cf49177216e30b33d068f950694acbf66e599f0fbe91063c65e88"),
+    ("hmm_rho0_omega0_T800", 4,
+     "9382a2d1d985bf01e5153957b4e6a9aa1df61a46b9e449ce6291b331cfc0711a"),
+], ids=["msar_rho0_T1600", "hmm_rho0_omega0_T800"])
+def test_replication_rows_are_bit_identical(tmp_path, name, n_rows, digest):
+    # A faster path must leave every replications.csv cell but elapsed_s
+    # unchanged.  The digests are sha256 of these rows joined by commas and
+    # newlines; like the perfbench hashes they hold for one numpy and BLAS
+    # build.  A change that moves a cell on purpose says why and records new
+    # ones.
+    cfg = load_experiment_config(CONFIG_FILES[0].parent / f"{name}.json")
+    path = tmp_path / "replications.csv"
+    write_replications_csv(path, [run_replication(cfg, i) for i in range(n_rows)],
+                           cfg)
+    text = "\n".join(",".join(row) for row in rows_without_elapsed(path))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
 class TestRunExperiment:
     def test_files_and_summary_purity(self, tmp_path):
         cfg = small_cfg()
@@ -293,15 +322,8 @@ class TestRunExperiment:
         reversed_csv = tmp_path / "reversed.csv"
         records = [run_replication(cfg, i) for i in reversed(range(cfg.n_reps))]
         write_replications_csv(reversed_csv, records, cfg)
-
-        def drop_elapsed(path):
-            with open(path, newline="") as fh:
-                rows = list(csv.reader(fh))
-            idx = rows[0].index("elapsed_s")
-            return [r[:idx] + r[idx + 1:] for r in rows]
-
-        assert (drop_elapsed(tmp_path / "replications.csv")
-                == drop_elapsed(reversed_csv))
+        assert (rows_without_elapsed(tmp_path / "replications.csv")
+                == rows_without_elapsed(reversed_csv))
         assert summarize_csv(reversed_csv).to_json() == summary.to_json()
 
     def test_missing_out_dir_rejected(self):

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -78,6 +79,14 @@ class TestModelSpec:
         with pytest.raises(ValidationError, match="unknown experiment key.*spec"):
             mixregime.ExperimentConfig.from_json(obj)
 
+    def test_blocks_are_built_once_per_layout(self):
+        # decode reads the layout on every BFGS evaluation
+        assert ModelSpec(d=2, form="msar").blocks is ModelSpec(d=2, form="msar").blocks
+        assert ModelSpec(d=2).blocks == (slice(0, 2), slice(2, 4), slice(4, 6),
+                                         slice(6, None))
+        assert ModelSpec(d=2, form="msar").blocks == (
+            slice(0, 2), slice(2, 3), slice(3, 5), slice(5, None))
+
     def test_msar_frame_conditions_on_first_observation(self):
         spec = ModelSpec(d=2, form="msar")
         sample = Sample(y=np.array([1.0, 2.0, 3.0]), w=np.zeros(3))
@@ -122,13 +131,15 @@ class TestQuasiLoglik:
         assert quasi_loglik(truth, sample, spec) > quasi_loglik(shifted, sample, spec)
 
     def test_label_permutation_invariance_is_exact(self):
+        # d = 2 reduces by max and min, d = 3 by a sort
         rng = np.random.default_rng(3)
-        spec3 = ModelSpec(d=3)
-        sample = random_sample(rng, 200)
-        params = random_params(rng, 3)
-        base = quasi_loglik(params, sample, spec3)
-        for perm in ([1, 0, 2], [2, 1, 0], [1, 2, 0], [2, 0, 1]):
-            assert quasi_loglik(params.permuted(perm), sample, spec3) == base
+        for d in (2, 3):
+            spec = ModelSpec(d=d)
+            sample = random_sample(rng, 200)
+            params = random_params(rng, d)
+            base = quasi_loglik(params, sample, spec)
+            for perm in itertools.permutations(range(d)):
+                assert quasi_loglik(params.permuted(perm), sample, spec) == base
 
     def test_extreme_residuals_stay_finite(self):
         sample = Sample(y=np.array([100.0, -100.0]), w=np.zeros(2))
@@ -263,7 +274,10 @@ class TestResponsibilities:
     def test_rows_sum_to_one(self):
         rng = np.random.default_rng(17)
         sample = random_sample(rng, 25)
-        _, resp, _ = mixture_kernel(random_params(rng, 3), sample.y, sample.w)
+        params = random_params(rng, 3)
+        _, resp, _ = mixture_kernel(params.mu_vec, params.gamma_vec,
+                                    params.sigma_vec, params.weights,
+                                    sample.y, sample.w)
         np.testing.assert_allclose(resp.sum(axis=1), 1.0, atol=1e-12)
         assert (resp >= 0).all()
 
@@ -290,6 +304,51 @@ class TestKernel:
         free[-1] = -800.0
         with pytest.raises(ValidationError, match="strictly positive"):
             loglik_and_score_contributions(free, random_sample(rng, 10), spec)
+
+    @staticmethod
+    def sorted_kernel(mu, gamma, sigma, weights, y, x):
+        """mixture_kernel with the log-sum-exp of every d taken in sorted order."""
+        r = (y[:, None] - mu[None, :] - gamma[None, :] * x[:, None]) / sigma[None, :]
+        a = (np.log(weights)[None, :] - np.log(sigma)[None, :]
+             - 0.5 * LOG_2PI - 0.5 * r * r)
+        srt = np.sort(a, axis=1)
+        top = srt[:, -1]
+        lse = top + np.log1p(np.exp(srt[:, :-1] - top[:, None]).sum(axis=1))
+        return lse, np.exp(a - lse[:, None]), r
+
+    # (mu, sigma, y) per case; gamma is 0.4 and the weights are 0.3, 0.7
+    # except in the tie, where both components are the same
+    ADVERSARIAL = {
+        # a0 == a1 on every row
+        "tie": ((0.3, 0.3), (1.2, 1.2), np.linspace(-3.0, 3.0, 41)),
+        # a0 - a1 sweeps from -1 past exp's subnormal range to an exact 0,
+        # with a1 of order 1 so that no rounding of the sum hides a wrong bit
+        "underflow-gap": ((0.0, 0.0), (1.0, 30.0), np.linspace(0.0, 45.0, 451)),
+        # r * r just below the largest double
+        "near-overflow": ((0.0, 1.0), (1.0, 1.0),
+                          np.array([1e153, -1e153, 1.3e154, -1.3e154])),
+        # r * r overflows in one column: a1 = -inf
+        "one-minus-inf": ((0.0, 0.0), (1.0, 1e-300), np.array([1.0, -2.0])),
+        # r * r overflows in both columns: lse is NaN
+        "both-minus-inf": ((0.0, 1.0), (1.0, 1.0), np.array([1e200, -1e200])),
+    }
+
+    @pytest.mark.parametrize("case", ADVERSARIAL)
+    def test_two_component_lse_matches_sorted_bits(self, case):
+        mu, sigma, y = self.ADVERSARIAL[case]
+        weights = (0.5, 0.5) if case == "tie" else (0.3, 0.7)
+        args = [np.asarray(v, dtype=float) for v in (mu, (0.4, 0.4), sigma, weights)]
+        x = np.linspace(-1.0, 1.0, len(y))
+        with np.errstate(all="ignore"):
+            got = mixture_kernel(*args, y, x)
+            want = self.sorted_kernel(*args, y, x)
+        for g, w in zip(got, want):
+            nan = np.isnan(w)
+            np.testing.assert_array_equal(np.isnan(g), nan)
+            np.testing.assert_array_equal(g[~nan].view(np.int64),
+                                          w[~nan].view(np.int64))
+        if case == "both-minus-inf":
+            assert np.isnan(got[0]).all()
 
 
 class TestObjective:
