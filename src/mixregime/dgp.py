@@ -64,6 +64,20 @@ def _reals(obj: dict, names) -> dict:
     return {name: float(value) for name, value in values.items()}
 
 
+def _real_matrix(rows, what: str) -> list:
+    """A JSON matrix `rows` after checking that it is a list of equal-length
+    lists of real numbers: a string or a bool cell is rejected, not coerced."""
+    if not (isinstance(rows, list) and all(isinstance(r, list) for r in rows)):
+        raise ValidationError(f"{what} must be a list of rows, got {rows!r}")
+    if len({len(row) for row in rows}) > 1:
+        raise ValidationError(f"{what} rows must have equal length, got "
+                              f"lengths {[len(row) for row in rows]}")
+    cells = {f"{what} row {i}, column {j}": value
+             for i, row in enumerate(rows) for j, value in enumerate(row)}
+    check_types(SimpleNamespace(**cells), reals=cells)
+    return rows
+
+
 def _real_record(cls, obj: dict, what: str):
     """An instance of the all-real dataclass `cls` from its JSON block,
     which must have exactly one key per field."""
@@ -143,7 +157,9 @@ class TransitionSpec(JsonRecord):
     @classmethod
     def from_json(cls, obj: dict) -> "TransitionSpec":
         check_keys(obj, "transition", ("d", "alpha", "beta"))
-        return cls(d=obj["d"], alpha=obj["alpha"], beta=obj["beta"])
+        return cls(d=obj["d"],
+                   alpha=_real_matrix(obj["alpha"], "transition alpha"),
+                   beta=_real_matrix(obj["beta"], "transition beta"))
 
 
 @dataclass

@@ -18,11 +18,12 @@ from typing import Optional
 import numpy as np
 from scipy.optimize import linear_sum_assignment, minimize
 
-from .dgp import RegimeOutcome, Sample, seed_key
+from .dgp import Sample, seed_key
 from .errors import (EstimationError, JsonRecord, ValidationError, check_keys,
                      check_types)
 from .mixture import (LOG_SIGMA_MIN, SIGMA_MIN, MixtureParams, ModelSpec,
-                      decode, encode, mixture_kernel, neg_loglik_and_score)
+                      decode, encode_arrays, mixture_kernel,
+                      neg_loglik_and_score)
 
 _COLLAPSE_FRACTION = 1e-8  # of effective sample size, per component
 # Normal equations count as singular below this fraction of their diagonal
@@ -74,7 +75,7 @@ class EstimationResult(JsonRecord):
 
 @dataclass
 class _EmRun:
-    params: MixtureParams
+    point: tuple  # (mu, gamma, sigma, weights) where EM stopped
     loglik: float
     trace: list
     n_iter: int
@@ -94,8 +95,8 @@ def _pooled_ols(y: np.ndarray, x: np.ndarray):
 
 
 def _random_init(y: np.ndarray, x: np.ndarray, spec: ModelSpec,
-                 rng: np.random.Generator) -> MixtureParams:
-    """Randomized starting point built from pooled-regression summaries."""
+                 rng: np.random.Generator) -> tuple:
+    """Random start (mu, gamma, sigma, weights) from pooled-OLS summaries."""
     d = spec.d
     intercept, slope, resid = _pooled_ols(y, x)
     scale = max(float(resid.std()), SIGMA_MIN)
@@ -110,9 +111,7 @@ def _random_init(y: np.ndarray, x: np.ndarray, spec: ModelSpec,
     sigma = np.maximum(scale * np.exp(0.3 * rng.standard_normal(d)), SIGMA_MIN)
     weights = rng.uniform(0.8, 1.2, d)
     weights /= weights.sum()
-    comps = [RegimeOutcome(mu=float(mu[s]), gamma=float(gamma[s]),
-                           sigma=float(sigma[s])) for s in range(d)]
-    return MixtureParams(components=comps, weights=weights)
+    return mu, gamma, sigma, weights
 
 
 def _moment_rows(y: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -155,11 +154,10 @@ def _m_step(stats: np.ndarray, resp: np.ndarray, rows: np.ndarray,
     return (mu, gamma, np.maximum(sigma, SIGMA_MIN), a / rows.shape[1]), floor_hit
 
 
-def _em_run(y: np.ndarray, x: np.ndarray, spec: ModelSpec, init: MixtureParams,
+def _em_run(y: np.ndarray, x: np.ndarray, spec: ModelSpec, point: tuple,
             cfg: EstimatorConfig) -> _EmRun:
-    """EM from `init` on the arrays (mu, gamma, sigma, weights); the point
-    where it stops comes back as one MixtureParams."""
-    point = (init.mu_vec, init.gamma_vec, init.sigma_vec, init.weights)
+    """EM from the start `point`, the arrays (mu, gamma, sigma, weights), to
+    the point where it stops."""
     notes = []
     trace = []
     rows = _moment_rows(y, x)
@@ -202,12 +200,7 @@ def _em_run(y: np.ndarray, x: np.ndarray, spec: ModelSpec, init: MixtureParams,
         ll_prev = ll_cur
         n_iter += 1
 
-    mu, gamma, sigma, weights = point
-    params = MixtureParams(
-        components=[RegimeOutcome(mu=float(m), gamma=float(g), sigma=float(s))
-                    for m, g, s in zip(mu, gamma, sigma)],
-        weights=weights)
-    return _EmRun(params=params, loglik=ll_cur, trace=trace, n_iter=n_iter,
+    return _EmRun(point=point, loglik=ll_cur, trace=trace, n_iter=n_iter,
                   degenerate=degenerate, notes=notes)
 
 
@@ -252,7 +245,7 @@ def qml_estimate(sample: Sample, spec: ModelSpec,
         init = _random_init(y, x, spec, rng)
         runs.append(_em_run(y, x, spec, init, cfg))
 
-    polished = [(minimize(neg_loglik_and_score, encode(r.params, spec),
+    polished = [(minimize(neg_loglik_and_score, encode_arrays(*r.point, spec),
                           args=([sample], spec), jac=True, method="BFGS",
                           options={"maxiter": cfg.qn_max_iter,
                                    "gtol": cfg.qn_grad_tol}), i)
@@ -293,13 +286,9 @@ def align_permutation(theta_hat: MixtureParams,
     if theta_hat.d != reference.d:
         raise ValidationError(f"component counts differ: {theta_hat.d} vs "
                               f"{reference.d}")
-    d = theta_hat.d
-    blocks_hat = np.column_stack([theta_hat.mu_vec, theta_hat.gamma_vec,
-                                  theta_hat.sigma_vec])
-    blocks_ref = np.column_stack([reference.mu_vec, reference.gamma_vec,
-                                  reference.sigma_vec])
+    blocks_hat, blocks_ref = theta_hat.outcome_matrix, reference.outcome_matrix
     cost = ((blocks_hat[:, None, :] - blocks_ref[None, :, :]) ** 2).sum(axis=2)
     row_ind, col_ind = linear_sum_assignment(cost)
-    perm = np.empty(d, dtype=int)
+    perm = np.empty(theta_hat.d, dtype=int)
     perm[col_ind] = row_ind
     return theta_hat.permuted(perm.tolist())

@@ -21,8 +21,8 @@ from typing import List, Optional
 
 import numpy as np
 
-from .dgp import (DEFAULT_BURN_IN, HmmDgpParams, RegimeOutcome, seed_key,
-                  simulate_hmm, simulate_msar)
+from .dgp import (DEFAULT_BURN_IN, HmmDgpParams, seed_key, simulate_hmm,
+                  simulate_msar)
 from .errors import (ConfigurationError, JsonRecord, MixRegimeError,
                      ValidationError, check_keys, check_types, read_json,
                      write_json)
@@ -57,6 +57,11 @@ class ExperimentConfig(JsonRecord):
     def validate(self) -> None:
         check_types(self, ("T", "n_reps", "burn_in", "master_seed"))
         out = []
+        if not isinstance(self.label, str):
+            out.append(f"label must be a string, got {self.label!r}")
+        if not isinstance(self.out_dir, (str, type(None))):
+            out.append(f"out_dir must be a string or null, "
+                       f"got {self.out_dir!r}")
         if self.n_reps < 1:
             out.append(f"n_reps must be >= 1, got {self.n_reps}")
         if self.T < 50:
@@ -98,9 +103,9 @@ def true_reference(cfg: ExperimentConfig) -> MixtureParams:
     """
     d = cfg.dgp.d
     phi = cfg.dgp.ar_coefficient  # the shared slope of the switching AR
-    comps = [RegimeOutcome(c.mu, c.gamma if phi is None else phi, c.sigma)
-             for c in cfg.dgp.outcomes]
-    return MixtureParams(components=comps, weights=np.full(d, 1.0 / d))
+    outcomes = np.array([(c.mu, c.gamma if phi is None else phi, c.sigma)
+                         for c in cfg.dgp.outcomes])
+    return MixtureParams.from_arrays(*outcomes.T, np.full(d, 1.0 / d))
 
 
 def _truth_vector(cfg: ExperimentConfig) -> np.ndarray:
@@ -147,9 +152,7 @@ _CSV_PREFIXES = {"estimates": "est_", "std_errors": "se_", "truth": "true_"}
 
 
 def _stack_distance(a: MixtureParams, b: MixtureParams) -> float:
-    diff = np.column_stack([a.mu_vec - b.mu_vec, a.gamma_vec - b.gamma_vec,
-                            a.sigma_vec - b.sigma_vec])
-    return float((diff ** 2).sum())
+    return float(((a.outcome_matrix - b.outcome_matrix) ** 2).sum())
 
 
 def run_replication(cfg: ExperimentConfig, rep_index: int) -> ReplicationRecord:

@@ -8,15 +8,14 @@ index.  Two outcome forms are supported:
 * "hmm":  index mu(s) + gamma(s) w_t, all coefficients regime-specific
 * "msar": index mu(s) + phi y_{t-1}, slope phi shared across regimes
 
-Optimization works on an unconstrained FreeVector (log sigmas, logit
-weights anchored at the last component), laid out in the blocks that
-ModelSpec.blocks names; all public operations accept either natural
-parameters (MixtureParams) or free vectors as documented.
+The core works on an unconstrained FreeVector (log sigmas, logit weights
+anchored at the last component, in the blocks ModelSpec.blocks names) and on
+the four arrays (mu, gamma, sigma, weights), which decode_arrays and
+encode_arrays map to each other and point_violations checks.  MixtureParams,
+a record of RegimeOutcome components, is the form at the API edge only.
 mixture_kernel is the one place that forms the weighted log-density
 matrix; EM, the likelihood, the score and BFGS each call it once per point.
-It works on the four parameter arrays (mu, gamma, sigma, weights), so EM
-iterates on arrays and builds one MixtureParams when a run ends.  For d = 2
-its row-wise log-sum-exp takes max and min instead of a sort.
+For d = 2 its row-wise log-sum-exp takes max and min instead of a sort.
 hessian is closed-form (Louis's identity on the responsibilities and the
 per-component gradients), with one kernel call per fixed block of rows.
 neg_loglik_and_score is the one BFGS objective, pooled over samples, that
@@ -114,13 +113,18 @@ class ModelSpec(JsonRecord):
 
 @dataclass
 class MixtureParams(JsonRecord):
-    """Mixture parameter point: per-component coefficients plus weights."""
+    """Mixture parameter point at the API edge: components plus weights."""
 
     components: list  # list[RegimeOutcome]
     weights: np.ndarray
 
     def __post_init__(self):
         self.weights = np.asarray(self.weights, dtype=float)
+
+    @classmethod
+    def from_arrays(cls, mu, gamma, sigma, weights) -> "MixtureParams":
+        return cls([RegimeOutcome(*map(float, outcome))
+                    for outcome in zip(mu, gamma, sigma)], weights)
 
     @property
     def d(self) -> int:
@@ -138,21 +142,18 @@ class MixtureParams(JsonRecord):
     def sigma_vec(self) -> np.ndarray:
         return np.array([c.sigma for c in self.components])
 
+    @property
+    def outcome_matrix(self) -> np.ndarray:
+        """(d, 3) matrix with one (mu, gamma, sigma) row per component."""
+        return np.array([(c.mu, c.gamma, c.sigma) for c in self.components],
+                        dtype=float)
+
+    def arrays(self) -> tuple:
+        """The point as the four arrays (mu, gamma, sigma, weights)."""
+        return self.mu_vec, self.gamma_vec, self.sigma_vec, self.weights
+
     def violations(self) -> list:
-        out = []
-        for i, c in enumerate(self.components):
-            out.extend(f"components[{i}]: {v}" for v in c.violations())
-        if len(self.weights) != self.d:
-            out.append(f"weights length {len(self.weights)} != d = {self.d}")
-            return out
-        if not np.isfinite(self.weights).all():
-            out.append("weights must be finite")
-        elif (self.weights <= 0).any():
-            out.append(f"weights must be strictly positive, got {self.weights}")
-        elif abs(self.weights.sum() - 1.0) > 1e-12:
-            out.append(f"weights must sum to 1 within 1e-12, "
-                       f"got sum = {self.weights.sum()!r}")
-        return out
+        return point_violations(*self.arrays())
 
     def validate(self) -> None:
         violations = self.violations()
@@ -175,43 +176,73 @@ class MixtureParams(JsonRecord):
         return self.permuted(order.tolist())
 
 
-def encode(params: MixtureParams, spec: ModelSpec) -> np.ndarray:
-    """Map valid MixtureParams to the unconstrained FreeVector."""
-    params.validate()
-    if params.d != spec.d:
-        raise ValidationError(f"params have d = {params.d}, spec expects {spec.d}")
-    mu = params.mu_vec
-    sigma = params.sigma_vec
-    if spec.form == "hmm":
-        slope = params.gamma_vec
-    else:
-        gammas = params.gamma_vec
-        if np.ptp(gammas) > 1e-12 * max(1.0, np.abs(gammas).max()):
-            raise ValidationError(
-                f"autoregressive form shares one slope across components, "
-                f"got distinct values {gammas}")
-        slope = gammas[:1]
-    logits = np.log(params.weights[:-1]) - math.log(params.weights[-1])
+def point_violations(mu, gamma, sigma, weights) -> list:
+    """One message per fault of the point (mu, gamma, sigma, weights)."""
+    out = []
+    # Python scalars: numpy's per-call overhead would dominate at this size
+    rows = zip(mu.tolist(), gamma.tolist(), sigma.tolist())
+    for i, (m, g, s) in enumerate(rows):
+        if not (math.isfinite(m) and math.isfinite(g) and math.isfinite(s)):
+            out.append(f"components[{i}]: RegimeOutcome fields must be finite")
+        if not s > 0:
+            out.append(f"components[{i}]: sigma must be > 0, got {s}")
+    if len(weights) != len(mu):
+        return out + [f"weights length {len(weights)} != d = {len(mu)}"]
+    if not all(map(math.isfinite, weights.tolist())):
+        out.append("weights must be finite")
+    elif any(v <= 0 for v in weights.tolist()):
+        out.append(f"weights must be strictly positive, got {weights}")
+    elif abs(weights.sum() - 1.0) > 1e-12:
+        out.append(f"weights must sum to 1 within 1e-12, "
+                   f"got sum = {weights.sum()!r}")
+    return out
+
+
+def checked_point(mu, gamma, sigma, weights, spec: ModelSpec) -> tuple:
+    """The point (mu, gamma, sigma, weights) if valid with d = spec.d."""
+    violations = point_violations(mu, gamma, sigma, weights)
+    if violations:
+        raise ValidationError(violations)
+    if len(mu) != spec.d:
+        raise ValidationError(f"params have d = {len(mu)}, spec expects {spec.d}")
+    return mu, gamma, sigma, weights
+
+
+def encode_arrays(mu, gamma, sigma, weights, spec: ModelSpec) -> np.ndarray:
+    """Map a valid point (mu, gamma, sigma, weights) to the FreeVector."""
+    checked_point(mu, gamma, sigma, weights, spec)
+    if (spec.form == "msar"
+            and np.ptp(gamma) > 1e-12 * max(1.0, np.abs(gamma).max())):
+        raise ValidationError(f"autoregressive form shares one slope across "
+                              f"components, got distinct values {gamma}")
+    slope = gamma if spec.form == "hmm" else gamma[:1]
+    logits = np.log(weights[:-1]) - math.log(weights[-1])
     return np.concatenate([mu, slope, np.log(sigma), logits])
 
 
-def decode(free: np.ndarray, spec: ModelSpec) -> MixtureParams:
-    """Map any real FreeVector to valid MixtureParams (sigmas clamped)."""
-    free = np.asarray(free, dtype=float)
+def decode_arrays(free: np.ndarray, spec: ModelSpec) -> tuple:
+    """Any real FreeVector as (mu, gamma, sigma, weights), sigmas clamped."""
+    free = np.array(free, dtype=float)  # a copy: mu is a slice of it
     if free.shape != (spec.q,):
         raise ValidationError(f"free vector must have length {spec.q}, "
                               f"got shape {free.shape}")
-    d = spec.d
     mu, slope, log_sigma, logits = [free[b] for b in spec.blocks]
     sigma = np.exp(np.clip(log_sigma, LOG_SIGMA_MIN, _LOG_SIGMA_MAX))
     full_logits = np.concatenate([logits, [0.0]])
-    full_logits -= full_logits.max()
-    weights = np.exp(full_logits)
+    weights = np.exp(full_logits - full_logits.max())
     weights /= weights.sum()
-    gamma = slope if spec.form == "hmm" else np.full(d, slope[0])
-    components = [RegimeOutcome(mu=mu[s], gamma=gamma[s], sigma=sigma[s])
-                  for s in range(d)]
-    return MixtureParams(components=components, weights=weights)
+    gamma = slope if spec.form == "hmm" else np.full(spec.d, slope[0])
+    return mu, gamma, sigma, weights
+
+
+def encode(params: MixtureParams, spec: ModelSpec) -> np.ndarray:
+    """Map valid MixtureParams to the unconstrained FreeVector."""
+    return encode_arrays(*params.arrays(), spec)
+
+
+def decode(free: np.ndarray, spec: ModelSpec) -> MixtureParams:
+    """Map any real FreeVector to MixtureParams (sigmas clamped)."""
+    return MixtureParams.from_arrays(*decode_arrays(free, spec))
 
 
 def natural_vector(params: MixtureParams, spec: ModelSpec) -> np.ndarray:
@@ -227,14 +258,13 @@ def decode_jacobian(free: np.ndarray, spec: ModelSpec) -> np.ndarray:
     diag(sigma) for the log-sigma block, and the softmax Jacobian
     d w_j / d l_s = w_j (1{j=s} - w_s) for the weight block.
     """
-    params = decode(free, spec)
+    _, _, sigma, w = decode_arrays(free, spec)
     blocks = spec.blocks
     n_lin = blocks.slope.stop  # mu and slope coordinates are natural already
-    w = params.weights
     # the natural vector has d weights where the FreeVector has d - 1 logits
     jac = np.zeros((spec.q + 1, spec.q))
     jac[:n_lin, :n_lin] = np.eye(n_lin)
-    jac[blocks.log_sigma, blocks.log_sigma] = np.diag(params.sigma_vec)
+    jac[blocks.log_sigma, blocks.log_sigma] = np.diag(sigma)
     jac[blocks.logit.start:, blocks.logit] = w[:, None] * (
         np.eye(spec.d)[:, :spec.d - 1] - w[None, :spec.d - 1])
     return jac
@@ -268,12 +298,9 @@ def mixture_kernel(mu: np.ndarray, gamma: np.ndarray, sigma: np.ndarray,
 
 def loglik_terms(params: MixtureParams, sample: Sample, spec: ModelSpec) -> np.ndarray:
     """Per-observation log mixture density ln sum_s w_s p(y_t | x_t, s)."""
-    params.validate()
-    if params.d != spec.d:
-        raise ValidationError(f"params have d = {params.d}, spec expects {spec.d}")
+    point = checked_point(*params.arrays(), spec)
     y, x = spec.regression_frame(sample)
-    return mixture_kernel(params.mu_vec, params.gamma_vec, params.sigma_vec,
-                          params.weights, y, x)[0]
+    return mixture_kernel(*point, y, x)[0]
 
 
 def quasi_loglik(params: MixtureParams, sample: Sample, spec: ModelSpec) -> float:
@@ -284,19 +311,16 @@ def quasi_loglik(params: MixtureParams, sample: Sample, spec: ModelSpec) -> floa
 def loglik_and_score_contributions(free: np.ndarray, sample: Sample,
                                    spec: ModelSpec):
     """loglik_terms and score_contributions at decode(free), from one kernel
-    call; a decoded point that MixtureParams.validate rejects raises."""
-    params = decode(free, spec)
-    params.validate()
+    call; a decoded point that checked_point rejects raises."""
+    mu, gamma, sigma, weights = checked_point(*decode_arrays(free, spec), spec)
     y, x = spec.regression_frame(sample)
-    sigma = params.sigma_vec
-    lse, resp, r = mixture_kernel(params.mu_vec, params.gamma_vec, sigma,
-                                  params.weights, y, x)
+    lse, resp, r = mixture_kernel(mu, gamma, sigma, weights, y, x)
     d_mu = resp * r / sigma[None, :]
     d_slope = d_mu * x[:, None]
     if spec.form == "msar":
         d_slope = d_slope.sum(axis=1, keepdims=True)
     d_log_sigma = resp * (r * r - 1.0)
-    d_logit = resp[:, :-1] - params.weights[None, :-1]
+    d_logit = resp[:, :-1] - weights[None, :-1]
     return lse, np.concatenate([d_mu, d_slope, d_log_sigma, d_logit], axis=1)
 
 
@@ -348,12 +372,9 @@ def hessian(free: np.ndarray, sample: Sample, spec: ModelSpec) -> np.ndarray:
     Rows are summed in blocks of _HESSIAN_BLOCK_ROWS, one kernel call per
     block, so memory stays flat in T; the result is symmetrized.
     """
-    params = decode(free, spec)
-    params.validate()
+    mu, gamma, sigma, w = checked_point(*decode_arrays(free, spec), spec)
     y, x = spec.regression_frame(sample)
     d, q = spec.d, spec.q
-    mu, gamma, sigma = params.mu_vec, params.gamma_vec, params.sigma_vec
-    w = params.weights
     comp = np.arange(d)
     cols, blocks = np.arange(q), spec.blocks
     mu_col = cols[blocks.mu]

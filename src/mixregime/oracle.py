@@ -190,10 +190,9 @@ def pseudo_true_msar(dgp: HmmDgpParams, n_sim: int,
         paths.append(Sample(y=sim.y, w=sim.w))
     n_prefix = n_sim // _MSAR_PREFIX_SHARE
     prefix = Sample(y=paths[0].y[:n_prefix], w=paths[0].w[:n_prefix])
-    truth = MixtureParams(
-        components=[RegimeOutcome(c.mu, dgp.ar_coefficient, c.sigma)
-                    for c in dgp.outcomes],
-        weights=np.full(dgp.d, 1.0 / dgp.d))
+    truth = MixtureParams.from_arrays(
+        [c.mu for c in dgp.outcomes], np.full(dgp.d, dgp.ar_coefficient),
+        [c.sigma for c in dgp.outcomes], np.full(dgp.d, 1.0 / dgp.d))
 
     options = {"maxiter": qn.qn_max_iter, "gtol": qn.qn_grad_tol}
     res1 = minimize(neg_loglik_and_score, encode(truth, spec),
@@ -264,7 +263,6 @@ def kl_check(dgp: HmmDgpParams, theta_star: MixtureParams,
     m_star = float(terms_star.mean())
     comparisons = []
     for label, theta in perturbations:
-        theta.validate()
         diffs = terms_star - loglik_terms(theta, sample, spec)
         delta = float(diffs.mean())
         se = _batch_means_se(diffs)
@@ -295,28 +293,22 @@ def perturbation_grid(theta_star: MixtureParams, form: str = "hmm") -> list:
     else:
         raise ConfigurationError(f"form must be 'hmm' or 'msar', got {form!r}")
     out = []
-
-    def bumped(fld, comp_idx, delta):
-        comps = [RegimeOutcome(c.mu, c.gamma, c.sigma)
-                 for c in theta_star.components]
-        for i in comp_idx:
-            setattr(comps[i], fld, getattr(comps[i], fld) + delta)
-        return MixtureParams(components=comps, weights=theta_star.weights.copy())
-
+    outcomes, weights = theta_star.outcome_matrix, theta_star.weights
     for fld, comp_idx, step in bumps:
         name = "phi" if len(comp_idx) > 1 else f"{fld}({comp_idx[0] + 1})"
+        rows, col = list(comp_idx), ("mu", "gamma", "sigma").index(fld)
         for sign in (+1, -1):
-            label = f"{name}{'+' if sign > 0 else '-'}{step}"
-            out.append((label, bumped(fld, comp_idx, sign * step)))
+            bumped = outcomes.copy()
+            bumped[rows, col] += sign * step
+            out.append((f"{name}{'+' if sign > 0 else '-'}{step}",
+                        MixtureParams.from_arrays(*bumped.T, weights.copy())))
     for sign in (+1, -1):
-        w1 = theta_star.weights[0] + sign * 0.25
+        w1 = weights[0] + sign * 0.25
         if not 0.0 < w1 < 1.0:
             raise ValidationError(f"perturbed weight {w1} outside (0, 1)")
-        params = MixtureParams(
-            components=[RegimeOutcome(c.mu, c.gamma, c.sigma)
-                        for c in theta_star.components],
-            weights=np.array([w1, 1.0 - w1]))
-        out.append((f"weight(1){'+' if sign > 0 else '-'}0.25", params))
+        out.append((f"weight(1){'+' if sign > 0 else '-'}0.25",
+                    MixtureParams.from_arrays(*outcomes.T,
+                                              np.array([w1, 1.0 - w1]))))
     return out
 
 

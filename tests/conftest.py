@@ -2,9 +2,10 @@ from pathlib import Path
 
 import pytest
 
-from mixregime import (EstimatorConfig, ModelSpec, hmm_benchmark,
-                       load_experiment_config, msar_benchmark, qml_estimate,
-                       simulate_hmm, simulate_msar)
+from mixregime import (EstimatorConfig, MixtureParams, ModelSpec,
+                       RegimeOutcome, hmm_benchmark, load_experiment_config,
+                       msar_benchmark, qml_estimate, simulate_hmm,
+                       simulate_msar)
 from mixregime.dgp import seed_key
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -54,3 +55,17 @@ def floor_fit():
                            seed=base + (0,))
     return cfg, sample, qml_estimate(sample, cfg.spec, cfg.estimator,
                                      seed=base + (1,))
+
+
+@pytest.fixture
+def built_records(monkeypatch):
+    """Class names of the MixtureParams and RegimeOutcome records built while
+    the test runs, in the order their constructors finish."""
+    built = []
+    for cls in (MixtureParams, RegimeOutcome):
+        def counted(self, *args, _init=cls.__init__, **kwargs):
+            _init(self, *args, **kwargs)
+            built.append(type(self).__name__)
+
+        monkeypatch.setattr(cls, "__init__", counted)
+    return built

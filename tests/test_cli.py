@@ -83,6 +83,22 @@ class TestSimulate:
                                 "--out", str(tmp_path / "s.csv")], capsys)
         assert msg == "missing DGP key(s): noise"
 
+    @pytest.mark.parametrize("row, message", [
+        (["0.5", 0.0], "transition alpha row 0, column 0 must be a real number"),
+        ([True, 0.0], "transition alpha row 0, column 0 must be a real number"),
+        ([2.0], "transition alpha rows must have equal length"),
+    ], ids=["string", "bool", "ragged"])
+    def test_bad_transition_cell_is_validation_error(self, tmp_path, capsys,
+                                                      row, message):
+        obj = hmm_benchmark().to_json()
+        obj["transition"]["alpha"][0] = row
+        cfg = tmp_path / "dgp.json"
+        cfg.write_text(json.dumps(obj))
+        msg = validation_error(["simulate", "--config", str(cfg), "--T", "300",
+                                "--out", str(tmp_path / "s.csv")], capsys)
+        assert msg.startswith(message)
+        assert not (tmp_path / "s.csv").exists()
+
 
 class TestFit:
     def test_fit_outputs_estimates_and_ses(self, tmp_path, sample_csv, capsys):
@@ -228,6 +244,19 @@ class TestMc:
         cfg_path.write_text(json.dumps(obj))
         return validation_error(["mc", "--config", str(cfg_path), "--out-dir",
                                  str(tmp_path / "mc")], capsys)
+
+    @pytest.mark.parametrize("key, value", [("label", None), ("out_dir", 5)])
+    def test_label_and_out_dir_types_fail_before_any_replication(
+            self, tmp_path, capsys, monkeypatch, key, value):
+        from mixregime import harness
+
+        def no_replication(*args):
+            raise AssertionError("a replication ran")
+
+        monkeypatch.setattr(harness, "run_replication", no_replication)
+        msg = self.run_edited(tmp_path, capsys,
+                              lambda obj: obj.update({key: value}))
+        assert msg.startswith(f"{key} must be a string")
 
     def test_config_without_T_is_validation_error(self, tmp_path, capsys):
         msg = self.run_edited(tmp_path, capsys, lambda obj: obj.pop("T"))

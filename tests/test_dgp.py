@@ -124,16 +124,30 @@ class TestValidation:
         (("outcomes", 0), "mu", "1.0"), (("outcomes", 1), "sigma", True),
         (("z_law",), "slope", "0.5"), (("w_law",), "noise_sd", None),
         (("noise",), "rho", "0.3"), ((), "ar_coefficient", "0.9"),
-        ((), "ar_coefficient", False),
+        ((), "ar_coefficient", False), (("transition", "alpha", 0), 1, "0.5"),
+        (("transition", "beta", 1), 0, True),
     ])
     def test_reals_are_type_checked(self, path, key, value):
-        # float() would load "1.0" as 1.0 and True as 1.0
+        # float() would load "1.0" as 1.0 and True as 1.0; a transition cell
+        # is named by its row and column
         obj = msar_benchmark().to_json()
         block = obj
         for step in path:
             block = block[step]
         block[key] = value
         with pytest.raises(ValidationError, match=f"{key} must be a real number"):
+            HmmDgpParams.from_json(obj)
+
+    @pytest.mark.parametrize("matrix, message", [
+        ([[2.0, 0.0], [0.0]], "transition alpha rows must have equal length"),
+        ([2.0, 0.0], "transition alpha must be a list of rows"),
+        (2.0, "transition alpha must be a list of rows"),
+    ], ids=["ragged", "flat", "scalar"])
+    def test_transition_matrix_is_a_list_of_rows(self, matrix, message):
+        # np.asarray would raise a ValueError on ragged rows
+        obj = msar_benchmark().to_json()
+        obj["transition"]["alpha"] = matrix
+        with pytest.raises(ValidationError, match=message):
             HmmDgpParams.from_json(obj)
 
     @pytest.mark.parametrize("path, key", [

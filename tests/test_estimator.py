@@ -7,15 +7,24 @@ from scipy.optimize import minimize
 
 from mixregime import (EstimationError, EstimatorConfig, MixtureParams,
                        ModelSpec, RegimeOutcome, Sample, ValidationError,
-                       align_permutation, encode, hmm_benchmark, qml_estimate,
+                       align_permutation, hmm_benchmark, qml_estimate,
                        quasi_loglik, simulate_hmm)
 from mixregime.dgp import seed_key
 from mixregime.estimator import _em_run, _m_step, _moment_rows, _random_init
-from mixregime.mixture import neg_loglik_and_score
+from mixregime.mixture import encode_arrays, neg_loglik_and_score
 
 
 def uniform_weights(d):
     return np.full(d, 1.0 / d)
+
+
+def point(*outcomes, weights=None):
+    """The EM point (mu, gamma, sigma, weights) with one (mu, gamma, sigma)
+    row per component, weighted uniformly unless `weights` is given."""
+    mu, gamma, sigma = np.array(outcomes, dtype=float).T
+    if weights is None:
+        weights = uniform_weights(len(outcomes))
+    return mu, gamma, sigma, np.asarray(weights, dtype=float)
 
 
 class TestEmSingleComponent:
@@ -25,28 +34,24 @@ class TestEmSingleComponent:
         y = 0.7 + 1.3 * x + rng.normal(size=400) * 0.8
         sample = Sample(y=y, w=x)
         spec = ModelSpec(d=1, form="hmm")
-        init = MixtureParams(components=[RegimeOutcome(0.0, 0.0, 2.0)],
-                             weights=np.array([1.0]))
         y, x = spec.regression_frame(sample)
-        run = _em_run(y, x, spec, init, EstimatorConfig())
+        run = _em_run(y, x, spec, point((0.0, 0.0, 2.0)), EstimatorConfig())
         assert not run.degenerate
-        fit = run.params
+        mu, gamma, sigma, weights = run.point
         design = np.column_stack([np.ones_like(x), x])
         coef = np.linalg.lstsq(design, y, rcond=None)[0]
         resid = y - design @ coef
-        comp = fit.components[0]
-        assert comp.mu == pytest.approx(coef[0], abs=1e-10)
-        assert comp.gamma == pytest.approx(coef[1], abs=1e-10)
-        assert comp.sigma == pytest.approx(math.sqrt((resid ** 2).mean()),
-                                           abs=1e-10)
+        assert mu[0] == pytest.approx(coef[0], abs=1e-10)
+        assert gamma[0] == pytest.approx(coef[1], abs=1e-10)
+        assert sigma[0] == pytest.approx(math.sqrt((resid ** 2).mean()),
+                                         abs=1e-10)
+        assert weights[0] == pytest.approx(1.0, abs=1e-12)
 
 
 class TestEmBehaviour:
     def test_monotone_loglik_from_rough_start(self, hmm_sample, hmm_spec):
         y, x = hmm_spec.regression_frame(hmm_sample)
-        init = MixtureParams(
-            components=[RegimeOutcome(0.5, 0.1, 2.0), RegimeOutcome(-0.5, 0.9, 2.0)],
-            weights=uniform_weights(2))
+        init = point((0.5, 0.1, 2.0), (-0.5, 0.9, 2.0))
         run = _em_run(y, x, hmm_spec, init, EstimatorConfig())
         trace = np.asarray(run.trace)
         assert len(trace) >= 2
@@ -55,8 +60,8 @@ class TestEmBehaviour:
     def test_near_optimum_moves_little(self, hmm_sample, hmm_spec):
         dgp = hmm_benchmark()
         y, x = hmm_spec.regression_frame(hmm_sample)
-        init = MixtureParams(components=dgp.outcomes,
-                             weights=np.array([0.66, 0.34]))
+        init = point(*[(c.mu, c.gamma, c.sigma) for c in dgp.outcomes],
+                     weights=[0.66, 0.34])
         run = _em_run(y, x, hmm_spec, init, EstimatorConfig())
         trace = np.asarray(run.trace)
         assert trace[-1] - trace[0] < 0.01
@@ -70,10 +75,7 @@ class TestEmBehaviour:
         labels = rng.random(n) < 0.5
         y = np.where(labels, 20.0, -20.0) + rng.normal(size=n) * 0.5
         sample = Sample(y=y, w=rng.normal(size=n) * 0.1)
-        init = MixtureParams(
-            components=[RegimeOutcome(10.0, 0.0, 5.0), RegimeOutcome(-10.0, 0.0, 5.0)],
-            weights=uniform_weights(2))
-        return sample, labels, init
+        return sample, labels, point((10.0, 0.0, 5.0), (-10.0, 0.0, 5.0))
 
     def test_wide_separation_resolves_in_two_iterations(self):
         sample, labels, init = self.wide_separation()
@@ -81,7 +83,7 @@ class TestEmBehaviour:
         cfg = EstimatorConfig(em_max_iter=2)
         y2, x2 = spec.regression_frame(sample)
         run = _em_run(y2, x2, spec, init, cfg)
-        mus = sorted(c.mu for c in run.params.components)
+        mus = sorted(run.point[0])
 
         def group_intercept(mask):
             design = np.column_stack([np.ones(mask.sum()), sample.w[mask]])
@@ -107,9 +109,7 @@ class TestEmBehaviour:
         # responsibility split
         sample = Sample(y=np.full(120, 3.0), w=np.full(120, 2.0))
         spec = ModelSpec(d=2, form="hmm")
-        init = MixtureParams(
-            components=[RegimeOutcome(0.0, 0.0, 1.0), RegimeOutcome(1.0, 0.0, 1.0)],
-            weights=uniform_weights(2))
+        init = point((0.0, 0.0, 1.0), (1.0, 0.0, 1.0))
         y, x = spec.regression_frame(sample)
         run = _em_run(y, x, spec, init, EstimatorConfig())
         assert run.degenerate
@@ -120,9 +120,7 @@ class TestEmBehaviour:
         rng = np.random.default_rng(24)
         sample = Sample(y=rng.normal(size=400), w=rng.normal(size=400))
         spec = ModelSpec(d=2, form="hmm")
-        init = MixtureParams(
-            components=[RegimeOutcome(0.0, 0.0, 1.0), RegimeOutcome(1e3, 0.0, 1.0)],
-            weights=uniform_weights(2))
+        init = point((0.0, 0.0, 1.0), (1e3, 0.0, 1.0))
         y, x = spec.regression_frame(sample)
         run = _em_run(y, x, spec, init, EstimatorConfig())
         assert run.degenerate
@@ -170,22 +168,19 @@ class TestMStep:
         x = rng.normal(size=t_len)
         y = 1.5 + 0.8 * x + rng.normal(size=t_len)
         resp = rng.dirichlet(np.ones(d), size=t_len)
-        comps = [RegimeOutcome(mu=0.0, gamma=0.3 if form == "msar" else 0.1 * s,
-                               sigma=0.5 + 0.4 * s) for s in range(d)]
-        return y, x, resp, MixtureParams(components=comps,
-                                         weights=uniform_weights(d))
+        return y, x, resp, 0.5 + 0.4 * np.arange(d)  # the incoming sigmas
 
     @staticmethod
-    def m_step(resp, y, x, spec, params):
+    def m_step(resp, y, x, spec, sigma):
         """_m_step as EM calls it, from the incoming sigmas."""
         rows = _moment_rows(y, x)
-        return _m_step(rows @ resp, resp, rows, spec, params.sigma_vec)
+        return _m_step(rows @ resp, resp, rows, spec, sigma)
 
     @pytest.mark.parametrize("form", ["hmm", "msar"])
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_matches_weighted_least_squares(self, d, form):
-        y, x, resp, params = self.draw(d, form)
-        out = self.m_step(resp, y, x, ModelSpec(d=d, form=form), params)
+        y, x, resp, sigma_in = self.draw(d, form)
+        out = self.m_step(resp, y, x, ModelSpec(d=d, form=form), sigma_in)
         assert out is not None
         (got_mu, got_gamma, got_sigma, got_weights), floor_hit = out
         assert not floor_hit
@@ -199,7 +194,7 @@ class TestMStep:
         else:
             # stacked (t, s) rows: component dummies plus one shared x column,
             # weighted by r_s / sigma_s^2 with the incoming sigmas
-            sw = np.sqrt(resp / params.sigma_vec ** 2).T.ravel()
+            sw = np.sqrt(resp / sigma_in ** 2).T.ravel()
             dummies = np.repeat(np.eye(d), len(y), axis=0)
             design = np.column_stack([dummies, np.tile(x, d)]) * sw[:, None]
             coef = np.linalg.lstsq(design, np.tile(y, d) * sw, rcond=None)[0]
@@ -214,10 +209,10 @@ class TestMStep:
     @pytest.mark.parametrize("form", ["hmm", "msar"])
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_constant_regressor_is_singular(self, d, form):
-        y, x, resp, params = self.draw(d, form)
+        y, x, resp, sigma_in = self.draw(d, form)
         for value in (0.3, 1.1, 2.0, 123.456):
             assert self.m_step(resp, y, np.full_like(x, value),
-                               ModelSpec(d=d, form=form), params) is None
+                               ModelSpec(d=d, form=form), sigma_in) is None
 
 
 class TestQmlEstimate:
@@ -328,6 +323,15 @@ class TestQmlEstimate:
             assert during == res.nfev
         assert len(calls) == results[-1][2]  # the optimum is read from the result
 
+    def test_records_are_built_only_at_the_api_edge(self, built_records,
+                                                    msar_sample, msar_spec,
+                                                    fast_cfg):
+        # EM starts and BFGS evaluations work on the four arrays; the winning
+        # point is decoded once and sorted by mu once
+        res = qml_estimate(msar_sample, msar_spec, fast_cfg, seed=7)
+        assert res.n_iterations["qn"] > 0
+        assert sorted(built_records) == ["MixtureParams"] * 2 + ["RegimeOutcome"] * 2
+
     def test_loglik_is_the_best_polished_start(self, msar_sample, msar_spec,
                                                fast_cfg):
         res = qml_estimate(msar_sample, msar_spec, fast_cfg, seed=7)
@@ -338,7 +342,8 @@ class TestQmlEstimate:
             init = _random_init(y, x, msar_spec, rng)
             run = _em_run(y, x, msar_spec, init, fast_cfg)
             if not run.degenerate:
-                bfgs = minimize(neg_loglik_and_score, encode(run.params, msar_spec),
+                bfgs = minimize(neg_loglik_and_score,
+                                encode_arrays(*run.point, msar_spec),
                                 args=([msar_sample], msar_spec), jac=True,
                                 method="BFGS",
                                 options={"maxiter": fast_cfg.qn_max_iter,
@@ -360,10 +365,9 @@ class TestQmlEstimate:
         def far_start_zero(*args):
             init = random_init(*args)
             if not inits:
-                low, high = init.components
-                init = MixtureParams(
-                    components=[low, RegimeOutcome(1e3, high.gamma, high.sigma)],
-                    weights=init.weights)
+                mu = init[0].copy()
+                mu[1] = 1e3
+                init = (mu, *init[1:])
             inits.append(init)
             return init
 
@@ -494,13 +498,11 @@ class TestAlignPermutation:
 class TestMsarEstimator:
     def test_shared_slope_enforced_through_em(self, msar_sample):
         spec = ModelSpec(d=2, form="msar")
-        init = MixtureParams(
-            components=[RegimeOutcome(0.5, 0.8, 1.5), RegimeOutcome(-0.5, 0.8, 1.5)],
-            weights=uniform_weights(2))
+        init = point((0.5, 0.8, 1.5), (-0.5, 0.8, 1.5))
         y, x = spec.regression_frame(msar_sample)
         run = _em_run(y, x, spec, init, EstimatorConfig())
         assert not run.degenerate
-        gam = run.params.gamma_vec
+        gam = run.point[1]
         assert gam[0] == gam[1]
 
     def test_lagged_term_carries_the_fit(self, msar_sample, fast_cfg):

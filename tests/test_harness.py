@@ -2,6 +2,7 @@ import csv
 import hashlib
 import importlib.util
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -115,6 +116,20 @@ class TestExperimentConfig:
         obj = small_cfg().to_json()
         obj[key] = value
         with pytest.raises(ValidationError, match=key):
+            ExperimentConfig.from_json(obj).validate()
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("label", None, "label must be a string, got None"),
+        ("label", 3, "label must be a string, got 3"),
+        ("out_dir", 5, "out_dir must be a string or null, got 5"),
+        ("out_dir", ["out"], "out_dir must be a string or null"),
+    ], ids=["label-null", "label-int", "out_dir-int", "out_dir-list"])
+    def test_label_and_out_dir_are_type_checked(self, key, value, message):
+        # a null label would fail only when the CSV is written, after every
+        # replication has run
+        obj = small_cfg().to_json()
+        obj[key] = value
+        with pytest.raises(ValidationError, match=re.escape(message)):
             ExperimentConfig.from_json(obj).validate()
 
 

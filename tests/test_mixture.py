@@ -275,9 +275,7 @@ class TestResponsibilities:
         rng = np.random.default_rng(17)
         sample = random_sample(rng, 25)
         params = random_params(rng, 3)
-        _, resp, _ = mixture_kernel(params.mu_vec, params.gamma_vec,
-                                    params.sigma_vec, params.weights,
-                                    sample.y, sample.w)
+        _, resp, _ = mixture_kernel(*params.arrays(), sample.y, sample.w)
         np.testing.assert_allclose(resp.sum(axis=1), 1.0, atol=1e-12)
         assert (resp >= 0).all()
 
@@ -296,14 +294,35 @@ class TestKernel:
             np.testing.assert_array_equal(
                 contrib, score_contributions(free, sample, spec))
 
-    def test_underflowed_weight_rejected(self):
+    @pytest.mark.parametrize("fn", [loglik_and_score_contributions, hessian],
+                             ids=lambda fn: fn.__name__)
+    @pytest.mark.parametrize("coord, value, message", [
+        (-1, -800.0, "weights must be strictly positive"),
+        (0, np.nan, r"components\[0\]: RegimeOutcome fields must be finite"),
+    ], ids=["underflowed-weight", "nan-mu"])
+    def test_bad_decoded_point_rejected(self, fn, coord, value, message):
         # a BFGS step this far out must fail as loglik_terms does
         rng = np.random.default_rng(23)
         spec = ModelSpec(d=2)
         free = encode(random_params(rng, 2), spec)
-        free[-1] = -800.0
-        with pytest.raises(ValidationError, match="strictly positive"):
-            loglik_and_score_contributions(free, random_sample(rng, 10), spec)
+        free[coord] = value
+        with pytest.raises(ValidationError, match=message):
+            fn(free, random_sample(rng, 10), spec)
+
+    def test_core_builds_no_records(self, built_records):
+        # the objective, the Hessian and the decode Jacobian work on the
+        # arrays; only decode, at the API edge, builds a MixtureParams
+        rng = np.random.default_rng(24)
+        spec = ModelSpec(d=2, form="msar")
+        free = encode(random_params(rng, 2, "msar"), spec)
+        sample = random_sample(rng, 40)
+        built_records.clear()
+        neg_loglik_and_score(free, [sample], spec)
+        hessian(free, sample, spec)
+        decode_jacobian(free, spec)
+        assert built_records == []
+        decode(free, spec)
+        assert sorted(built_records) == ["MixtureParams"] + ["RegimeOutcome"] * 2
 
     @staticmethod
     def sorted_kernel(mu, gamma, sigma, weights, y, x):
