@@ -1,8 +1,9 @@
 """Command-line entry points.
 
-Subcommands: simulate, fit, mc, oracle (--msar for the switching-AR
-limit point), check-id, render.  Every command exits 0 on success;
-failures print a machine-readable JSON object to stderr
+Subcommands: simulate, fit, mc, oracle, check-id, render.  simulate and
+oracle take the model from the DGP file: one that sets ar_coefficient is
+the switching AR, fitted by the shared-slope mixture.  Every command exits
+0 on success; failures print a machine-readable JSON object to stderr
 ({"error": {"type": ..., "message": ...}}) and exit nonzero.
 """
 
@@ -29,7 +30,8 @@ from .oracle import (MAX_PATH_LEN, cf_ratio_check, kl_check,
 
 def _cmd_simulate(args) -> int:
     params = HmmDgpParams.from_json(read_json(args.config))
-    sim = simulate_hmm if params.ar_coefficient is None else simulate_msar
+    spec = ModelSpec.for_dgp(params)
+    sim = simulate_msar if spec.form == "msar" else simulate_hmm
     sample = sim(params, T=args.T, burn_in=args.burn_in, seed=args.seed)
     save_sample(sample, args.out)
     write_json({"out": str(args.out), "T": sample.T, "variant": sample.meta["variant"],
@@ -99,22 +101,22 @@ def _cmd_mc(args) -> int:
 
 def _cmd_oracle(args) -> int:
     params = HmmDgpParams.from_json(read_json(args.config))
-    if not args.msar:
-        result = pseudo_true_weights(params, n_sim=args.n_sim,
-                                     burn_in=args.burn_in, seed=args.seed)
-        write_json(result, args.out)
-        return 0
     result = pseudo_true_msar(params, n_sim=args.n_sim, burn_in=args.burn_in,
                               seed=args.seed)
-    # the KL check draws a path the optimizer never saw
-    kl_seed = [args.seed, result.n_paths]
-    report = kl_check(params, result.theta_star,
-                      perturbation_grid(result.theta_star, form="msar"),
-                      n_sim=min(args.n_sim, MAX_PATH_LEN), seed=kl_seed,
-                      burn_in=args.burn_in)
-    write_json({**result.to_json(),
-                "kl_check": {**report.to_json(), "seed": kl_seed,
-                             "all_dominated_3se": report.all_dominated(3.0)}},
+    spec = ModelSpec.for_dgp(params)
+    kl = None  # the perturbation grid is defined for d = 2 only
+    if spec.d == 2:
+        # the KL check draws a path the optimizer never saw
+        kl_seed = [args.seed, result.n_paths]
+        grid = perturbation_grid(result.theta_star, form=spec.form)
+        report = kl_check(params, result.theta_star, grid,
+                          n_sim=min(args.n_sim, MAX_PATH_LEN), seed=kl_seed,
+                          burn_in=args.burn_in)
+        kl = {**report.to_json(), "seed": kl_seed,
+              "all_dominated_3se": report.all_dominated(3.0)}
+    weights = pseudo_true_weights(params, n_sim=args.n_sim,
+                                  burn_in=args.burn_in, seed=args.seed)
+    write_json({**result.to_json(), "kl_check": kl, "weights": weights},
                args.out)
     return 0
 
@@ -186,17 +188,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_mc.add_argument("--out-dir", help="override the configured output directory")
     p_mc.set_defaults(func=_cmd_mc)
 
-    p_or = sub.add_parser("oracle",
-                          help="ergodic pseudo-true weights for a DGP, or "
-                               "with --msar the switching-AR limit point")
+    p_or = sub.add_parser(
+        "oracle", help="the QML limit point of the mixture fitted to a DGP, "
+                       "maximized on n-sim simulated values; with d = 2 its "
+                       "perturbation-grid check on a fresh path of "
+                       "min(n-sim, 10^6) values; and the ergodic weights")
     p_or.add_argument("--config", required=True, help="DGP parameter JSON file")
     p_or.add_argument("--n-sim", type=int, required=True)
     p_or.add_argument("--burn-in", type=int, default=DEFAULT_BURN_IN)
     p_or.add_argument("--seed", type=int, default=0)
-    p_or.add_argument("--msar", action="store_true",
-                      help="maximize the switching-AR quasi-likelihood at "
-                           "n-sim and check it against a perturbation grid "
-                           "on a fresh path of min(n-sim, 10^6) values")
     p_or.add_argument("--out")
     p_or.set_defaults(func=_cmd_oracle)
 

@@ -269,6 +269,9 @@ class HmmDgpParams(JsonRecord):
         check_keys(obj, "DGP",
                    ("outcomes", "transition", "z_law", "w_law", "noise"),
                    ("ar_coefficient",))
+        if not isinstance(obj["outcomes"], list):
+            raise ValidationError(f"outcomes must be a list of outcome "
+                                  f"blocks, got {obj['outcomes']!r}")
         phi = obj.get("ar_coefficient")
         if phi is not None:
             phi = _reals(obj, ("ar_coefficient",))["ar_coefficient"]

@@ -28,7 +28,8 @@ from .errors import (ConfigurationError, JsonRecord, MixRegimeError,
                      write_json)
 from .estimator import EstimatorConfig, align_permutation, qml_estimate
 from .inference import HacConfig, sandwich_cov
-from .mixture import MixtureParams, ModelSpec, encode, natural_vector
+from .mixture import (MixtureParams, ModelSpec, encode, natural_vector,
+                      true_reference)
 
 CSV_SCHEMA_VERSION = 2
 
@@ -49,10 +50,8 @@ class ExperimentConfig(JsonRecord):
 
     @property
     def spec(self) -> ModelSpec:
-        """The fitted mixture: one component per DGP regime, switching-AR
-        form exactly when the DGP sets ar_coefficient."""
-        form = "hmm" if self.dgp.ar_coefficient is None else "msar"
-        return ModelSpec(d=self.dgp.d, form=form)
+        """The fitted mixture, as ModelSpec.for_dgp picks it."""
+        return ModelSpec.for_dgp(self.dgp)
 
     def validate(self) -> None:
         check_types(self, ("T", "n_reps", "burn_in", "master_seed"))
@@ -94,23 +93,9 @@ def load_experiment_config(path) -> ExperimentConfig:
     return cfg
 
 
-def true_reference(cfg: ExperimentConfig) -> MixtureParams:
-    """True outcome coefficients packaged as mixture components.
-
-    Used as the alignment reference; the weight slots are filled uniformly
-    because no finite-T truth exists for them (the fitted weights estimate
-    a design-dependent limit, not a DGP parameter).
-    """
-    d = cfg.dgp.d
-    phi = cfg.dgp.ar_coefficient  # the shared slope of the switching AR
-    outcomes = np.array([(c.mu, c.gamma if phi is None else phi, c.sigma)
-                         for c in cfg.dgp.outcomes])
-    return MixtureParams.from_arrays(*outcomes.T, np.full(d, 1.0 / d))
-
-
 def _truth_vector(cfg: ExperimentConfig) -> np.ndarray:
     """Natural-scale truth with NaN in the weight slots (no truth there)."""
-    ref = true_reference(cfg)
+    ref = true_reference(cfg.dgp)
     vec = natural_vector(ref, cfg.spec)
     vec[-cfg.dgp.d:] = np.nan
     return vec
@@ -183,7 +168,7 @@ def run_replication(cfg: ExperimentConfig, rep_index: int) -> ReplicationRecord:
                                   seed=sim_seed)
         result = qml_estimate(sample, spec, cfg.estimator, seed=est_seed)
 
-        ref = true_reference(cfg)
+        ref = true_reference(cfg.dgp)
         aligned = align_permutation(result.theta_hat, ref)
         dist_pre = _stack_distance(result.theta_hat, ref)
         dist_post = _stack_distance(aligned, ref)

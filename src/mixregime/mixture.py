@@ -19,7 +19,7 @@ For d = 2 its row-wise log-sum-exp takes max and min instead of a sort.
 hessian is closed-form (Louis's identity on the responsibilities and the
 per-component gradients), with one kernel call per fixed block of rows.
 neg_loglik_and_score is the one BFGS objective, pooled over samples, that
-both the estimator and the switching-AR oracle minimize.
+both the estimator and the QML-limit oracle minimize.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .dgp import RegimeOutcome, Sample
+from .dgp import HmmDgpParams, RegimeOutcome, Sample
 from .errors import ConfigurationError, JsonRecord, ValidationError
 
 _LOG_2PI = math.log(2.0 * math.pi)
@@ -102,6 +102,12 @@ class ModelSpec(JsonRecord):
                 "autoregressive form needs at least 2 observations "
                 "(the first is conditioned on)")
         return sample.y[1:], sample.y[:-1]
+
+    @classmethod
+    def for_dgp(cls, dgp: HmmDgpParams) -> "ModelSpec":
+        """The mixture fitted to data from `dgp`: one component per regime,
+        switching-AR form exactly when the DGP sets ar_coefficient."""
+        return cls(d=dgp.d, form="hmm" if dgp.ar_coefficient is None else "msar")
 
     def natural_names(self) -> list:
         slopes = ([f"gamma_{s}" for s in range(1, self.d + 1)]
@@ -174,6 +180,17 @@ class MixtureParams(JsonRecord):
         """Canonical reporting order: components sorted by mu ascending."""
         order = np.argsort(self.mu_vec, kind="stable")
         return self.permuted(order.tolist())
+
+
+def true_reference(dgp: HmmDgpParams) -> MixtureParams:
+    """The DGP's true outcome coefficients as a mixture point, with the
+    switching AR's phi as every component's slope and uniform weights (the
+    DGP has no true weights: fitted ones estimate a design-dependent limit).
+    It is the alignment reference and the oracle's BFGS start."""
+    phi = dgp.ar_coefficient
+    outcomes = np.array([(c.mu, c.gamma if phi is None else phi, c.sigma)
+                         for c in dgp.outcomes])
+    return MixtureParams.from_arrays(*outcomes.T, np.full(dgp.d, 1.0 / dgp.d))
 
 
 def point_violations(mu, gamma, sigma, weights) -> list:
@@ -303,11 +320,6 @@ def loglik_terms(params: MixtureParams, sample: Sample, spec: ModelSpec) -> np.n
     return mixture_kernel(*point, y, x)[0]
 
 
-def quasi_loglik(params: MixtureParams, sample: Sample, spec: ModelSpec) -> float:
-    """Average log mixture density over the usable observations."""
-    return float(np.mean(loglik_terms(params, sample, spec)))
-
-
 def loglik_and_score_contributions(free: np.ndarray, sample: Sample,
                                    spec: ModelSpec):
     """loglik_terms and score_contributions at decode(free), from one kernel
@@ -329,7 +341,8 @@ def score_contributions(free: np.ndarray, sample: Sample,
     """Per-observation gradients of the log mixture density, shape (T_eff, q).
 
     Row t is the gradient of ln sum_s w_s p(y_t | x_t, s) with respect to
-    the FreeVector coordinates; column means equal score().
+    the FreeVector coordinates; their column means are the score, minus the
+    gradient that neg_loglik_and_score returns.
     """
     return loglik_and_score_contributions(free, sample, spec)[1]
 
@@ -353,13 +366,9 @@ def neg_loglik_and_score(free: np.ndarray, samples: Sequence[Sample],
     return -total / n_rows, -grad / n_rows
 
 
-def score(free: np.ndarray, sample: Sample, spec: ModelSpec) -> np.ndarray:
-    """Gradient of quasi_loglik at decode(free), length q."""
-    return score_contributions(free, sample, spec).mean(axis=0)
-
-
 def hessian(free: np.ndarray, sample: Sample, spec: ModelSpec) -> np.ndarray:
-    """Hessian of quasi_loglik at decode(free), in closed form (Louis 1982).
+    """Hessian of the average quasi-log-likelihood at decode(free), in
+    closed form (Louis 1982).
 
     With a[t, s] the weighted log density of mixture_kernel, g[t, s] its
     gradient in the FreeVector, rho[t, s] the responsibilities and

@@ -1,16 +1,17 @@
 """Independent verification machinery for the pseudo-true parameter.
 
-Three kinds of evidence about what the misspecified mixture QML should
+Four kinds of evidence about what the misspecified mixture QML should
 converge to:
 
 * pseudo_true_weights: the candidate mixture weights are the stationary
   expectation of the one-step regime transition probabilities, computed
   ergodically from a long simulated (Z, S) path with batch-mean error bars.
-* pseudo_true_msar: for the switching autoregression, where y_{t-1}
-  carries information about the persistent regime and the outcome
-  coefficients are not the limit, the quasi-likelihood maximizer on a
-  large simulated sample, with its sandwich standard error as Monte Carlo
-  error.
+* pseudo_true_msar: for every design, the maximizer of the fitted
+  mixture's quasi-likelihood on a large simulated sample, with its sandwich
+  standard error as Monte Carlo error.  The paper's claim is that in a
+  regime regression with an exogenous outcome covariate this limit keeps
+  the true outcome coefficients; in the switching autoregression, where
+  y_{t-1} carries information about the persistent regime, it does not.
 * kl_check: the candidate parameter should beat nearby perturbations in
   expected log density under the true process; estimated with common
   random numbers so differences are sharp even when levels are noisy.
@@ -38,7 +39,7 @@ from .errors import (ConfigurationError, JsonRecord, QuadratureError,
 from .estimator import EstimatorConfig, align_permutation
 from .inference import HacConfig, sandwich_cov
 from .mixture import (MixtureParams, ModelSpec, decode, encode, loglik_terms,
-                      natural_vector, neg_loglik_and_score)
+                      natural_vector, neg_loglik_and_score, true_reference)
 
 N_BATCHES = 50
 
@@ -120,19 +121,20 @@ def pseudo_true_weights(dgp: HmmDgpParams, n_sim: int,
 
 
 MAX_PATH_LEN = 1_000_000  # longest path simulated at once; bounds memory
-_MSAR_PREFIX_SHARE = 10  # the first BFGS stage uses n_sim // 10
+_PREFIX_SHARE = 10  # the first BFGS stage uses n_sim // 10
 
 
 @dataclass
-class MsarPseudoTrueResult(JsonRecord):
-    """Large-sample quasi-likelihood optimum for a switching-AR process.
+class QmlLimitResult(JsonRecord):
+    """Large-sample quasi-likelihood optimum of the mixture fitted to a DGP.
 
     theta_star lists components in the generator's regime order.
-    mc_error holds sandwich standard errors of theta_star at n_sim, keyed
-    like estimates() by ModelSpec.natural_names().
+    estimates is theta_star on the natural scale and mc_error its sandwich
+    standard errors at n_sim, both keyed by ModelSpec.natural_names().
     """
 
     theta_star: MixtureParams
+    estimates: dict
     mc_error: dict
     loglik: float  # average quasi-log-likelihood at theta_star
     grad_max: float  # max-norm of the score at theta_star
@@ -141,58 +143,48 @@ class MsarPseudoTrueResult(JsonRecord):
     n_sim: int
     n_paths: int
 
-    def estimates(self) -> dict:
-        spec = ModelSpec(d=self.theta_star.d, form="msar")
-        return dict(zip(spec.natural_names(),
-                        natural_vector(self.theta_star, spec).tolist()))
-
-    def to_json(self) -> dict:
-        return {**super().to_json(), "estimates": self.estimates()}
-
 
 def pseudo_true_msar(dgp: HmmDgpParams, n_sim: int,
-                     burn_in: int = DEFAULT_BURN_IN, seed=0) -> MsarPseudoTrueResult:
-    """Quasi-likelihood maximizer of the shared-slope mixture at large n_sim.
+                     burn_in: int = DEFAULT_BURN_IN, seed=0) -> QmlLimitResult:
+    """Quasi-likelihood maximizer of the mixture fitted to `dgp` at large n_sim.
 
     White's (1982) pseudo-true value maximizes the expected
     quasi-log-likelihood.  It is estimated here by maximizing the
     quasi-log-likelihood, with the analytic score, on n_sim simulated
-    observations.  They come as independent simulate_msar paths of at
-    most 10^6 observations each (path k from seed (seed, k)), which
-    estimate the same stationary expectation as one long path while
-    keeping memory bounded; each path conditions on its first value.
+    observations of the mixture that ModelSpec.for_dgp fits: the
+    regime regression, or the shared-slope switching AR.  They come as
+    independent simulated paths of at most 10^6 observations each (path k
+    from seed (seed, k)), which estimate the same stationary expectation as
+    one long path while keeping memory bounded; a switching-AR path
+    conditions on its first value.
 
-    BFGS starts from the true coefficients (uniform weights) on the first
-    n_sim // 10 observations of path 0, then continues on all paths from
-    that optimum, started from the first stage's inverse Hessian (scipy's
-    hess_inv0) so that only a few full passes are needed.  Both stages
-    minimize mixture.neg_loglik_and_score, the estimator's objective, and
-    stop once the score's max-norm is at most the estimator's default
-    qn_grad_tol; loglik and grad_max are read from the second stage's
-    result.  mc_error is the HAC sandwich
-    standard error at n_sim: A and B are estimated at theta_star on path 0
-    and the result is rescaled to the full sample size.
+    BFGS starts from true_reference(dgp) on the first n_sim // 10
+    observations of path 0, then continues on all paths from that optimum,
+    started from the first stage's inverse Hessian (scipy's hess_inv0) so
+    that only a few full passes are needed.  Both stages minimize
+    mixture.neg_loglik_and_score, the estimator's objective, and stop once
+    the score's max-norm is at most the estimator's default qn_grad_tol;
+    loglik and grad_max are read from the second stage's result.  mc_error
+    is the HAC sandwich standard error at n_sim: A and B are estimated at
+    theta_star on path 0 and the result is rescaled by the share of all
+    usable rows that path 0 holds.
     """
     dgp.validate()
-    if dgp.ar_coefficient is None:
-        raise ConfigurationError("pseudo_true_msar needs a switching-AR "
-                                 "design (ar_coefficient set)")
     if n_sim < 10_000:
         raise ValidationError(f"n_sim must be >= 10000, got {n_sim}")
-    spec = ModelSpec(d=dgp.d, form="msar")
+    spec = ModelSpec.for_dgp(dgp)
+    simulate = simulate_msar if spec.form == "msar" else simulate_hmm
     qn = EstimatorConfig()
     n_paths = -(-n_sim // MAX_PATH_LEN)
     base, extra = divmod(n_sim, n_paths)
     paths = []
     for k in range(n_paths):
-        sim = simulate_msar(dgp, T=base + (k < extra), burn_in=burn_in,
-                            seed=seed_key(seed) + (k,))
+        sim = simulate(dgp, T=base + (k < extra), burn_in=burn_in,
+                       seed=seed_key(seed) + (k,))
         paths.append(Sample(y=sim.y, w=sim.w))
-    n_prefix = n_sim // _MSAR_PREFIX_SHARE
+    n_prefix = n_sim // _PREFIX_SHARE
     prefix = Sample(y=paths[0].y[:n_prefix], w=paths[0].w[:n_prefix])
-    truth = MixtureParams.from_arrays(
-        [c.mu for c in dgp.outcomes], np.full(dgp.d, dgp.ar_coefficient),
-        [c.sigma for c in dgp.outcomes], np.full(dgp.d, 1.0 / dgp.d))
+    truth = true_reference(dgp)
 
     options = {"maxiter": qn.qn_max_iter, "gtol": qn.qn_grad_tol}
     res1 = minimize(neg_loglik_and_score, encode(truth, spec),
@@ -208,10 +200,13 @@ def pseudo_true_msar(dgp: HmmDgpParams, n_sim: int,
     theta_star = align_permutation(decode(res2.x, spec), truth)
     _, ses = sandwich_cov(encode(theta_star, spec), paths[0], spec,
                           HacConfig())
-    ses = ses * math.sqrt((paths[0].T - 1) / (n_sim - n_paths))
-    return MsarPseudoTrueResult(
+    rows = [len(spec.regression_frame(path)[0]) for path in paths]
+    ses = ses * math.sqrt(rows[0] / sum(rows))
+    names = spec.natural_names()
+    return QmlLimitResult(
         theta_star=theta_star,
-        mc_error=dict(zip(spec.natural_names(), ses.tolist())),
+        estimates=dict(zip(names, natural_vector(theta_star, spec).tolist())),
+        mc_error=dict(zip(names, ses.tolist())),
         loglik=-float(res2.fun), grad_max=grad_max,
         converged=grad_max <= qn.qn_grad_tol,
         n_iterations={"prefix": int(res1.nit), "full": int(res2.nit)},
@@ -252,12 +247,9 @@ def kl_check(dgp: HmmDgpParams, theta_star: MixtureParams,
     """
     dgp.validate()
     theta_star.validate()
-    if dgp.ar_coefficient is not None:
-        spec = ModelSpec(d=theta_star.d, form="msar")
-        sample = simulate_msar(dgp, T=n_sim, burn_in=burn_in, seed=seed)
-    else:
-        spec = ModelSpec(d=theta_star.d, form="hmm")
-        sample = simulate_hmm(dgp, T=n_sim, burn_in=burn_in, seed=seed)
+    spec = ModelSpec.for_dgp(dgp)
+    simulate = simulate_msar if spec.form == "msar" else simulate_hmm
+    sample = simulate(dgp, T=n_sim, burn_in=burn_in, seed=seed)
 
     terms_star = loglik_terms(theta_star, sample, spec)
     m_star = float(terms_star.mean())

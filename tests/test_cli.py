@@ -8,7 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mixregime import (EstimatorConfig, ExperimentConfig, ModelSpec,
+from mixregime import (EstimatorConfig, ExperimentConfig, HmmDgpParams,
+                       ModelSpec, RegimeOutcome, TransitionSpec,
                        hmm_benchmark, load_sample, msar_benchmark,
                        save_sample, simulate_msar)
 from mixregime.cli import build_parser, main
@@ -73,6 +74,18 @@ class TestSimulate:
         assert json.loads(capsys.readouterr().out)["variant"] == "msar"
         want = simulate_msar(msar_benchmark(), T=300, seed=2)
         np.testing.assert_array_equal(load_sample(out).y, want.y)
+
+    @pytest.mark.parametrize("outcomes", [5, None], ids=["int", "null"])
+    def test_outcomes_not_a_list_is_validation_error(self, tmp_path, outcomes,
+                                                     capsys):
+        obj = hmm_benchmark().to_json()
+        obj["outcomes"] = outcomes
+        cfg = tmp_path / "dgp.json"
+        cfg.write_text(json.dumps(obj))
+        message = validation_error(["simulate", "--config", str(cfg), "--T",
+                                    "100", "--out", str(tmp_path / "s.csv")],
+                                   capsys)
+        assert "outcomes must be a list" in message
 
     def test_dgp_without_noise_is_validation_error(self, tmp_path, capsys):
         obj = hmm_benchmark().to_json()
@@ -281,24 +294,36 @@ class TestMc:
         assert msg == "outcome must be a JSON object, got float"
 
 
+def three_regime_dgp() -> HmmDgpParams:
+    """A d = 3 regime regression: the benchmark's covariate laws, with
+    well-separated outcome equations."""
+    base = hmm_benchmark()
+    return HmmDgpParams(
+        outcomes=[RegimeOutcome(m, g, 1.0)
+                  for m, g in ((-3.0, 0.5), (0.0, 1.0), (3.0, -0.5))],
+        transition=TransitionSpec(d=3, alpha=2.0 * np.eye(3),
+                                  beta=np.zeros((3, 3))),
+        z_law=base.z_law, w_law=base.w_law)
+
+
 class TestOracle:
     def test_weights_reported(self, tmp_path, dgp_config, capsys):
         out = tmp_path / "oracle.json"
         rc = main(["oracle", "--config", str(dgp_config), "--n-sim", "20000",
                    "--seed", "4", "--out", str(out)])
         assert rc == 0
-        payload = json.loads(out.read_text())
-        w = payload["weights_star"]
+        weights = json.loads(out.read_text())["weights"]
+        w = weights["weights_star"]
         assert len(w) == 2
         assert sum(w) == pytest.approx(1.0, abs=1e-9)
-        assert payload["n_sim"] == 20000
+        assert weights["n_sim"] == 20000
 
     def test_msar_limit_point(self, tmp_path, capsys):
         cfg = tmp_path / "msar.json"
         cfg.write_text(json.dumps(msar_benchmark().to_json()))
         out = tmp_path / "oracle_msar.json"
-        rc = main(["oracle", "--config", str(cfg), "--msar", "--n-sim",
-                   "20000", "--seed", "3", "--out", str(out)])
+        rc = main(["oracle", "--config", str(cfg), "--n-sim", "20000",
+                   "--seed", "3", "--out", str(out)])
         assert rc == 0
         payload = json.loads(out.read_text())
         names = ModelSpec(d=2, form="msar").natural_names()
@@ -311,6 +336,33 @@ class TestOracle:
         assert kl["seed"] == [3, payload["n_paths"]]
         assert len(kl["comparisons"]) == 12
         assert isinstance(kl["all_dominated_3se"], bool)
+        assert len(payload["weights"]["weights_star"]) == 2
+
+    @pytest.mark.parametrize("dgp", [hmm_benchmark(), three_regime_dgp()],
+                             ids=["hmm", "hmm-d3"])
+    def test_every_design_reports_its_limit(self, tmp_path, dgp, capsys):
+        # the fitted form follows the DGP, so no flag chooses it
+        cfg = tmp_path / "dgp.json"
+        cfg.write_text(json.dumps(dgp.to_json()))
+        out = tmp_path / "oracle.json"
+        rc = main(["oracle", "--config", str(cfg), "--n-sim", "20000",
+                   "--out", str(out)])
+        assert rc == 0
+        payload = json.loads(out.read_text())
+        names = sorted(ModelSpec.for_dgp(dgp).natural_names())  # keys are sorted
+        assert list(payload["estimates"]) == list(payload["mc_error"]) == names
+        assert len(payload["weights"]["weights_star"]) == dgp.d
+        if dgp.d == 2:
+            assert len(payload["kl_check"]["comparisons"]) == 12
+        else:  # the perturbation grid is defined for d = 2 only
+            assert payload["kl_check"] is None
+
+    def test_msar_flag_rejected(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["oracle", "--config", "dgp.json",
+                                       "--n-sim", "20000", "--msar"])
+        assert exc.value.code == 2
+        assert "--msar" in capsys.readouterr().err
 
 
 class TestCheckId:

@@ -150,6 +150,15 @@ class TestValidation:
         with pytest.raises(ValidationError, match=message):
             HmmDgpParams.from_json(obj)
 
+    @pytest.mark.parametrize("outcomes", [5, None, {"mu": 1.0}],
+                             ids=["int", "null", "object"])
+    def test_outcomes_must_be_a_list(self, outcomes):
+        # iterating them would raise a TypeError, or read an object's keys
+        obj = hmm_benchmark().to_json()
+        obj["outcomes"] = outcomes
+        with pytest.raises(ValidationError, match="outcomes must be a list"):
+            HmmDgpParams.from_json(obj)
+
     @pytest.mark.parametrize("path, key", [
         ((), "ar_coeficient"), (("transition",), "links"), (("z_law",), "slop"),
         (("w_law",), "mean"), (("noise",), "kappa"), (("outcomes", 1), "phi"),

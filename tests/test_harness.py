@@ -54,13 +54,13 @@ class TestExperimentConfig:
         assert back.dgp.params_hash() == cfg.dgp.params_hash()
 
     def test_true_reference_orders_like_dgp(self):
-        ref = true_reference(small_cfg())
+        ref = true_reference(small_cfg().dgp)
         np.testing.assert_array_equal(ref.mu_vec, [1.0, -1.0])
         np.testing.assert_array_equal(ref.gamma_vec, [0.5, 1.0])
 
     def test_true_reference_msar_uses_phi_as_slope(self):
         cfg = ExperimentConfig(dgp=msar_benchmark(), T=200, n_reps=2)
-        ref = true_reference(cfg)
+        ref = true_reference(cfg.dgp)
         np.testing.assert_array_equal(ref.gamma_vec, [0.9, 0.9])
 
     # The fitted model follows from the DGP: one component per regime, the

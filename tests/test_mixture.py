@@ -9,8 +9,8 @@ import mixregime
 from mixregime import (ConfigurationError, MixtureParams, ModelSpec,
                        RegimeOutcome, Sample, ValidationError, decode,
                        decode_jacobian, encode, hessian, hmm_benchmark,
-                       msar_benchmark, natural_vector, quasi_loglik, score,
-                       score_contributions, simulate_hmm, simulate_msar)
+                       msar_benchmark, natural_vector, score_contributions,
+                       simulate_hmm, simulate_msar)
 from mixregime.mixture import (loglik_and_score_contributions, loglik_terms,
                                mixture_kernel, neg_loglik_and_score)
 
@@ -33,12 +33,12 @@ def random_sample(rng, t_len):
 
 
 def component_logdensity(y: float, w: float, comp) -> float:
-    """Log density of one observation under one component: quasi_loglik on a
-    one-row sample with d = 1."""
+    """Log density of one observation under one component: loglik_terms of
+    a one-row sample with d = 1."""
     params = MixtureParams(components=[RegimeOutcome(*comp)],
                            weights=np.array([1.0]))
-    return quasi_loglik(params, Sample(y=np.array([y]), w=np.array([w])),
-                        ModelSpec(d=1))
+    return loglik_terms(params, Sample(y=np.array([y]), w=np.array([w])),
+                        ModelSpec(d=1))[0]
 
 
 class TestComponentLogdensity:
@@ -87,6 +87,11 @@ class TestModelSpec:
         assert ModelSpec(d=2, form="msar").blocks == (
             slice(0, 2), slice(2, 3), slice(3, 5), slice(5, None))
 
+    def test_form_follows_the_dgp(self):
+        # the switching AR exactly when the DGP sets ar_coefficient
+        assert ModelSpec.for_dgp(hmm_benchmark()) == ModelSpec(d=2, form="hmm")
+        assert ModelSpec.for_dgp(msar_benchmark()) == ModelSpec(d=2, form="msar")
+
     def test_msar_frame_conditions_on_first_observation(self):
         spec = ModelSpec(d=2, form="msar")
         sample = Sample(y=np.array([1.0, 2.0, 3.0]), w=np.zeros(3))
@@ -107,7 +112,8 @@ class TestQuasiLoglik:
         direct = np.mean([norm.logpdf(y, loc=comp.mu + comp.gamma * w,
                                       scale=comp.sigma)
                           for y, w in zip(sample.y, sample.w)])
-        assert quasi_loglik(params, sample, spec) == pytest.approx(direct, abs=1e-12)
+        assert loglik_terms(params, sample, spec).mean() == pytest.approx(
+            direct, abs=1e-12)
 
     def test_identical_components_collapse(self):
         rng = np.random.default_rng(2)
@@ -116,8 +122,8 @@ class TestQuasiLoglik:
         two = MixtureParams(components=[comp, RegimeOutcome(0.1, 0.4, 0.9)],
                             weights=np.array([0.3, 0.7]))
         one = MixtureParams(components=[comp], weights=np.array([1.0]))
-        assert quasi_loglik(two, sample, ModelSpec(d=2)) == pytest.approx(
-            quasi_loglik(one, sample, ModelSpec(d=1)), abs=1e-12)
+        assert loglik_terms(two, sample, ModelSpec(d=2)).mean() == pytest.approx(
+            loglik_terms(one, sample, ModelSpec(d=1)).mean(), abs=1e-12)
 
     def test_truth_beats_shifted_truth_on_simulated_sample(self):
         dgp = hmm_benchmark()
@@ -128,7 +134,8 @@ class TestQuasiLoglik:
         shifted = MixtureParams(
             components=[RegimeOutcome(2.0, 0.5, 1.0), dgp.outcomes[1]],
             weights=truth.weights.copy())
-        assert quasi_loglik(truth, sample, spec) > quasi_loglik(shifted, sample, spec)
+        assert (loglik_terms(truth, sample, spec).mean()
+                > loglik_terms(shifted, sample, spec).mean())
 
     def test_label_permutation_invariance_is_exact(self):
         # d = 2 reduces by max and min, d = 3 by a sort
@@ -137,23 +144,24 @@ class TestQuasiLoglik:
             spec = ModelSpec(d=d)
             sample = random_sample(rng, 200)
             params = random_params(rng, d)
-            base = quasi_loglik(params, sample, spec)
+            base = loglik_terms(params, sample, spec).mean()
             for perm in itertools.permutations(range(d)):
-                assert quasi_loglik(params.permuted(perm), sample, spec) == base
+                assert loglik_terms(params.permuted(perm), sample,
+                                    spec).mean() == base
 
     def test_extreme_residuals_stay_finite(self):
         sample = Sample(y=np.array([100.0, -100.0]), w=np.zeros(2))
         params = MixtureParams(
             components=[RegimeOutcome(0, 0, 1), RegimeOutcome(0.5, 0, 1)],
             weights=np.array([0.5, 0.5]))
-        val = quasi_loglik(params, sample, ModelSpec(d=2))
+        val = loglik_terms(params, sample, ModelSpec(d=2)).mean()
         assert np.isfinite(val)
 
     def test_empty_sample_rejected(self):
         params = MixtureParams(components=[RegimeOutcome(0, 0, 1)],
                                weights=np.array([1.0]))
         with pytest.raises(ValidationError):
-            quasi_loglik(params, Sample(y=np.array([]), w=np.array([])),
+            loglik_terms(params, Sample(y=np.array([]), w=np.array([])),
                          ModelSpec(d=1))
 
 
@@ -215,8 +223,8 @@ def finite_difference_gradient(free, sample, spec, h=1e-5):
     for i in range(len(free)):
         bump = np.zeros(len(free))
         bump[i] = h
-        hi = quasi_loglik(decode(free + bump, spec), sample, spec)
-        lo = quasi_loglik(decode(free - bump, spec), sample, spec)
+        hi = loglik_terms(decode(free + bump, spec), sample, spec).mean()
+        lo = loglik_terms(decode(free - bump, spec), sample, spec).mean()
         grad[i] = (hi - lo) / (2 * h)
     return grad
 
@@ -232,7 +240,7 @@ class TestScore:
             sample = random_sample(rng, 50)
             params = random_params(rng, d, form)
             free = encode(params, spec)
-            g = score(free, sample, spec)
+            g = -neg_loglik_and_score(free, [sample], spec)[1]
             g_fd = finite_difference_gradient(free, sample, spec)
             np.testing.assert_allclose(g, g_fd, rtol=1e-5, atol=1e-7)
             cases += 1
@@ -244,8 +252,8 @@ class TestScore:
         free = encode(random_params(rng, 2), spec)
         contrib = score_contributions(free, sample, spec)
         assert contrib.shape == (40, spec.q)
-        np.testing.assert_array_equal(contrib.mean(axis=0),
-                                      score(free, sample, spec))
+        np.testing.assert_array_equal(
+            contrib.mean(axis=0), -neg_loglik_and_score(free, [sample], spec)[1])
 
     def test_single_row_equals_score(self):
         rng = np.random.default_rng(15)
@@ -253,7 +261,8 @@ class TestScore:
         sample = random_sample(rng, 1)
         free = encode(random_params(rng, 2), spec)
         contrib = score_contributions(free, sample, spec)
-        np.testing.assert_allclose(contrib[0], score(free, sample, spec),
+        np.testing.assert_allclose(contrib[0],
+                                   -neg_loglik_and_score(free, [sample], spec)[1],
                                    atol=1e-15)
 
     def test_single_component_rows_are_gaussian_scores(self):
@@ -379,8 +388,9 @@ class TestObjective:
         params = random_params(rng, 2, form)
         free = encode(params, spec)
         neg_ll, neg_grad = neg_loglik_and_score(free, [sample], spec)
-        assert neg_ll == -quasi_loglik(decode(free, spec), sample, spec)
-        np.testing.assert_array_equal(neg_grad, -score(free, sample, spec))
+        assert neg_ll == -loglik_terms(decode(free, spec), sample, spec).mean()
+        np.testing.assert_array_equal(
+            neg_grad, -score_contributions(free, sample, spec).mean(axis=0))
 
     @pytest.mark.parametrize("form", ["hmm", "msar"])
     def test_samples_pool_by_row_count(self, form):
@@ -468,8 +478,9 @@ class TestHessian:
             for i in range(spec.q):
                 bump = np.zeros(spec.q)
                 bump[i] = 1e-5
-                h_fd[:, i] = (score(free + bump, sample, spec)
-                              - score(free - bump, sample, spec)) / 2e-5
+                h_fd[:, i] = (neg_loglik_and_score(free - bump, [sample], spec)[1]
+                              - neg_loglik_and_score(free + bump, [sample], spec)[1]
+                              ) / 2e-5
             h_mat = hessian(free, sample, spec)
             assert (np.abs(h_mat - h_fd)
                     <= 1e-6 * np.maximum(np.abs(h_fd), 1.0)).all(), (d, form)

@@ -10,8 +10,9 @@ from mixregime import (ArLaw, ConfigurationError, HmmDgpParams,
                        ValidationError, cf_ratio_check,
                        encode, hmm_benchmark, kl_check,
                        linear_independence_check, msar_benchmark,
-                       perturbation_grid, pseudo_true_msar,
-                       pseudo_true_weights, score, simulate_msar)
+                       natural_vector, perturbation_grid, pseudo_true_msar,
+                       pseudo_true_weights, simulate_msar, true_reference)
+from mixregime.mixture import neg_loglik_and_score
 from mixregime.oracle import _eventually_decreasing, _student_t_cf
 
 
@@ -124,7 +125,7 @@ class TestPseudoTrueMsar:
         assert msar_oracle.n_paths == 1
         errs = np.array(list(msar_oracle.mc_error.values()))
         assert np.isfinite(errs).all() and (errs > 0).all()
-        assert list(msar_oracle.estimates()) == list(msar_oracle.mc_error)
+        assert list(msar_oracle.estimates) == list(msar_oracle.mc_error)
 
     def test_limit_stays_in_shared_slope_model(self, msar_oracle):
         star = msar_oracle.theta_star
@@ -154,26 +155,69 @@ class TestPseudoTrueMsar:
 
     def test_seed_robustness(self, msar_oracle):
         other = pseudo_true_msar(msar_benchmark(), n_sim=200_000, seed=1)
-        for name, value in msar_oracle.estimates().items():
+        for name, value in msar_oracle.estimates.items():
             tol = 4 * math.hypot(msar_oracle.mc_error[name],
                                  other.mc_error[name])
-            assert abs(value - other.estimates()[name]) <= tol, name
+            assert abs(value - other.estimates[name]) <= tol, name
 
-    def test_requires_msar_design(self):
-        with pytest.raises(ConfigurationError):
-            pseudo_true_msar(hmm_benchmark(), n_sim=20_000)
+    def test_hmm_design_gives_hmm_form_limit(self):
+        # the fitted form follows the DGP: regime-specific slopes here
+        res = pseudo_true_msar(hmm_benchmark(), n_sim=20_000)
+        names = ModelSpec(d=2).natural_names()
+        assert list(res.estimates) == list(res.mc_error) == names
+        assert res.converged
+        star = res.theta_star
+        assert star.gamma_vec[0] != star.gamma_vec[1]
+        np.testing.assert_array_equal(
+            list(res.estimates.values()),
+            natural_vector(star, ModelSpec(d=2)))
 
     def test_grad_max_is_the_score_at_theta_star(self, msar_oracle):
         # read from the BFGS result, not from another pass over the paths
         spec = ModelSpec(d=2, form="msar")
         path = simulate_msar(msar_benchmark(), T=msar_oracle.n_sim,
                              seed=(0, 0))
-        grad = score(encode(msar_oracle.theta_star, spec), path, spec)
+        _, grad = neg_loglik_and_score(encode(msar_oracle.theta_star, spec),
+                                       [path], spec)
         assert abs(np.abs(grad).max() - msar_oracle.grad_max) <= 1e-9
 
     def test_small_n_sim_rejected(self):
         with pytest.raises(ValidationError):
             pseudo_true_msar(msar_benchmark(), n_sim=5000)
+
+
+def outcome_z(limit, dgp) -> dict:
+    """(limit - truth) / mc_error for every mu, slope and sigma coordinate."""
+    spec = ModelSpec.for_dgp(dgp)
+    truth = natural_vector(true_reference(dgp), spec)
+    return {name: (limit.estimates[name] - value) / limit.mc_error[name]
+            for name, value in zip(spec.natural_names()[:-dgp.d], truth)}
+
+
+class TestQmlLimitOfRegimeRegressions:
+    """The paper's claim: with an exogenous outcome covariate the i.i.d.
+    mixture's QML limit keeps the true outcome coefficients, and its weights
+    are the stationary regime probabilities; even when the transition
+    covariate is endogenous (rho), but not when W is (omega)."""
+
+    @pytest.mark.parametrize("rho", [0.0, 0.65])
+    def test_exogenous_covariate_keeps_the_truth(self, rho):
+        dgp = hmm_benchmark(rho=rho, omega=0.0)
+        limit = pseudo_true_msar(dgp, n_sim=1_000_000, seed=0)
+        weights = pseudo_true_weights(dgp, n_sim=1_000_000, seed=0)
+        assert limit.converged
+        z = outcome_z(limit, dgp)
+        assert len(z) == 6 and max(map(abs, z.values())) <= 4.0, z
+        gap = limit.estimates["weight_1"] - weights.weights_star[0]
+        se = math.hypot(limit.mc_error["weight_1"], weights.mc_error[0])
+        assert abs(gap) <= 4.0 * se, (gap, se)
+
+    def test_endogenous_covariate_moves_the_limit(self):
+        dgp = hmm_benchmark(rho=0.0, omega=0.65)
+        limit = pseudo_true_msar(dgp, n_sim=1_000_000, seed=0)
+        assert limit.converged
+        z = outcome_z(limit, dgp)
+        assert max(map(abs, z.values())) > 10.0, z
 
 
 class TestPerturbationGrid:
