@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .dgp import (DEFAULT_BURN_IN, HmmDgpParams, load_sample, save_sample,
-                  simulate_hmm, simulate_msar)
+                  seed_key, simulate_hmm, simulate_msar)
 from .errors import (ConfigurationError, MixRegimeError, ValidationError,
                      read_json, write_json)
 from .estimator import EstimatorConfig, qml_estimate
@@ -34,8 +34,9 @@ def _cmd_simulate(args) -> int:
     sim = simulate_msar if spec.form == "msar" else simulate_hmm
     sample = sim(params, T=args.T, burn_in=args.burn_in, seed=args.seed)
     save_sample(sample, args.out)
-    write_json({"out": str(args.out), "T": sample.T, "variant": sample.meta["variant"],
-                "seed": sample.meta["seed"], "params_hash": sample.meta["params_hash"]})
+    write_json({"out": str(args.out), "T": sample.T, "variant": spec.form,
+                "seed": list(seed_key(args.seed)),
+                "params_hash": params.params_hash()})
     return 0
 
 
@@ -114,7 +115,7 @@ def _cmd_oracle(args) -> int:
                           burn_in=args.burn_in)
         kl = {**report.to_json(), "seed": kl_seed,
               "all_dominated_3se": report.all_dominated(3.0)}
-    weights = pseudo_true_weights(params, n_sim=args.n_sim,
+    weights = pseudo_true_weights(params, n_sim=min(args.n_sim, MAX_PATH_LEN),
                                   burn_in=args.burn_in, seed=args.seed)
     write_json({**result.to_json(), "kl_check": kl, "weights": weights},
                args.out)
@@ -190,9 +191,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_or = sub.add_parser(
         "oracle", help="the QML limit point of the mixture fitted to a DGP, "
-                       "maximized on n-sim simulated values; with d = 2 its "
-                       "perturbation-grid check on a fresh path of "
-                       "min(n-sim, 10^6) values; and the ergodic weights")
+                       "maximized on n-sim simulated values; then the ergodic "
+                       "weights and, with d = 2, its perturbation-grid check, "
+                       "each on its own path of min(n-sim, 10^6) values")
     p_or.add_argument("--config", required=True, help="DGP parameter JSON file")
     p_or.add_argument("--n-sim", type=int, required=True)
     p_or.add_argument("--burn-in", type=int, default=DEFAULT_BURN_IN)

@@ -293,7 +293,6 @@ class Sample:
     w: np.ndarray
     z: Optional[np.ndarray] = None
     s: Optional[np.ndarray] = None
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         self.y = np.asarray(self.y, dtype=float)
@@ -433,15 +432,7 @@ def _simulate(params: HmmDgpParams, T: int, burn_in: int, seed,
         y = mu[s] + gamma[s] * w + sigma[s] * u[:, 0]
 
     sl = slice(burn_in, None)
-    meta = {
-        "origin": "simulated",
-        "variant": "msar" if msar else "hmm",
-        "seed": list(seed_key(seed)),
-        "params_hash": params.params_hash(),
-        "T": T,
-        "burn_in": burn_in,
-    }
-    return Sample(y=y[sl], w=w[sl], z=z[sl], s=s[sl] + 1, meta=meta)
+    return Sample(y=y[sl], w=w[sl], z=z[sl], s=s[sl] + 1)
 
 
 def simulate_hmm(params: HmmDgpParams, T: int, burn_in: int = DEFAULT_BURN_IN,
@@ -548,7 +539,6 @@ def load_sample(path) -> Sample:
         w=np.array(rows["w"]),
         z=np.array(rows["z"]) if has_z else None,
         s=np.array(rows["s"], dtype=int) if has_s else None,
-        meta={"origin": "file", "path": str(path)},
     )
     sample.validate()
     return sample

@@ -3,9 +3,9 @@
 Four kinds of evidence about what the misspecified mixture QML should
 converge to:
 
-* pseudo_true_weights: the candidate mixture weights are the stationary
-  expectation of the one-step regime transition probabilities, computed
-  ergodically from a long simulated (Z, S) path with batch-mean error bars.
+* pseudo_true_weights: the stationary regime weights, the expectation of
+  the one-step regime transition probabilities, computed ergodically from a
+  long simulated (Z, S) path with batch-mean error bars.
 * pseudo_true_msar: for every design, the maximizer of the fitted
   mixture's quasi-likelihood on a large simulated sample, with its sandwich
   standard error as Monte Carlo error.  The paper's claim is that in a
@@ -32,8 +32,8 @@ import numpy as np
 from scipy.optimize import minimize
 from scipy.special import gammaln, kve
 
-from .dgp import (DEFAULT_BURN_IN, HmmDgpParams, RegimeOutcome, Sample,
-                  seed_key, simulate_hmm, simulate_msar)
+from .dgp import (DEFAULT_BURN_IN, HmmDgpParams, Sample, seed_key,
+                  simulate_hmm, simulate_msar)
 from .errors import (ConfigurationError, JsonRecord, QuadratureError,
                      ValidationError)
 from .estimator import EstimatorConfig, align_permutation
@@ -62,35 +62,26 @@ def _batch_means_se(values: np.ndarray):
 
 @dataclass
 class PseudoTrueResult(JsonRecord):
-    """Ergodic estimate of the limit mixture weights for a given DGP."""
+    """Ergodic estimate of the stationary regime weights of a DGP."""
 
     weights_star: np.ndarray
-    outcome_star: list  # list[RegimeOutcome], copied from the DGP
     mc_error: np.ndarray
     n_sim: int
     occupancy: np.ndarray  # raw frequency of each regime, for cross-checks
     occupancy_error: np.ndarray
-    ar_coefficient: Optional[float] = None
-
-    def theta_star(self) -> MixtureParams:
-        """Assemble the candidate pseudo-true mixture parameter."""
-        if self.ar_coefficient is not None:
-            raise ConfigurationError(
-                "the switching-AR limit differs from the true outcome "
-                "coefficients; compute it with pseudo_true_msar")
-        return MixtureParams(components=list(self.outcome_star),
-                             weights=self.weights_star.copy())
 
 
 def pseudo_true_weights(dgp: HmmDgpParams, n_sim: int,
                         burn_in: int = DEFAULT_BURN_IN, seed=0) -> PseudoTrueResult:
     """Stationary expectation of the transition rows, by long simulation.
 
-    weights_star[s] averages P(S_{t+1} = s+1 | Z_t, S_t) over the simulated
-    stationary path (a Rao-Blackwellized estimate of the limiting regime
-    probabilities); the raw occupancy frequency of S_t is returned as an
-    independent estimate of the same limit.  mc_error holds batch-mean
-    standard errors (50 batches).
+    weights_star[s] averages P(S_{t+1} = s+1 | Z_t, S_t) over one simulated
+    stationary path of n_sim values (a Rao-Blackwellized estimate of the
+    limiting regime probabilities); the raw occupancy frequency of S_t is
+    returned as an independent estimate of the same limit.  mc_error holds
+    batch-mean standard errors (50 batches).  The path is held in memory
+    whole, so memory grows with n_sim.  Only the weights are estimated:
+    the outcome coefficients of the QML limit come from pseudo_true_msar.
     """
     dgp.validate()
     if n_sim < 10_000:
@@ -111,12 +102,10 @@ def pseudo_true_weights(dgp: HmmDgpParams, n_sim: int,
                         for s in range(dgp.d)])
     return PseudoTrueResult(
         weights_star=weights,
-        outcome_star=[RegimeOutcome(c.mu, c.gamma, c.sigma) for c in dgp.outcomes],
         mc_error=mc_error,
         n_sim=n_sim,
         occupancy=occ,
         occupancy_error=occ_err,
-        ar_coefficient=dgp.ar_coefficient,
     )
 
 
@@ -264,14 +253,15 @@ def kl_check(dgp: HmmDgpParams, theta_star: MixtureParams,
 
 
 def perturbation_grid(theta_star: MixtureParams, form: str = "hmm") -> list:
-    """Twelve-point perturbation grid around a two-component parameter.
+    """Perturbation grid of up to twelve points around a two-component point.
 
     Both layouts shift mu(1), sigma(1) and the first weight by +/-0.25 and
     mu(2) by +/-0.5; weights are re-normalized against the second
-    component.  The "hmm" layout also shifts gamma(1) by +/-0.5 and
-    gamma(2) by +/-0.25.  The "msar" layout keeps the slope shared: it
-    shifts phi on both components together by +/-0.05 and sigma(2) by
-    +/-0.25, so every point stays inside the shared-slope model.
+    component, and a weight bump that would leave (0, 1) is left out.  The
+    "hmm" layout also shifts gamma(1) by +/-0.5 and gamma(2) by +/-0.25.
+    The "msar" layout keeps the slope shared: it shifts phi on both
+    components together by +/-0.05 and sigma(2) by +/-0.25, so every point
+    stays inside the shared-slope model.
     """
     if theta_star.d != 2:
         raise ConfigurationError(f"grid is defined for d = 2, got d = {theta_star.d}")
@@ -297,7 +287,7 @@ def perturbation_grid(theta_star: MixtureParams, form: str = "hmm") -> list:
     for sign in (+1, -1):
         w1 = weights[0] + sign * 0.25
         if not 0.0 < w1 < 1.0:
-            raise ValidationError(f"perturbed weight {w1} outside (0, 1)")
+            continue
         out.append((f"weight(1){'+' if sign > 0 else '-'}0.25",
                     MixtureParams.from_arrays(*outcomes.T,
                                               np.array([w1, 1.0 - w1]))))

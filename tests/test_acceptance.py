@@ -139,7 +139,9 @@ class TestAcceptance:
     def test_5_kl_dominance_grid(self):
         dgp = hmm_benchmark()
         oracle = pseudo_true_weights(dgp, n_sim=1_000_000, seed=0)
-        star = oracle.theta_star()
+        # the candidate: true outcome coefficients with the ergodic weights
+        star = MixtureParams(components=true_reference(dgp).components,
+                             weights=oracle.weights_star)
         grid = perturbation_grid(star)
         report_kl = kl_check(dgp, star, grid, n_sim=1_000_000, seed=31)
         ok = report_kl.all_dominated(n_se=3.0)

@@ -59,6 +59,9 @@ class TestSimulate:
         meta = json.loads(capsys.readouterr().out)
         assert meta["T"] == 250
         assert meta["variant"] == "hmm"
+        assert meta["seed"] == [9]
+        params = HmmDgpParams.from_json(json.loads(dgp_config.read_text()))
+        assert meta["params_hash"] == params.params_hash()
         sample = load_sample(out)
         assert sample.T == 250
         assert sample.z is not None and sample.s is not None
@@ -356,6 +359,38 @@ class TestOracle:
             assert len(payload["kl_check"]["comparisons"]) == 12
         else:  # the perturbation grid is defined for d = 2 only
             assert payload["kl_check"] is None
+
+    def test_lopsided_design_drops_the_weight_bump_out_of_range(self, tmp_path,
+                                                                capsys):
+        # weight(1) of about 0.89: the +0.25 weight bump would leave (0, 1)
+        obj = json.loads((ROOT / "configs" / "dgp_hmm_rho0_omega0.json")
+                         .read_text())
+        obj["transition"]["alpha"] = [[3.0, 0.0], [0.0, 1.0]]
+        cfg = tmp_path / "lopsided.json"
+        cfg.write_text(json.dumps(obj))
+        out = tmp_path / "oracle.json"
+        rc = main(["oracle", "--config", str(cfg), "--n-sim", "20000",
+                   "--out", str(out)])
+        assert rc == 0, capsys.readouterr().err
+        payload = json.loads(out.read_text())
+        assert payload["estimates"]["weight_1"] > 0.75
+        labels = [c["label"] for c in payload["kl_check"]["comparisons"]]
+        assert len(labels) == 11
+        assert "weight(1)+0.25" not in labels
+
+    def test_weights_path_is_capped(self, tmp_path, dgp_config, monkeypatch,
+                                    capsys):
+        # the weights hold their whole path in memory, so it is capped as
+        # the kl_check path is
+        monkeypatch.setattr("mixregime.cli.MAX_PATH_LEN", 20_000)
+        out = tmp_path / "oracle.json"
+        rc = main(["oracle", "--config", str(dgp_config), "--n-sim", "40000",
+                   "--out", str(out)])
+        assert rc == 0
+        payload = json.loads(out.read_text())
+        assert payload["n_sim"] == 40000
+        assert payload["weights"]["n_sim"] == 20000
+        assert payload["kl_check"]["n_sim"] == 20000
 
     def test_msar_flag_rejected(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -12,7 +12,7 @@ from mixregime import (ArLaw, ConfigurationError, HmmDgpParams, NoiseCorrelation
                        ParseError, RegimeOutcome, Sample, TransitionSpec,
                        ValidationError, hmm_benchmark, load_sample, msar_benchmark,
                        save_sample, simulate_hmm, simulate_msar, transition_row)
-from mixregime.dgp import _ar1, stream_rng
+from mixregime.dgp import DEFAULT_BURN_IN, _ar1, stream_rng
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -21,9 +21,9 @@ def logistic(x):
     return 1.0 / (1.0 + math.exp(-x))
 
 
-def outcome_draws(seed, sample):
-    """The outcome stream's standard normals over the sample's T steps."""
-    burn_in = sample.meta["burn_in"]
+def outcome_draws(seed, sample, burn_in):
+    """The outcome stream's standard normals over the sample's T steps, for
+    a sample simulated after `burn_in` steps."""
     return stream_rng(seed, 0).standard_normal(burn_in + sample.T)[burn_in:]
 
 
@@ -181,8 +181,6 @@ class TestSimulateHmm:
         assert sample.T == 500
         assert len(sample.w) == len(sample.z) == len(sample.s) == 500
         assert set(np.unique(sample.s)) <= {1, 2}
-        assert sample.meta["variant"] == "hmm"
-        assert sample.meta["burn_in"] == 500
 
     def test_determinism_and_seed_sensitivity(self, hmm_params):
         a = simulate_hmm(hmm_params, T=300, seed=(9, 1))
@@ -201,7 +199,7 @@ class TestSimulateHmm:
         # rho = omega = 0: the noise Cholesky factor is the identity, so U1
         # is the outcome stream's standard normals after the burn-in
         sample = simulate_hmm(hmm_params, T=400, seed=11)
-        u1 = outcome_draws(11, sample)
+        u1 = outcome_draws(11, sample, DEFAULT_BURN_IN)
         mu = np.array([c.mu for c in hmm_params.outcomes])
         gamma = np.array([c.gamma for c in hmm_params.outcomes])
         sigma = np.array([c.sigma for c in hmm_params.outcomes])
@@ -256,7 +254,8 @@ class TestSimulateMsar:
     def test_recursion_holds_exactly(self):
         params = msar_benchmark(rho=0.0, phi=0.9)
         sample = simulate_msar(params, T=400, seed=31)
-        u1 = outcome_draws(31, sample)  # identity Cholesky factor at rho = 0
+        # identity Cholesky factor at rho = 0
+        u1 = outcome_draws(31, sample, DEFAULT_BURN_IN)
         mu = np.array([c.mu for c in params.outcomes])
         sigma = np.array([c.sigma for c in params.outcomes])
         s0 = sample.s - 1
@@ -325,14 +324,17 @@ class TestRegimePath:
         "hmm": "a8376b90927c39fdd297b298dc0f3cb09c00618de26c686fd03a33c786296870",
     }
 
-    @pytest.mark.parametrize("simulate, params", [(simulate_msar, msar_benchmark),
-                                                  (simulate_hmm, hmm_benchmark)])
-    def test_ar_paths_are_pinned(self, simulate, params):
+    @pytest.mark.parametrize("simulate, params, variant",
+                             [(simulate_msar, msar_benchmark, "msar"),
+                              (simulate_hmm, hmm_benchmark, "hmm")],
+                             ids=["simulate_msar-msar_benchmark",
+                                  "simulate_hmm-hmm_benchmark"])
+    def test_ar_paths_are_pinned(self, simulate, params, variant):
         sample = simulate(params(), T=5000, seed=0)
         digests = {name: hashlib.sha256(getattr(sample, name).astype("<f8")
                                         .tobytes()).hexdigest()
                    for name in ("y", "z", "w")}
-        assert digests == {"y": self.PINNED_Y[sample.meta["variant"]],
+        assert digests == {"y": self.PINNED_Y[variant],
                            "z": self.PINNED_Z, "w": self.PINNED_W}
 
     def test_three_regime_frequencies_match_transition_rows(self):

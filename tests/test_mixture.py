@@ -1,5 +1,6 @@
 import itertools
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -484,6 +485,37 @@ class TestHessian:
             h_mat = hessian(free, sample, spec)
             assert (np.abs(h_mat - h_fd)
                     <= 1e-6 * np.maximum(np.abs(h_fd), 1.0)).all(), (d, form)
+
+    def test_matches_richardson_differences_at_an_ill_conditioned_winner(self):
+        # the msar_rho0_T1600 winner of replication 75 (weight 0.017, sigma
+        # ratio 13.9), on that replication's sample; a plain central
+        # difference is off here by about 2e-5 of the largest entry
+        cfg = mixregime.load_experiment_config(
+            Path(__file__).resolve().parent.parent / "configs"
+            / "msar_rho0_T1600.json")
+        spec = cfg.spec
+        sample = simulate_msar(cfg.dgp, T=cfg.T, burn_in=cfg.burn_in,
+                               seed=(cfg.master_seed, 75, 0))
+        free = np.array([-1.9667310305553818, 0.09545527259857514,
+                         0.9717865298118161, -2.3703193198336057,
+                         0.2593068647985998, -4.063469143987246])
+        h_mat = hessian(free, sample, spec)
+        assert np.linalg.cond(h_mat) > 1e4
+
+        def central(rel):
+            steps = rel * np.maximum(np.abs(free), 1.0)
+            cols = []
+            for i, h in enumerate(steps):
+                bump = np.zeros(spec.q)
+                bump[i] = h
+                cols.append((neg_loglik_and_score(free - bump, [sample], spec)[1]
+                             - neg_loglik_and_score(free + bump, [sample], spec)[1]
+                             ) / (2.0 * h))
+            return np.column_stack(cols)
+
+        richardson = (4.0 * central(5e-5) - central(1e-4)) / 3.0
+        assert (np.abs(h_mat - richardson).max()
+                <= 1e-8 * np.abs(h_mat).max())
 
     def test_row_blocks_sum_every_row_once(self):
         # 140,000 rows span three row blocks; the Hessian is a row average,
