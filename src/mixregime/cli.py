@@ -21,7 +21,8 @@ from .dgp import (DEFAULT_BURN_IN, HmmDgpParams, load_sample, save_sample,
 from .errors import (ConfigurationError, MixRegimeError, ValidationError,
                      read_json, write_json)
 from .estimator import EstimatorConfig, qml_estimate
-from .harness import McSummary, load_experiment_config, render_table, run_experiment
+from .harness import (ExperimentConfig, McSummary, load_experiment_config,
+                      render_table, run_experiment)
 from .inference import HacConfig, sandwich_cov
 from .mixture import ModelSpec, encode, natural_vector
 from .oracle import (MAX_PATH_LEN, cf_ratio_check, kl_check,
@@ -57,12 +58,14 @@ def _cmd_fit(args) -> int:
     if not isinstance(cfg_obj, dict):
         raise ValidationError(f"fit config must be a JSON object, "
                               f"got {type(cfg_obj).__name__}")
-    if "dgp" in cfg_obj:  # an experiment config; estimator and hac may be absent
-        est_obj = cfg_obj.get("estimator", {})
+    if "dgp" in cfg_obj:  # an experiment config, checked as mc checks it
+        experiment = ExperimentConfig.from_json(cfg_obj)
+        experiment.validate()
+        est_cfg, hac_cfg = experiment.estimator, experiment.hac
     else:  # estimator settings, with an optional "hac" block
-        est_obj = {k: v for k, v in cfg_obj.items() if k != "hac"}
-    est_cfg = EstimatorConfig.from_json(est_obj)
-    hac_cfg = HacConfig.from_json(cfg_obj.get("hac", {}))
+        est_cfg = EstimatorConfig.from_json(
+            {k: v for k, v in cfg_obj.items() if k != "hac"})
+        hac_cfg = HacConfig.from_json(cfg_obj.get("hac", {}))
     if args.bandwidth is not None:
         hac_cfg.bandwidth = _parse_bandwidth(args.bandwidth)
 

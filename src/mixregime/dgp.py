@@ -28,7 +28,6 @@ import json
 import math
 import numbers
 from dataclasses import dataclass, field
-from pathlib import Path
 from types import SimpleNamespace
 from typing import Optional, Sequence
 
@@ -36,7 +35,7 @@ import numpy as np
 from scipy.linalg.lapack import dgtsv
 
 from .errors import (ConfigurationError, JsonRecord, ParseError,
-                     ValidationError, check_keys, check_types)
+                     ValidationError, check_keys, check_types, csv_cells)
 
 # Sub-stream labels: one independent RNG stream per noise consumer, so that
 # extending T never reshuffles earlier draws.
@@ -91,6 +90,19 @@ def stream_rng(seed, label: int) -> np.random.Generator:
     return np.random.default_rng(seed_key(seed) + (label,))
 
 
+def outcome_violations(rows, what: str) -> list:
+    """Messages for the faults of the (mu, gamma, sigma) triples `rows`, each
+    prefixed by what[i]: a DGP's outcomes and a mixture's components alike."""
+    out = []
+    for i, (mu, gamma, sigma) in enumerate(rows):
+        if not (math.isfinite(mu) and math.isfinite(gamma)
+                and math.isfinite(sigma)):
+            out.append(f"{what}[{i}]: RegimeOutcome fields must be finite")
+        if not sigma > 0:
+            out.append(f"{what}[{i}]: sigma must be > 0, got {sigma}")
+    return out
+
+
 @dataclass
 class RegimeOutcome(JsonRecord):
     """Outcome-equation coefficients for a single regime."""
@@ -98,14 +110,6 @@ class RegimeOutcome(JsonRecord):
     mu: float
     gamma: float
     sigma: float
-
-    def violations(self) -> list:
-        out = []
-        if not np.isfinite([self.mu, self.gamma, self.sigma]).all():
-            out.append("RegimeOutcome fields must be finite")
-        if not self.sigma > 0:
-            out.append(f"sigma must be > 0, got {self.sigma}")
-        return out
 
     @classmethod
     def from_json(cls, obj: dict) -> "RegimeOutcome":
@@ -238,9 +242,8 @@ class HmmDgpParams(JsonRecord):
         return self.transition.d
 
     def violations(self) -> list:
-        out = []
-        for i, oc in enumerate(self.outcomes):
-            out.extend(f"outcomes[{i}]: {v}" for v in oc.violations())
+        out = outcome_violations(
+            [(oc.mu, oc.gamma, oc.sigma) for oc in self.outcomes], "outcomes")
         out.extend(self.transition.violations())
         out.extend(f"z_law: {v}" for v in self.z_law.violations())
         out.extend(f"w_law: {v}" for v in self.w_law.violations())
@@ -330,10 +333,19 @@ def transition_row(spec: TransitionSpec, z: float, from_regime: int) -> np.ndarr
         raise ValidationError(f"from_regime must lie in 1..{spec.d}, got {from_regime}")
     if not np.isfinite(z):
         raise ValidationError(f"covariate z must be finite, got {z}")
-    logits = spec.alpha[from_regime - 1] + spec.beta[from_regime - 1] * z
-    logits = logits - logits.max()
-    probs = np.exp(logits)
-    return probs / probs.sum()
+    return transition_rows(spec, np.array([z], dtype=float),
+                           np.array([from_regime - 1]))[0]
+
+
+def transition_rows(spec: TransitionSpec, z: np.ndarray,
+                    s0: np.ndarray) -> np.ndarray:
+    """Row t: the transition probabilities out of 0-based regime s0[t] at
+    covariate z[t], a softmax computed in place to spare long paths memory."""
+    logits = spec.alpha[s0] + spec.beta[s0] * z[:, None]
+    logits -= logits.max(axis=1, keepdims=True)
+    rows = np.exp(logits)
+    rows /= rows.sum(axis=1, keepdims=True)
+    return rows
 
 
 def _next_state_table(spec: TransitionSpec, z_prev: np.ndarray,
@@ -457,27 +469,19 @@ def simulate_msar(params: HmmDgpParams, T: int, burn_in: int = DEFAULT_BURN_IN,
 
 
 _CSV_COLUMNS = ("y", "w", "z", "s")
+_CSV_BLOCK_ROWS = 1 << 14  # rows save_sample formats at once: memory flat in T
 
 
 def save_sample(sample: Sample, path) -> None:
     """Write a sample as CSV with header y,w[,z][,s] at full precision."""
     sample.validate()
-    cols = ["y", "w"]
-    if sample.z is not None:
-        cols.append("z")
-    if sample.s is not None:
-        cols.append("s")
-    path = Path(path)
+    cols = [c for c in _CSV_COLUMNS if getattr(sample, c) is not None]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(cols)
-        for t in range(sample.T):
-            row = [format(sample.y[t], ".17g"), format(sample.w[t], ".17g")]
-            if sample.z is not None:
-                row.append(format(sample.z[t], ".17g"))
-            if sample.s is not None:
-                row.append(str(int(sample.s[t])))
-            writer.writerow(row)
+        for lo in range(0, sample.T, _CSV_BLOCK_ROWS):
+            block = (getattr(sample, c)[lo:lo + _CSV_BLOCK_ROWS] for c in cols)
+            writer.writerows(zip(*map(csv_cells, block)))
 
 
 def load_sample(path) -> Sample:
@@ -486,7 +490,6 @@ def load_sample(path) -> Sample:
     Raises ParseError (with the 1-based offending line number) on missing
     columns, unknown columns, ragged rows, or non-finite cells.
     """
-    path = Path(path)
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         try:

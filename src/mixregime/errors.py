@@ -1,5 +1,5 @@
-"""Exception types, the checks of config keys, and the JSON layer: the one
-encoder, reader and writer of every JSON file the package reads or writes."""
+"""Exception types, the checks of config keys, the JSON layer (the one
+encoder, reader and writer of every JSON file) and the CSV cell format."""
 
 import dataclasses
 import json
@@ -143,3 +143,18 @@ def write_json(obj, path=None) -> None:
         sys.stdout.write(text)
     else:
         Path(path).write_text(text)
+
+
+def csv_cells(value) -> list:
+    """`value` as CSV cells: an array one per entry, a bool as 0 or 1, an int
+    or a string as it is, any other number in full (.17g, read back exactly)."""
+    values = value.tolist() if isinstance(value, np.ndarray) else [value]
+    return list(map(_csv_cell, values))
+
+
+def _csv_cell(value) -> str:
+    if isinstance(value, bool):
+        return str(int(value))
+    if isinstance(value, (int, str)):
+        return str(value)
+    return format(float(value), ".17g")

@@ -12,6 +12,7 @@ first-order condition that the sandwich covariance relies on.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -49,8 +50,10 @@ class EstimatorConfig(JsonRecord):
             if getattr(self, name) < low:
                 out.append(f"{name} must be >= {low}, got {getattr(self, name)}")
         for name in ("em_tol", "qn_grad_tol"):
-            if not getattr(self, name) > 0:
-                out.append(f"{name} must be > 0, got {getattr(self, name)}")
+            # an infinite tolerance would stop every start at once, converged
+            if not 0 < getattr(self, name) < math.inf:
+                out.append(f"{name} must be finite and > 0, "
+                           f"got {getattr(self, name)}")
         if out:
             raise ValidationError(out)
 
@@ -267,8 +270,9 @@ def qml_estimate(sample: Sample, spec: ModelSpec,
         theta_hat=theta_hat,
         loglik=-float(res.fun),
         converged=bool(np.max(np.abs(res.jac)) <= cfg.qn_grad_tol),
-        degenerate=bool((theta_hat.sigma_vec <= SIGMA_MIN * (1 + 1e-9)).any()
-                        or (theta_hat.weights < 1e-6).any()),
+        degenerate=bool(
+            (theta_hat.outcome_matrix[:, 2] <= SIGMA_MIN * (1 + 1e-9)).any()
+            or (theta_hat.weights < 1e-6).any()),
         n_iterations={"em": runs[best_index].n_iter, "qn": int(res.nit)},
         start_index=best_index,
         notes=notes,

@@ -24,8 +24,8 @@ import numpy as np
 from .dgp import (DEFAULT_BURN_IN, HmmDgpParams, seed_key, simulate_hmm,
                   simulate_msar)
 from .errors import (ConfigurationError, JsonRecord, MixRegimeError,
-                     ValidationError, check_keys, check_types, read_json,
-                     write_json)
+                     ParseError, ValidationError, check_keys, check_types,
+                     csv_cells, read_json, write_json)
 from .estimator import EstimatorConfig, align_permutation, qml_estimate
 from .inference import HacConfig, sandwich_cov
 from .mixture import (MixtureParams, ModelSpec, encode, natural_vector,
@@ -204,20 +204,6 @@ def run_replication(cfg: ExperimentConfig, rep_index: int) -> ReplicationRecord:
         )
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
-
-
-def _cells(value) -> List[str]:
-    if isinstance(value, np.ndarray):
-        return [_fmt(v) for v in value]
-    if isinstance(value, bool):
-        return [str(int(value))]
-    if isinstance(value, (int, str)):
-        return [str(value)]
-    return [_fmt(value)]
-
-
 def write_replications_csv(path, records: List[ReplicationRecord],
                            cfg: ExperimentConfig) -> None:
     names = cfg.spec.natural_names()
@@ -230,7 +216,7 @@ def write_replications_csv(path, records: List[ReplicationRecord],
         writer = csv.writer(fh)
         writer.writerow(header)
         for rec in sorted(records, key=lambda r: r.rep_index):
-            writer.writerow([cell for name in _CSV_FIELDS for cell in _cells(
+            writer.writerow([cell for name in _CSV_FIELDS for cell in csv_cells(
                 from_cfg[name] if name in from_cfg else getattr(rec, name))])
 
 
@@ -279,14 +265,21 @@ def summarize_csv(path) -> McSummary:
 
     This is the only aggregation path: run_experiment writes the CSV and
     then calls this, so regenerating the summary from the file always
-    reproduces it bit for bit.
+    reproduces it bit for bit.  A row whose field count differs from the
+    header's is a ParseError that names its line.
     """
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        rows = list(reader)
+        reader = csv.reader(fh)
+        header = next(reader, [])
+        rows = []
+        for row in filter(None, reader):  # blank lines are no rows
+            if len(row) != len(header):
+                raise ParseError(f"expected {len(header)} fields, found "
+                                 f"{len(row)}", line=reader.line_num)
+            rows.append(dict(zip(header, row)))
     if not rows:
         raise ValidationError(f"no replication rows in {path}")
-    names = [c[len("est_"):] for c in reader.fieldnames if c.startswith("est_")]
+    names = [c[len("est_"):] for c in header if c.startswith("est_")]
     design = rows[0]["design"]
     t_len = int(rows[0]["T"])
     n_reps = len(rows)

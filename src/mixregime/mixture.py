@@ -31,7 +31,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .dgp import HmmDgpParams, RegimeOutcome, Sample
+from .dgp import HmmDgpParams, RegimeOutcome, Sample, outcome_violations
 from .errors import ConfigurationError, JsonRecord, ValidationError
 
 _LOG_2PI = math.log(2.0 * math.pi)
@@ -137,18 +137,6 @@ class MixtureParams(JsonRecord):
         return len(self.components)
 
     @property
-    def mu_vec(self) -> np.ndarray:
-        return np.array([c.mu for c in self.components])
-
-    @property
-    def gamma_vec(self) -> np.ndarray:
-        return np.array([c.gamma for c in self.components])
-
-    @property
-    def sigma_vec(self) -> np.ndarray:
-        return np.array([c.sigma for c in self.components])
-
-    @property
     def outcome_matrix(self) -> np.ndarray:
         """(d, 3) matrix with one (mu, gamma, sigma) row per component."""
         return np.array([(c.mu, c.gamma, c.sigma) for c in self.components],
@@ -156,13 +144,11 @@ class MixtureParams(JsonRecord):
 
     def arrays(self) -> tuple:
         """The point as the four arrays (mu, gamma, sigma, weights)."""
-        return self.mu_vec, self.gamma_vec, self.sigma_vec, self.weights
-
-    def violations(self) -> list:
-        return point_violations(*self.arrays())
+        mu, gamma, sigma = self.outcome_matrix.T.copy()
+        return mu, gamma, sigma, self.weights
 
     def validate(self) -> None:
-        violations = self.violations()
+        violations = point_violations(*self.arrays())
         if violations:
             raise ValidationError(violations)
 
@@ -178,7 +164,7 @@ class MixtureParams(JsonRecord):
 
     def sorted_by_mu(self) -> "MixtureParams":
         """Canonical reporting order: components sorted by mu ascending."""
-        order = np.argsort(self.mu_vec, kind="stable")
+        order = np.argsort(self.outcome_matrix[:, 0], kind="stable")
         return self.permuted(order.tolist())
 
 
@@ -195,14 +181,9 @@ def true_reference(dgp: HmmDgpParams) -> MixtureParams:
 
 def point_violations(mu, gamma, sigma, weights) -> list:
     """One message per fault of the point (mu, gamma, sigma, weights)."""
-    out = []
     # Python scalars: numpy's per-call overhead would dominate at this size
-    rows = zip(mu.tolist(), gamma.tolist(), sigma.tolist())
-    for i, (m, g, s) in enumerate(rows):
-        if not (math.isfinite(m) and math.isfinite(g) and math.isfinite(s)):
-            out.append(f"components[{i}]: RegimeOutcome fields must be finite")
-        if not s > 0:
-            out.append(f"components[{i}]: sigma must be > 0, got {s}")
+    out = outcome_violations(
+        zip(mu.tolist(), gamma.tolist(), sigma.tolist()), "components")
     if len(weights) != len(mu):
         return out + [f"weights length {len(weights)} != d = {len(mu)}"]
     if not all(map(math.isfinite, weights.tolist())):
@@ -264,8 +245,9 @@ def decode(free: np.ndarray, spec: ModelSpec) -> MixtureParams:
 
 def natural_vector(params: MixtureParams, spec: ModelSpec) -> np.ndarray:
     """Stack parameters on the reporting scale: mu, slope(s), sigma, weights."""
-    slope = params.gamma_vec if spec.form == "hmm" else params.gamma_vec[:1]
-    return np.concatenate([params.mu_vec, slope, params.sigma_vec, params.weights])
+    mu, gamma, sigma, weights = params.arrays()
+    slope = gamma if spec.form == "hmm" else gamma[:1]
+    return np.concatenate([mu, slope, sigma, weights])
 
 
 def decode_jacobian(free: np.ndarray, spec: ModelSpec) -> np.ndarray:

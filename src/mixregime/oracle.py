@@ -33,7 +33,7 @@ from scipy.optimize import minimize
 from scipy.special import gammaln, kve
 
 from .dgp import (DEFAULT_BURN_IN, HmmDgpParams, Sample, seed_key,
-                  simulate_hmm, simulate_msar)
+                  simulate_hmm, simulate_msar, transition_rows)
 from .errors import (ConfigurationError, JsonRecord, QuadratureError,
                      ValidationError)
 from .estimator import EstimatorConfig, align_permutation
@@ -87,13 +87,8 @@ def pseudo_true_weights(dgp: HmmDgpParams, n_sim: int,
     if n_sim < 10_000:
         raise ValidationError(f"n_sim must be >= 10000, got {n_sim}")
     sample = simulate_hmm(dgp, T=n_sim, burn_in=burn_in, seed=seed)
-    z = sample.z
     s0 = sample.s - 1
-    spec = dgp.transition
-    logits = spec.alpha[s0] + spec.beta[s0] * z[:, None]
-    logits -= logits.max(axis=1, keepdims=True)
-    rows = np.exp(logits)
-    rows /= rows.sum(axis=1, keepdims=True)
+    rows = transition_rows(dgp.transition, sample.z, s0)
 
     weights = rows.mean(axis=0)
     mc_error = np.array([_batch_means_se(rows[:, s]) for s in range(dgp.d)])
@@ -411,8 +406,9 @@ def linear_independence_check(theta: MixtureParams, w_probe: float) -> float:
     theta.validate()
     if not np.isfinite(w_probe):
         raise ValidationError(f"w_probe must be finite, got {w_probe}")
-    means = theta.mu_vec + theta.gamma_vec * w_probe
-    var = theta.sigma_vec[:, None] ** 2 + theta.sigma_vec[None, :] ** 2
+    mu, gamma, sigma, _ = theta.arrays()
+    means = mu + gamma * w_probe
+    var = sigma[:, None] ** 2 + sigma[None, :] ** 2
     gap = means[:, None] - means[None, :]
     gram = np.exp(-gap ** 2 / (2.0 * var)) / np.sqrt(2.0 * math.pi * var)
     return float(np.linalg.eigvalsh(gram)[0])

@@ -46,8 +46,7 @@ class TestAcceptance:
                                   weights=np.array([0.5, 0.5]))
         aligned = align_permutation(res.theta_hat, reference)
 
-        est = np.concatenate([aligned.mu_vec, aligned.gamma_vec,
-                              aligned.sigma_vec])
+        est = np.concatenate(aligned.arrays()[:3])
         target = np.array([1.0, -1.0, 0.5, 1.0, 1.0, 1.0])
         outcome_ok = bool(np.abs(est - target).max() <= 0.05)
 
@@ -263,7 +262,7 @@ class TestAcceptance:
                 est, ref = rand_p(), rand_p()
 
                 def stack(p):
-                    return np.column_stack([p.mu_vec, p.gamma_vec, p.sigma_vec])
+                    return p.outcome_matrix
 
                 best = min(((stack(est)[list(p)] - stack(ref)) ** 2).sum()
                            for p in itertools.permutations(range(d)))

@@ -1,4 +1,5 @@
 import json
+import math
 import re
 import shlex
 import subprocess
@@ -220,6 +221,25 @@ class TestFit:
         assert np.isfinite(payload["natural_estimates"]).all()
         capsys.readouterr()
 
+    @pytest.mark.parametrize("edit, message", [
+        (lambda obj: obj.update(bogus_key=1),
+         "unknown experiment key(s): bogus_key"),
+        (lambda obj: obj["dgp"]["outcomes"][0].update(sigma=-5),
+         "outcomes[0]: sigma must be > 0, got -5.0"),
+    ], ids=["unknown_key", "negative_sigma"])
+    def test_experiment_config_is_checked_as_mc_checks_it(
+            self, tmp_path, sample_csv, capsys, edit, message):
+        obj = json.loads(
+            (ROOT / "configs" / "hmm_rho0_omega0_T800.json").read_text())
+        edit(obj)
+        cfg_path = tmp_path / "experiment.json"
+        cfg_path.write_text(json.dumps(obj))
+        for argv in (["mc", "--config", str(cfg_path),
+                      "--out-dir", str(tmp_path / "mc")],
+                     ["fit", "--data", str(sample_csv), "--d", "2",
+                      "--config", str(cfg_path)]):
+            assert validation_error(argv, capsys) == message
+
     def test_config_not_an_object_is_validation_error(self, tmp_path,
                                                       sample_csv, capsys):
         cfg_path = tmp_path / "list.json"
@@ -288,6 +308,14 @@ class TestMc:
         msg = self.run_edited(tmp_path, capsys,
                               lambda obj: obj.update(estimator=5))
         assert msg == "estimator must be a JSON object, got int"
+
+    @pytest.mark.parametrize("name", ["em_tol", "qn_grad_tol"])
+    def test_infinite_tolerance_is_validation_error(self, tmp_path, capsys,
+                                                    name):
+        # json.dumps writes Python's Infinity token, which read_json accepts
+        msg = self.run_edited(
+            tmp_path, capsys, lambda obj: obj["estimator"].update({name: math.inf}))
+        assert msg == f"{name} must be finite and > 0, got inf"
 
     def test_outcome_not_an_object_is_validation_error(self, tmp_path, capsys):
         def edit(obj):

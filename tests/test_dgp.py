@@ -12,7 +12,8 @@ from mixregime import (ArLaw, ConfigurationError, HmmDgpParams, NoiseCorrelation
                        ParseError, RegimeOutcome, Sample, TransitionSpec,
                        ValidationError, hmm_benchmark, load_sample, msar_benchmark,
                        save_sample, simulate_hmm, simulate_msar, transition_row)
-from mixregime.dgp import DEFAULT_BURN_IN, _ar1, stream_rng
+from mixregime.dgp import (DEFAULT_BURN_IN, _ar1, outcome_violations,
+                           stream_rng, transition_rows)
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -56,6 +57,19 @@ class TestTransitionRow:
         hi = transition_row(spec, z=2.0, from_regime=2)[1]
         assert lo > hi  # regime 2 gets stickier when z falls
 
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_rows_of_a_path_equal_single_rows_bit_for_bit(self, d):
+        rng = np.random.default_rng(d)
+        spec = TransitionSpec(d=d, alpha=rng.normal(size=(d, d)),
+                              beta=rng.normal(size=(d, d)))
+        # every source regime at every z of the grid, in one batch
+        z, s0 = (a.ravel() for a in np.meshgrid(np.linspace(-6.0, 6.0, 25),
+                                                np.arange(d)))
+        rows = transition_rows(spec, z, s0)
+        for t in range(z.size):
+            assert np.array_equal(
+                rows[t], transition_row(spec, float(z[t]), int(s0[t]) + 1))
+
     def test_bad_inputs_rejected(self):
         spec = TransitionSpec.two_state((2.0, 2.0), (0.5, -0.5))
         with pytest.raises(ValidationError):
@@ -79,7 +93,7 @@ class TestValidation:
                 noise=bad).validate()
 
     def test_sigma_and_slope_bounds(self):
-        assert RegimeOutcome(0.0, 0.0, -1.0).violations()
+        assert outcome_violations([(0.0, 0.0, -1.0)], "outcomes")
         assert ArLaw(0.2, 1.0, 1.0).violations()
         assert ArLaw(0.2, 0.8, 0.0).violations()
 
@@ -361,6 +375,23 @@ class TestRegimePath:
 
 
 class TestCsvRoundTrip:
+    # sha256 of the files written from simulate_hmm(hmm_benchmark(), T=40,
+    # seed=7), with all four columns and with y,w only
+    PINNED_CSV = {
+        "full": "96cd1b45b3bd46b64eea65ee57254fa058d79773813b79393394aa527e61ce8d",
+        "yw": "85f08a49b5edd16e61f14a4d582dc4748e99ff50a4eb5a7e869f8fd6efb45f2f",
+    }
+
+    def test_written_bytes_are_pinned(self, tmp_path):
+        sample = simulate_hmm(hmm_benchmark(), T=40, seed=7)
+        digests = {}
+        for name, written in (("full", sample),
+                              ("yw", Sample(y=sample.y, w=sample.w))):
+            path = tmp_path / f"{name}.csv"
+            save_sample(written, path)
+            digests[name] = hashlib.sha256(path.read_bytes()).hexdigest()
+        assert digests == self.PINNED_CSV
+
     def test_full_round_trip_bit_exact(self, tmp_path, hmm_params):
         sample = simulate_hmm(hmm_params, T=250, seed=41)
         path = tmp_path / "sample.csv"

@@ -268,7 +268,8 @@ class TestQmlEstimate:
         a = qml_estimate(hmm_sample, hmm_spec, fast_cfg, seed=7)
         b = qml_estimate(hmm_sample, hmm_spec, fast_cfg, seed=7)
         assert a.loglik == b.loglik
-        np.testing.assert_array_equal(a.theta_hat.mu_vec, b.theta_hat.mu_vec)
+        np.testing.assert_array_equal(a.theta_hat.outcome_matrix[:, 0],
+                                      b.theta_hat.outcome_matrix[:, 0])
         np.testing.assert_array_equal(a.theta_hat.weights, b.theta_hat.weights)
         assert a.start_index == b.start_index
 
@@ -283,8 +284,9 @@ class TestQmlEstimate:
         res_a = qml_estimate(sample, hmm_spec, fast_cfg, seed=7)
         res_b = qml_estimate(shuffled, hmm_spec, fast_cfg, seed=7)
         assert res_a.loglik == pytest.approx(res_b.loglik, abs=1e-6)
-        np.testing.assert_allclose(res_a.theta_hat.mu_vec,
-                                   res_b.theta_hat.mu_vec, atol=1e-4)
+        np.testing.assert_allclose(res_a.theta_hat.outcome_matrix[:, 0],
+                                   res_b.theta_hat.outcome_matrix[:, 0],
+                                   atol=1e-4)
 
     def test_sample_too_short_rejected(self):
         spec = ModelSpec(d=2, form="hmm")
@@ -381,7 +383,8 @@ class TestQmlEstimate:
         assert "start 0: component(s) [1] collapsed; fit abandoned" in res.notes
         assert len(polished) == fast_cfg.n_starts - 1
         assert res.start_index != 0
-        assert np.isfinite(res.loglik) and np.isfinite(res.theta_hat.mu_vec).all()
+        assert (np.isfinite(res.loglik)
+                and np.isfinite(res.theta_hat.outcome_matrix[:, 0]).all())
 
     def test_loglik_is_read_from_bfgs(self, msar_sample, fast_cfg):
         spec = ModelSpec(d=2, form="msar")
@@ -427,6 +430,13 @@ class TestEstimatorConfig:
         with pytest.raises(ValidationError, match="qn_max_iter must be >= 0"):
             EstimatorConfig(qn_max_iter=-1).validate()
         EstimatorConfig(qn_max_iter=0).validate()  # EM only, no BFGS iteration
+
+    @pytest.mark.parametrize("name", ["em_tol", "qn_grad_tol"])
+    def test_tolerances_must_be_finite(self, name):
+        # an infinite tolerance would stop every start at once, converged
+        with pytest.raises(ValidationError,
+                           match=f"{name} must be finite and > 0, got inf"):
+            EstimatorConfig(**{name: math.inf}).validate()
 
     def test_json_round_trip(self):
         cfg = EstimatorConfig(n_starts=5, em_tol=1e-8)
@@ -479,7 +489,7 @@ class TestAlignPermutation:
                              np.exp(0.3 * rng.normal(size=d)).tolist())
 
         def stack(p):
-            return np.column_stack([p.mu_vec, p.gamma_vec, p.sigma_vec])
+            return p.outcome_matrix
 
         for _ in range(20):
             est, ref = rand_params(), rand_params()

@@ -11,8 +11,8 @@ from scipy.optimize import minimize
 
 from mixregime import (ArLaw, ConfigurationError, EstimatorConfig,
                        ExperimentConfig, HacConfig, HmmDgpParams, McSummary,
-                       MixtureParams, ModelSpec, RegimeOutcome,
-                       ReplicationRecord, TransitionSpec,
+                       MixtureParams, ModelSpec, ParseError,
+                       RegimeOutcome, ReplicationRecord, TransitionSpec,
                        ValidationError, encode, hmm_benchmark,
                        load_experiment_config, msar_benchmark, render_table,
                        run_experiment, run_replication, simulate_msar,
@@ -55,13 +55,13 @@ class TestExperimentConfig:
 
     def test_true_reference_orders_like_dgp(self):
         ref = true_reference(small_cfg().dgp)
-        np.testing.assert_array_equal(ref.mu_vec, [1.0, -1.0])
-        np.testing.assert_array_equal(ref.gamma_vec, [0.5, 1.0])
+        np.testing.assert_array_equal(ref.outcome_matrix[:, 0], [1.0, -1.0])
+        np.testing.assert_array_equal(ref.outcome_matrix[:, 1], [0.5, 1.0])
 
     def test_true_reference_msar_uses_phi_as_slope(self):
         cfg = ExperimentConfig(dgp=msar_benchmark(), T=200, n_reps=2)
         ref = true_reference(cfg.dgp)
-        np.testing.assert_array_equal(ref.gamma_vec, [0.9, 0.9])
+        np.testing.assert_array_equal(ref.outcome_matrix[:, 1], [0.9, 0.9])
 
     # The fitted model follows from the DGP: one component per regime, the
     # switching AR exactly when the DGP sets ar_coefficient. A file that
@@ -427,6 +427,22 @@ class TestSummarizeCsv:
         assert summary.n_used == 1
         assert summary.params["mu_1"]["sd"] is None
         assert summary.params["mu_1"]["bias"] is None
+
+    def test_ragged_row_is_parse_error_with_its_line(self, tmp_path):
+        cfg = small_cfg(n_reps=3)
+        nan_vec = np.full(len(cfg.spec.natural_names()), np.nan)
+        records = [ReplicationRecord(rep_index=i, estimates=nan_vec,
+                                     std_errors=nan_vec, truth=nan_vec,
+                                     elapsed_s=0.0) for i in range(3)]
+        path = tmp_path / "reps.csv"
+        write_replications_csv(path, records, cfg)
+        lines = path.read_text().splitlines(keepends=True)
+        n_fields = len(lines[0].split(","))
+        lines[2] = ",".join(lines[2].split(",")[:-5]) + "\r\n"  # rep 1
+        path.write_text("".join(lines))
+        with pytest.raises(ParseError, match=(
+                f"line 3: expected {n_fields} fields, found {n_fields - 5}")):
+            summarize_csv(path)
 
     def test_empty_csv_rejected(self, tmp_path):
         path = tmp_path / "empty.csv"

@@ -236,7 +236,7 @@ class TestSandwichCov:
         g = score_contributions(free, inner, hmm_spec)
         b_mat = hac_middle(g, cfg)
         v_free = np.linalg.solve(a_mat, np.linalg.solve(a_mat, b_mat).T) / len(y)
-        sig_hat = res.theta_hat.sigma_vec
+        sig_hat = res.theta_hat.outcome_matrix[:, 2]
         for s in range(hmm_spec.d):
             free_idx = 2 * hmm_spec.d + s
             nat_idx = 2 * hmm_spec.d + s

@@ -174,9 +174,10 @@ class TestFreeVector:
         spec = ModelSpec(d=d, form=form)
         params = random_params(rng, d, form)
         back = decode(encode(params, spec), spec)
-        np.testing.assert_allclose(back.mu_vec, params.mu_vec, atol=1e-12)
-        np.testing.assert_allclose(back.gamma_vec, params.gamma_vec, atol=1e-12)
-        np.testing.assert_allclose(back.sigma_vec, params.sigma_vec, rtol=1e-12)
+        got, want = back.outcome_matrix, params.outcome_matrix
+        np.testing.assert_allclose(got[:, 0], want[:, 0], atol=1e-12)
+        np.testing.assert_allclose(got[:, 1], want[:, 1], atol=1e-12)
+        np.testing.assert_allclose(got[:, 2], want[:, 2], rtol=1e-12)
         np.testing.assert_allclose(back.weights, params.weights, atol=1e-12)
 
     def test_decode_always_valid(self):
@@ -192,9 +193,9 @@ class TestFreeVector:
     def test_sigma_clamped_at_decode(self):
         spec = ModelSpec(d=1)
         params = decode(np.array([0.0, 0.0, -100.0]), spec)
-        assert params.sigma_vec[0] == pytest.approx(1e-6)
+        assert params.outcome_matrix[0, 2] == pytest.approx(1e-6)
         params = decode(np.array([0.0, 0.0, 100.0]), spec)
-        assert params.sigma_vec[0] == pytest.approx(1e6)
+        assert params.outcome_matrix[0, 2] == pytest.approx(1e6)
 
     def test_msar_encode_requires_shared_slope(self):
         spec = ModelSpec(d=2, form="msar")
@@ -535,3 +536,17 @@ class TestHessian:
                      for lo, hi in zip(cuts[:-1], cuts[1:]))
         np.testing.assert_allclose(hessian(free, sample, spec),
                                    pieces / 140_000, rtol=1e-10, atol=1e-12)
+
+
+@pytest.mark.parametrize("mu, sigma, message", [
+    (math.nan, 1.0, "[1]: RegimeOutcome fields must be finite"),
+    (0.0, -1.0, "[1]: sigma must be > 0, got -1.0"),
+])
+def test_dgp_outcomes_and_components_share_one_rule(mu, sigma, message):
+    dgp = hmm_benchmark()
+    dgp.outcomes[1] = RegimeOutcome(mu, 0.5, sigma)
+    point = MixtureParams(components=dgp.outcomes, weights=np.array([0.5, 0.5]))
+    with pytest.raises(ValidationError) as info:
+        point.validate()
+    assert dgp.violations() == ["outcomes" + message]
+    assert info.value.violations == ["components" + message]

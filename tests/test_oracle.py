@@ -118,7 +118,8 @@ class TestPseudoTrueMsar:
         star = msar_oracle.theta_star
         encode(star, ModelSpec(d=2, form="msar"))
         # components follow the generator's order: regime 1 has mean +1
-        assert star.mu_vec[0] > star.mu_vec[1]
+        mu = star.outcome_matrix[:, 0]
+        assert mu[0] > mu[1]
 
     def test_kl_dominates_msar_grid(self, msar_oracle):
         star = msar_oracle.theta_star
@@ -154,7 +155,8 @@ class TestPseudoTrueMsar:
         assert list(res.estimates) == list(res.mc_error) == names
         assert res.converged
         star = res.theta_star
-        assert star.gamma_vec[0] != star.gamma_vec[1]
+        gamma = star.outcome_matrix[:, 1]
+        assert gamma[0] != gamma[1]
         np.testing.assert_array_equal(
             list(res.estimates.values()),
             natural_vector(star, ModelSpec(d=2)))
@@ -220,9 +222,7 @@ class TestPerturbationGrid:
         star = two_state_mixture()
         for label, params in perturbation_grid(star):
             params.validate()
-            same = (np.array_equal(params.mu_vec, star.mu_vec)
-                    and np.array_equal(params.gamma_vec, star.gamma_vec)
-                    and np.array_equal(params.sigma_vec, star.sigma_vec)
+            same = (np.array_equal(params.outcome_matrix, star.outcome_matrix)
                     and np.array_equal(params.weights, star.weights))
             assert not same, label
 
@@ -369,8 +369,8 @@ class TestLinearIndependence:
         w_probe = 0.6
         lam = linear_independence_check(theta, w_probe)
 
-        means = theta.mu_vec + theta.gamma_vec * w_probe
-        sig = theta.sigma_vec
+        mu, gamma, sig, _ = theta.arrays()
+        means = mu + gamma * w_probe
 
         def overlap(i, j):
             v = sig[i] ** 2 + sig[j] ** 2
