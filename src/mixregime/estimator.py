@@ -2,6 +2,9 @@
 
 EM finds basins: from each randomized start it climbs (monotone likelihood
 ascent from rough starts) until its gain per iteration falls below em_tol.
+The starts run in lock step, one kernel call and one stacked M-step per
+iteration over the starts still running; each start keeps its own stop
+rules, and its run is bit for bit what it would be alone.
 BFGS on the unconstrained parameterization with the analytic score then
 converges from every usable EM end point, and the start with the highest
 polished likelihood is the estimate.  Ranking the starts after polishing,
@@ -125,86 +128,114 @@ def _moment_rows(y: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 def _m_step(stats: np.ndarray, resp: np.ndarray, rows: np.ndarray,
             spec: ModelSpec, sigma: np.ndarray):
-    """Exact M-step from the current sigmas; returns ((mu, gamma, sigma,
-    weights), floor_hit flag) or None when singular.
+    """Exact M-step of S stacked starts from their current (S, d) sigmas;
+    returns (keep, (mu, gamma, sigma, weights), floor_hit).
 
-    `rows` comes from _moment_rows and `stats` is rows @ resp, the
-    per-component sufficient statistics.  Both forms solve the weighted
-    normal equations from them; the switching AR pools them across
-    components for its shared slope, precision-weighted by the current
-    sigmas (an ECM step).
+    `rows` comes from _moment_rows, `resp` is (S, T, d) and `stats` is
+    rows @ resp, the (S, 5, d) per-component sufficient statistics.  Both
+    forms solve the weighted normal equations from them; the switching AR
+    pools them across components for its shared slope, precision-weighted
+    by the current sigmas (an ECM step).  keep flags the starts whose
+    equations are regular; the point and the floor_hit flags cover those
+    starts only.
     """
-    a, b, c, dy, exy = stats
+    a, b, c, dy, exy = np.moveaxis(stats, -2, 0)
     if spec.form == "hmm":
         det = a * c - b * b
-        if not np.all(det > _SINGULAR_RTOL * a * c):
-            return None
-        mu = (c * dy - b * exy) / det
-        gamma = (a * exy - b * dy) / det
+        keep = (det > _SINGULAR_RTOL * a * c).all(axis=-1)
     else:
-        if (a <= 0).any():
-            return None
+        # EM's collapse check leaves every component a positive mass a
         inv_var = 1.0 / sigma ** 2
-        denom = (inv_var * (c - b * b / a)).sum()
-        if not denom > _SINGULAR_RTOL * (inv_var * c).sum():
-            return None
-        phi = (inv_var * (exy - b * dy / a)).sum() / denom
-        mu = (dy - phi * b) / a
-        gamma = np.full(spec.d, phi)
-    resid = rows[3] - mu[:, None] - gamma[:, None] * rows[1]
-    sigma = np.sqrt(np.maximum(np.einsum("ts,st->s", resp, resid ** 2) / a, 0.0))
-    floor_hit = bool((sigma < SIGMA_MIN).any())
-    return (mu, gamma, np.maximum(sigma, SIGMA_MIN), a / rows.shape[1]), floor_hit
+        denom = (inv_var * (c - b * b / a)).sum(axis=-1)
+        keep = denom > _SINGULAR_RTOL * (inv_var * c).sum(axis=-1)
+    a, b, c, dy, exy = np.moveaxis(stats[keep], -2, 0)
+    if spec.form == "hmm":
+        mu = (c * dy - b * exy) / det[keep]
+        gamma = (a * exy - b * dy) / det[keep]
+    else:
+        phi = (inv_var[keep] * (exy - b * dy / a)).sum(axis=-1) / denom[keep]
+        mu = (dy - phi[:, None] * b) / a
+        gamma = np.repeat(phi[:, None], spec.d, axis=1)
+    resid = rows[3] - mu[..., None] - gamma[..., None] * rows[1]
+    # one einsum per start: a batched one sums in another order
+    sq = np.array([np.einsum("ts,st->s", resp[i], e)
+                   for i, e in zip(np.flatnonzero(keep), resid ** 2)]
+                  ).reshape(a.shape)
+    sigma = np.sqrt(np.maximum(sq / a, 0.0))
+    floor_hit = (sigma < SIGMA_MIN).any(axis=-1)
+    return keep, (mu, gamma, np.maximum(sigma, SIGMA_MIN),
+                  a / rows.shape[1]), floor_hit
 
 
-def _em_run(y: np.ndarray, x: np.ndarray, spec: ModelSpec, point: tuple,
-            cfg: EstimatorConfig) -> _EmRun:
-    """EM from the start `point`, the arrays (mu, gamma, sigma, weights), to
-    the point where it stops."""
-    notes = []
-    trace = []
+def _em_runs(y: np.ndarray, x: np.ndarray, spec: ModelSpec, starts: list,
+             cfg: EstimatorConfig) -> list:
+    """EM from each start point, the arrays (mu, gamma, sigma, weights), to
+    the point where it stops; one _EmRun per start.
+
+    The starts run in lock step: each iteration is one kernel call and one
+    M-step over the starts still running, and each start stops by its own
+    rules, with the bits it would have alone.
+    """
     rows = _moment_rows(y, x)
-    ll_prev = -np.inf
-    gain = np.inf
-    n_iter = 0
-    degenerate = False
+    point = [np.array(block, dtype=float) for block in zip(*starts)]  # (S, d)
+    n = len(starts)
+    traces, notes = [[] for _ in range(n)], [[] for _ in range(n)]
+    n_iter, degenerate = [0] * n, [False] * n
+    ll_prev, gain = [-np.inf] * n, [np.inf] * n
+    active = list(range(n))
 
-    while True:
-        lse, resp, _ = mixture_kernel(*point, y, x)
-        ll_cur = float(lse.mean())
-        trace.append(ll_cur)
-        if n_iter == cfg.em_max_iter:
-            notes.append(f"em stopped at em_max_iter = {cfg.em_max_iter} "
-                         f"(last gain {gain:.1e})")
-            break
-        if ll_cur < ll_prev - 1e-10:
-            notes.append(f"em loglik decreased by {ll_prev - ll_cur:.3e}")
-        gain = ll_cur - ll_prev
-        if gain < cfg.em_tol and np.isfinite(ll_prev):
-            break
-
+    while active:
+        lse, resp, _ = mixture_kernel(*(p[active] for p in point), y, x)
         stats = rows @ resp
-        # stats[0] is each component's responsibility mass
-        collapsed = np.flatnonzero(stats[0] < _COLLAPSE_FRACTION * len(y))
-        if collapsed.size:
-            notes.append(f"component(s) {collapsed.tolist()} collapsed; "
-                         "fit abandoned")
-            degenerate = True
+        # stats[:, 0] is each component's responsibility mass
+        low_mass = (stats[:, 0] < _COLLAPSE_FRACTION * len(y)).tolist()
+        stepping = []  # positions in `active` of the starts that step on
+        for k, (s, ll_cur) in enumerate(zip(active, lse.mean(axis=-1).tolist())):
+            traces[s].append(ll_cur)
+            if n_iter[s] == cfg.em_max_iter:
+                notes[s].append(f"em stopped at em_max_iter = {cfg.em_max_iter} "
+                                f"(last gain {gain[s]:.1e})")
+                continue
+            if ll_cur < ll_prev[s] - 1e-10:
+                notes[s].append(f"em loglik decreased by {ll_prev[s] - ll_cur:.3e}")
+            gain[s] = ll_cur - ll_prev[s]
+            if gain[s] < cfg.em_tol and math.isfinite(ll_prev[s]):
+                continue
+            ll_prev[s] = ll_cur
+            collapsed = [j for j, low in enumerate(low_mass[k]) if low]
+            if collapsed:
+                notes[s].append(f"component(s) {collapsed} collapsed; "
+                                "fit abandoned")
+                degenerate[s] = True
+                continue
+            stepping.append(k)
+        if not stepping:
             break
 
-        stepped = _m_step(stats, resp, rows, spec, point[2])
-        if stepped is None:
-            notes.append("singular weighted normal equations; fit abandoned")
-            degenerate = True
-            break
-        point, floor_hit = stepped
-        if floor_hit and "sigma floor reached" not in notes:
-            notes.append("sigma floor reached")
-        ll_prev = ll_cur
-        n_iter += 1
+        if len(stepping) < len(active):
+            stats, resp = stats[stepping], resp[stepping]
+        stepped = [active[k] for k in stepping]
+        keep, new_point, floor_hit = _m_step(stats, resp, rows, spec,
+                                             point[2][stepped])
+        active = []
+        for s, kept in zip(stepped, keep.tolist()):
+            if kept:
+                active.append(s)
+            else:
+                notes[s].append("singular weighted normal equations; "
+                                "fit abandoned")
+                degenerate[s] = True
+        for block, new in zip(point, new_point):
+            block[active] = new
+        for s, hit in zip(active, floor_hit.tolist()):
+            if hit and "sigma floor reached" not in notes[s]:
+                notes[s].append("sigma floor reached")
+            n_iter[s] += 1
 
-    return _EmRun(point=point, loglik=ll_cur, trace=trace, n_iter=n_iter,
-                  degenerate=degenerate, notes=notes)
+    return [_EmRun(point=tuple(p[s] for p in point), loglik=traces[s][-1],
+                   trace=traces[s], n_iter=n_iter[s],
+                   degenerate=degenerate[s], notes=notes[s])
+            for s in range(n)]
 
 
 def _check_sample_size(n_eff: int, spec: ModelSpec) -> None:
@@ -242,11 +273,10 @@ def qml_estimate(sample: Sample, spec: ModelSpec,
     y, x = spec.regression_frame(sample)
     _check_sample_size(len(y), spec)
 
-    runs = []
-    for start in range(cfg.n_starts):
-        rng = np.random.default_rng(seed_key(seed) + (start,))
-        init = _random_init(y, x, spec, rng)
-        runs.append(_em_run(y, x, spec, init, cfg))
+    inits = [_random_init(y, x, spec,
+                          np.random.default_rng(seed_key(seed) + (start,)))
+             for start in range(cfg.n_starts)]
+    runs = _em_runs(y, x, spec, inits, cfg)
 
     polished = [(minimize(neg_loglik_and_score, encode_arrays(*r.point, spec),
                           args=([sample], spec), jac=True, method="BFGS",

@@ -266,34 +266,49 @@ def summarize_csv(path) -> McSummary:
     This is the only aggregation path: run_experiment writes the CSV and
     then calls this, so regenerating the summary from the file always
     reproduces it bit for bit.  A row whose field count differs from the
-    header's is a ParseError that names its line.
+    header's, a missing column and a cell that is not a number are each a
+    ParseError that names the column and the line.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, [])
-        rows = []
+        rows, lines = [], []
         for row in filter(None, reader):  # blank lines are no rows
             if len(row) != len(header):
                 raise ParseError(f"expected {len(header)} fields, found "
                                  f"{len(row)}", line=reader.line_num)
             rows.append(dict(zip(header, row)))
+            lines.append(reader.line_num)
     if not rows:
         raise ValidationError(f"no replication rows in {path}")
     names = [c[len("est_"):] for c in header if c.startswith("est_")]
+    for column in ("design", "T", "ok", "converged", "degenerate",
+                   *(f"{kind}_{name}" for name in names
+                     for kind in ("se", "true"))):
+        if column not in header:
+            raise ParseError(f"missing column {column!r}", line=1)
+
+    def number(i, column, kind=float):
+        try:
+            return kind(rows[i][column])
+        except ValueError:
+            raise ParseError(f"column {column!r}: not a number: "
+                             f"{rows[i][column]!r}", line=lines[i]) from None
+
     design = rows[0]["design"]
-    t_len = int(rows[0]["T"])
+    t_len = number(0, "T", int)
     n_reps = len(rows)
     n_failed = sum(1 for r in rows if r["ok"] != "1")
     n_converged = sum(1 for r in rows if r["ok"] == "1" and r["converged"] == "1")
     n_degenerate = sum(1 for r in rows if r["ok"] == "1" and r["degenerate"] == "1")
-    used = [r for r in rows if r["ok"] == "1" and r["converged"] == "1"
-            and r["degenerate"] == "0"]
+    used = [i for i, r in enumerate(rows) if r["ok"] == "1"
+            and r["converged"] == "1" and r["degenerate"] == "0"]
 
     params = {}
     for name in names:
-        est = np.array([float(r[f"est_{name}"]) for r in used])
-        ses = np.array([float(r[f"se_{name}"]) for r in used])
-        true_vals = np.array([float(r[f"true_{name}"]) for r in used])
+        est, ses, true_vals = (
+            np.array([number(i, f"{kind}_{name}") for i in used])
+            for kind in ("est", "se", "true"))
         entry = dict.fromkeys(_PARAM_STATS)
         if len(est) >= 2:
             sd = float(est.std(ddof=1))

@@ -14,8 +14,11 @@ the four arrays (mu, gamma, sigma, weights), which decode_arrays and
 encode_arrays map to each other and point_violations checks.  MixtureParams,
 a record of RegimeOutcome components, is the form at the API edge only.
 mixture_kernel is the one place that forms the weighted log-density
-matrix; EM, the likelihood, the score and BFGS each call it once per point.
-For d = 2 its row-wise log-sum-exp takes max and min instead of a sort.
+matrix; the likelihood, the score and BFGS each call it once per point, and
+EM once per iteration for all its starts, stacked (S, d).  It works
+component-major, one contiguous length-T row per component, and returns the
+per-row (T, d) arrays its callers read.  For d = 2 its log-sum-exp over
+components takes max and min instead of a sort.
 hessian is closed-form (Louis's identity on the responsibilities and the
 per-component gradients), with one kernel call per fixed block of rows.
 neg_loglik_and_score is the one BFGS objective, pooled over samples, that
@@ -273,26 +276,39 @@ def mixture_kernel(mu: np.ndarray, gamma: np.ndarray, sigma: np.ndarray,
                    weights: np.ndarray, y: np.ndarray, x: np.ndarray):
     """Per-row log mixture density, responsibilities and standardized residuals.
 
-    All three come from the weighted log-density matrix a[t, s] = ln(w_s) +
-    ln N(y_t; mu_s + gamma_s x_t, sigma_s), one column per entry of the
-    length-d parameter arrays.  Its row-wise log-sum-exp adds the terms in
-    sorted order, so the floating-point reduction does not depend on column
-    order: relabeling the components changes nothing, not even in the last
-    bit.  For two terms, max and min are that sorted order, so d = 2 skips
-    the sort and gives the same bits.
+    All three come from the weighted log-density matrix a[s, t] = ln(w_s) +
+    ln N(y_t; mu_s + gamma_s x_t, sigma_s), held component-major so that
+    each elementwise pass runs on contiguous length-T rows.  The parameter
+    arrays are (d,) or stacked (S, d), one row per point: lse is (..., T),
+    the responsibilities and residuals are contiguous (..., T, d), and each
+    stacked point's slice has the bits of its own call.
+
+    The log-sum-exp over components adds the terms in sorted order, so the
+    floating-point reduction does not depend on component order: relabeling
+    the components changes nothing, not even in the last bit.  For two
+    terms, max and min are that sorted order, so d = 2 skips the sort and
+    gives the same bits.
     """
-    r = (y[:, None] - mu[None, :] - gamma[None, :] * x[:, None]) / sigma[None, :]
-    a = (np.log(weights)[None, :] - np.log(sigma)[None, :]
-         - 0.5 * _LOG_2PI - 0.5 * r * r)
-    if len(mu) == 2:
-        a0, a1 = a[:, 0], a[:, 1]
+    r = (y - mu[..., None] - gamma[..., None] * x) / sigma[..., None]
+    a = 0.5 * r * r
+    np.subtract((np.log(weights) - np.log(sigma) - 0.5 * _LOG_2PI)[..., None],
+                a, out=a)
+    if mu.shape[-1] == 2:
+        a0, a1 = a[..., 0, :], a[..., 1, :]
         top = np.maximum(a0, a1)
         lse = top + np.log1p(np.exp(np.minimum(a0, a1) - top))
     else:
-        srt = np.sort(a, axis=1)
-        top = srt[:, -1]
-        lse = top + np.log1p(np.exp(srt[:, :-1] - top[:, None]).sum(axis=1))
-    return lse, np.exp(a - lse[:, None]), r
+        srt = np.sort(a, axis=-2)
+        top = srt[..., -1, :]
+        lse = top + np.log1p(
+            np.exp(srt[..., :-1, :] - top[..., None, :]).sum(axis=-2))
+        del srt, top
+    a -= lse[..., None, :]
+    np.exp(a, out=a)
+    # transposed copies, each (d, T) intermediate freed once it is copied
+    resp = a.swapaxes(-1, -2).copy()
+    del a
+    return lse, resp, r.swapaxes(-1, -2).copy()
 
 
 def loglik_terms(params: MixtureParams, sample: Sample, spec: ModelSpec) -> np.ndarray:

@@ -172,7 +172,7 @@ class TestAcceptance:
         assert gauss_ok and student_ok and gram_ok
 
     def test_7_property_suite(self, tmp_path):
-        from mixregime.estimator import _em_run, _random_init
+        from mixregime.estimator import _em_runs, _random_init
         from mixregime.mixture import (decode, loglik_terms,
                                        neg_loglik_and_score)
         from mixregime.dgp import seed_key
@@ -193,7 +193,7 @@ class TestAcceptance:
             for start in range(5):
                 rng = np.random.default_rng(seed_key(5) + (start,))
                 init = _random_init(y, x, spec, rng)
-                run = _em_run(y, x, spec, init, cfg)
+                run = _em_runs(y, x, spec, [init], cfg)[0]
                 if np.diff(run.trace).min(initial=0.0) < -1e-10:
                     mono_ok = False
         if not mono_ok:

@@ -10,7 +10,7 @@ from mixregime import (EstimationError, EstimatorConfig, MixtureParams,
                        align_permutation, hmm_benchmark, qml_estimate,
                        simulate_hmm)
 from mixregime.dgp import seed_key
-from mixregime.estimator import _em_run, _m_step, _moment_rows, _random_init
+from mixregime.estimator import _em_runs, _m_step, _moment_rows, _random_init
 from mixregime.mixture import encode_arrays, loglik_terms, neg_loglik_and_score
 
 
@@ -35,7 +35,7 @@ class TestEmSingleComponent:
         sample = Sample(y=y, w=x)
         spec = ModelSpec(d=1, form="hmm")
         y, x = spec.regression_frame(sample)
-        run = _em_run(y, x, spec, point((0.0, 0.0, 2.0)), EstimatorConfig())
+        run = _em_runs(y, x, spec, [point((0.0, 0.0, 2.0))], EstimatorConfig())[0]
         assert not run.degenerate
         mu, gamma, sigma, weights = run.point
         design = np.column_stack([np.ones_like(x), x])
@@ -52,7 +52,7 @@ class TestEmBehaviour:
     def test_monotone_loglik_from_rough_start(self, hmm_sample, hmm_spec):
         y, x = hmm_spec.regression_frame(hmm_sample)
         init = point((0.5, 0.1, 2.0), (-0.5, 0.9, 2.0))
-        run = _em_run(y, x, hmm_spec, init, EstimatorConfig())
+        run = _em_runs(y, x, hmm_spec, [init], EstimatorConfig())[0]
         trace = np.asarray(run.trace)
         assert len(trace) >= 2
         assert (np.diff(trace) >= -1e-10).all()
@@ -62,7 +62,7 @@ class TestEmBehaviour:
         y, x = hmm_spec.regression_frame(hmm_sample)
         init = point(*[(c.mu, c.gamma, c.sigma) for c in dgp.outcomes],
                      weights=[0.66, 0.34])
-        run = _em_run(y, x, hmm_spec, init, EstimatorConfig())
+        run = _em_runs(y, x, hmm_spec, [init], EstimatorConfig())[0]
         trace = np.asarray(run.trace)
         assert trace[-1] - trace[0] < 0.01
         assert (np.diff(trace) >= -1e-10).all()
@@ -82,7 +82,7 @@ class TestEmBehaviour:
         spec = ModelSpec(d=2, form="hmm")
         cfg = EstimatorConfig(em_max_iter=2)
         y2, x2 = spec.regression_frame(sample)
-        run = _em_run(y2, x2, spec, init, cfg)
+        run = _em_runs(y2, x2, spec, [init], cfg)[0]
         mus = sorted(run.point[0])
 
         def group_intercept(mask):
@@ -96,11 +96,11 @@ class TestEmBehaviour:
         sample, _, init = self.wide_separation()
         spec = ModelSpec(d=2, form="hmm")
         y, x = spec.regression_frame(sample)
-        capped = _em_run(y, x, spec, init, EstimatorConfig(em_max_iter=2))
+        capped = _em_runs(y, x, spec, [init], EstimatorConfig(em_max_iter=2))[0]
         assert capped.n_iter == 2
         gain = capped.trace[1] - capped.trace[0]
         assert f"em stopped at em_max_iter = 2 (last gain {gain:.1e})" in capped.notes
-        free = _em_run(y, x, spec, init, EstimatorConfig())
+        free = _em_runs(y, x, spec, [init], EstimatorConfig())[0]
         assert free.n_iter < EstimatorConfig().em_max_iter
         assert not any(n.startswith("em stopped") for n in free.notes)
 
@@ -111,7 +111,7 @@ class TestEmBehaviour:
         spec = ModelSpec(d=2, form="hmm")
         init = point((0.0, 0.0, 1.0), (1.0, 0.0, 1.0))
         y, x = spec.regression_frame(sample)
-        run = _em_run(y, x, spec, init, EstimatorConfig())
+        run = _em_runs(y, x, spec, [init], EstimatorConfig())[0]
         assert run.degenerate
         assert run.notes == ["singular weighted normal equations; fit abandoned"]
 
@@ -122,39 +122,65 @@ class TestEmBehaviour:
         spec = ModelSpec(d=2, form="hmm")
         init = point((0.0, 0.0, 1.0), (1e3, 0.0, 1.0))
         y, x = spec.regression_frame(sample)
-        run = _em_run(y, x, spec, init, EstimatorConfig())
+        run = _em_runs(y, x, spec, [init], EstimatorConfig())[0]
         assert run.degenerate
         assert run.n_iter == 0
         assert run.notes == ["component(s) [1] collapsed; fit abandoned"]
 
+    def test_a_start_does_not_depend_on_the_others(self, hmm_sample, hmm_spec):
+        # beside it in the batch: a start that collapses at once and a rough
+        # start that the cap of 60 stops; this one converges after 46
+        dgp = hmm_benchmark()
+        y, x = hmm_spec.regression_frame(hmm_sample)
+        init = point(*[(c.mu, c.gamma, c.sigma) for c in dgp.outcomes],
+                     weights=[0.66, 0.34])
+        rough = point((0.5, 0.1, 2.0), (-0.5, 0.9, 2.0))
+        collapsing = point((0.0, 0.0, 1.0), (1e3, 0.0, 1.0))
+        cfg = EstimatorConfig(em_max_iter=60)
+        alone = _em_runs(y, x, hmm_spec, [init], cfg)[0]
+        capped, batched, dropped = _em_runs(y, x, hmm_spec,
+                                            [rough, init, collapsing], cfg)
+        assert alone.n_iter < 60 and not alone.notes
+        assert capped.notes == [
+            f"em stopped at em_max_iter = 60 (last gain "
+            f"{capped.trace[-2] - capped.trace[-3]:.1e})"]
+        assert dropped.degenerate and dropped.n_iter == 0
+        for got, want in zip(batched.point, alone.point):
+            assert np.array_equal(got, want)
+        assert batched.trace == alone.trace
+        assert (batched.loglik, batched.n_iter, batched.notes,
+                batched.degenerate) == (alone.loglik, alone.n_iter,
+                                        alone.notes, alone.degenerate)
+
     @pytest.mark.parametrize("em_max_iter", [3, 500])
     def test_one_kernel_call_per_iteration(self, monkeypatch, hmm_sample,
                                            hmm_spec, em_max_iter):
-        # the evaluation that stops EM, at convergence or at the cap, also
-        # gives the run's loglik
+        # the starts run in lock step: one kernel call per iteration serves
+        # every running start, and the evaluation that stops a start, at
+        # convergence or at the cap, also gives its loglik
         from mixregime import estimator
 
-        kernel, em_run = estimator.mixture_kernel, estimator._em_run
+        kernel, em_runs = estimator.mixture_kernel, estimator._em_runs
         calls, runs = [], []
 
         def counted(*args):
-            calls[-1] += 1
+            calls.append(1)
             return kernel(*args)
 
         def recorded(*args):
-            calls.append(0)
-            runs.append(em_run(*args))
-            return runs[-1]
+            runs.extend(em_runs(*args))
+            return runs
 
         monkeypatch.setattr(estimator, "mixture_kernel", counted)
-        monkeypatch.setattr(estimator, "_em_run", recorded)
+        monkeypatch.setattr(estimator, "_em_runs", recorded)
         qml_estimate(hmm_sample, hmm_spec,
                      EstimatorConfig(n_starts=4, em_max_iter=em_max_iter),
                      seed=7)
         assert len(runs) == 4
-        for run, n_calls in zip(runs, calls):
-            assert n_calls == run.n_iter + 1
-            assert len(run.trace) == n_calls and run.loglik == run.trace[-1]
+        assert len(calls) == max(run.n_iter for run in runs) + 1
+        for run in runs:
+            assert len(run.trace) == run.n_iter + 1
+            assert run.loglik == run.trace[-1]
         # both ways out: every start stops at a cap of 3, some converge by 500
         assert any(r.n_iter < em_max_iter for r in runs) == (em_max_iter == 500)
 
@@ -172,9 +198,14 @@ class TestMStep:
 
     @staticmethod
     def m_step(resp, y, x, spec, sigma):
-        """_m_step as EM calls it, from the incoming sigmas."""
+        """_m_step as EM calls it on one start, from the incoming sigmas;
+        ((mu, gamma, sigma, weights), floor_hit), or None when singular."""
         rows = _moment_rows(y, x)
-        return _m_step(rows @ resp, resp, rows, spec, sigma)
+        keep, point, floor_hit = _m_step((rows @ resp)[None], resp[None],
+                                         rows, spec, sigma[None])
+        if not keep[0]:
+            return None
+        return tuple(block[0] for block in point), floor_hit[0]
 
     @pytest.mark.parametrize("form", ["hmm", "msar"])
     @pytest.mark.parametrize("d", [1, 2, 3])
@@ -259,7 +290,7 @@ class TestQmlEstimate:
         for start in range(fast_cfg.n_starts):
             rng = np.random.default_rng(seed_key(7) + (start,))
             init = _random_init(y, x, hmm_spec, rng)
-            run = _em_run(y, x, hmm_spec, init, fast_cfg)
+            run = _em_runs(y, x, hmm_spec, [init], fast_cfg)[0]
             if not run.degenerate:
                 best_em = max(best_em, run.loglik)
         assert res.loglik >= best_em - 1e-12
@@ -342,7 +373,7 @@ class TestQmlEstimate:
         for start in range(fast_cfg.n_starts):
             rng = np.random.default_rng(seed_key(7) + (start,))
             init = _random_init(y, x, msar_spec, rng)
-            run = _em_run(y, x, msar_spec, init, fast_cfg)
+            run = _em_runs(y, x, msar_spec, [init], fast_cfg)[0]
             if not run.degenerate:
                 bfgs = minimize(neg_loglik_and_score,
                                 encode_arrays(*run.point, msar_spec),
@@ -510,7 +541,7 @@ class TestMsarEstimator:
         spec = ModelSpec(d=2, form="msar")
         init = point((0.5, 0.8, 1.5), (-0.5, 0.8, 1.5))
         y, x = spec.regression_frame(msar_sample)
-        run = _em_run(y, x, spec, init, EstimatorConfig())
+        run = _em_runs(y, x, spec, [init], EstimatorConfig())[0]
         assert not run.degenerate
         gam = run.point[1]
         assert gam[0] == gam[1]

@@ -444,6 +444,27 @@ class TestSummarizeCsv:
                 f"line 3: expected {n_fields} fields, found {n_fields - 5}")):
             summarize_csv(path)
 
+    def test_missing_column_is_parse_error_naming_it(self, tmp_path):
+        path = tmp_path / "reps.csv"
+        path.write_text("rep_index,T\n0,200\n")
+        with pytest.raises(ParseError, match="line 1: missing column 'design'"):
+            summarize_csv(path)
+
+    def test_non_numeric_cell_is_parse_error_with_its_line(self, tmp_path):
+        cfg = small_cfg(n_reps=3)
+        records = [run_replication(cfg, rep) for rep in range(3)]
+        path = tmp_path / "reps.csv"
+        write_replications_csv(path, records, cfg)
+        lines = path.read_text().splitlines(keepends=True)
+        column = lines[0].rstrip().split(",").index("est_mu_1")
+        cells = lines[3].split(",")  # rep 2
+        cells[column] = "abc"
+        lines[3] = ",".join(cells)
+        path.write_text("".join(lines))
+        with pytest.raises(ParseError, match=(
+                "line 4: column 'est_mu_1': not a number: 'abc'")):
+            summarize_csv(path)
+
     def test_empty_csv_rejected(self, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text("rep_index,design,T\n")

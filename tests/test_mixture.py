@@ -346,6 +346,26 @@ class TestKernel:
         lse = top + np.log1p(np.exp(srt[:, :-1] - top[:, None]).sum(axis=1))
         return lse, np.exp(a - lse[:, None]), r
 
+    @pytest.mark.parametrize("form", ["hmm", "msar"])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_stacked_points_equal_single_calls_bit_for_bit(self, d, form):
+        # d = 3 takes the sort and d = 1 sums an empty slice; each call also
+        # has the bits of the row-major sorted reference
+        rng = np.random.default_rng(31)
+        sample = random_sample(rng, 200)
+        points = [random_params(rng, d, form).arrays() for _ in range(4)]
+        stacked = mixture_kernel(*map(np.stack, zip(*points)), sample.y,
+                                 sample.w)
+        lse, resp, r = stacked
+        assert lse.shape == (4, 200) and resp.shape == r.shape == (4, 200, d)
+        assert resp.flags.c_contiguous and r.flags.c_contiguous
+        for s, point in enumerate(points):
+            single = mixture_kernel(*point, sample.y, sample.w)
+            reference = self.sorted_kernel(*point, sample.y, sample.w)
+            for many, one, want in zip(stacked, single, reference):
+                assert np.array_equal(many[s], one)
+                assert np.array_equal(one, want)
+
     # (mu, sigma, y) per case; gamma is 0.4 and the weights are 0.3, 0.7
     # except in the tie, where both components are the same
     ADVERSARIAL = {
