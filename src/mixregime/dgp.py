@@ -21,7 +21,6 @@ x_t = v_t + slope x_{t-1} written as a loop.
 
 from __future__ import annotations
 
-import csv
 import dataclasses
 import hashlib
 import json
@@ -35,7 +34,8 @@ import numpy as np
 from scipy.linalg.lapack import dgtsv
 
 from .errors import (ConfigurationError, JsonRecord, ParseError,
-                     ValidationError, check_keys, check_types, csv_cells)
+                     ValidationError, check_keys, check_types, csv_cells,
+                     csv_number, read_csv, write_csv)
 
 # Sub-stream labels: one independent RNG stream per noise consumer, so that
 # extending T never reshuffles earlier draws.
@@ -476,72 +476,46 @@ def save_sample(sample: Sample, path) -> None:
     """Write a sample as CSV with header y,w[,z][,s] at full precision."""
     sample.validate()
     cols = [c for c in _CSV_COLUMNS if getattr(sample, c) is not None]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(cols)
-        for lo in range(0, sample.T, _CSV_BLOCK_ROWS):
-            block = (getattr(sample, c)[lo:lo + _CSV_BLOCK_ROWS] for c in cols)
-            writer.writerows(zip(*map(csv_cells, block)))
+    blocks = ((getattr(sample, c)[lo:lo + _CSV_BLOCK_ROWS] for c in cols)
+              for lo in range(0, sample.T, _CSV_BLOCK_ROWS))
+    write_csv(path, cols, (row for block in blocks
+                           for row in zip(*map(csv_cells, block))))
 
 
 def load_sample(path) -> Sample:
-    """Read a CSV sample; columns y,w required, z and s optional.
+    """Read a CSV sample with header y,w[,z][,s]: y and w first, then z and
+    s in that order if present, and no other column.
 
-    Raises ParseError (with the 1-based offending line number) on missing
-    columns, unknown columns, ragged rows, or non-finite cells.
+    A header that breaks this, a ragged row, a cell that is not a number, a
+    non-finite value and a regime label that is not a positive integer are
+    each a ParseError that names the line.
     """
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError("empty file", line=1) from None
-        header = [h.strip() for h in header]
-        unknown = [h for h in header if h not in _CSV_COLUMNS]
-        if unknown:
-            raise ParseError(f"unknown column(s) {unknown}", line=1)
-        if header[:2] != ["y", "w"]:
-            raise ParseError(f"header must start with y,w; got {header}", line=1)
-        if header != [c for c in _CSV_COLUMNS if c in header]:
-            raise ParseError(f"columns must appear in order y,w,z,s; got {header}",
-                             line=1)
-        has_z = "z" in header
-        has_s = "s" in header
-        rows = {c: [] for c in header}
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise ParseError(
-                    f"expected {len(header)} fields, found {len(row)}", line=lineno)
-            for col, cell in zip(header, row):
-                cell = cell.strip()
-                if col == "s":
-                    try:
-                        val = int(float(cell))
-                    except ValueError:
-                        raise ParseError(f"non-integer regime label {cell!r}",
-                                         line=lineno) from None
-                    if float(cell) != val or val < 1:
-                        raise ParseError(f"regime label must be a positive "
-                                         f"integer, got {cell!r}", line=lineno)
-                else:
-                    try:
-                        val = float(cell)
-                    except ValueError:
-                        raise ParseError(f"non-numeric value {cell!r} in column "
-                                         f"{col}", line=lineno) from None
-                    if not math.isfinite(val):
-                        raise ParseError(f"non-finite value {cell!r} in column "
-                                         f"{col}", line=lineno)
-                rows[col].append(val)
-    if not rows["y"]:
+    rows = read_csv(path)
+    header = [h.strip() for h in next(rows)]
+    unknown = [h for h in header if h not in _CSV_COLUMNS]
+    if unknown:
+        raise ParseError(f"unknown column(s) {unknown}", line=1)
+    if header[:2] != ["y", "w"]:
+        raise ParseError(f"header must start with y,w; got {header}", line=1)
+    if header != [c for c in _CSV_COLUMNS if c in header]:
+        raise ParseError(f"columns must appear in order y,w,z,s; got {header}",
+                         line=1)
+    values = {c: [] for c in header}
+    for line, row in rows:
+        for col, cell in zip(header, row):
+            val = csv_number(cell, col, line)
+            if col == "s":
+                # stored as int64, so NaN, inf and 1e400 fail here too
+                if not (val.is_integer() and 1 <= val < 2.0 ** 63):
+                    raise ParseError(f"regime label must be a positive "
+                                     f"integer, got {cell!r}", line=line)
+                val = int(val)
+            elif not math.isfinite(val):
+                raise ParseError(f"non-finite value {cell!r} in column {col}",
+                                 line=line)
+            values[col].append(val)
+    if not values["y"]:
         raise ParseError("no data rows", line=2)
-    sample = Sample(
-        y=np.array(rows["y"]),
-        w=np.array(rows["w"]),
-        z=np.array(rows["z"]) if has_z else None,
-        s=np.array(rows["s"], dtype=int) if has_s else None,
-    )
+    sample = Sample(**{c: np.array(v) for c, v in values.items()})
     sample.validate()
     return sample

@@ -1,6 +1,9 @@
-"""Exception types, the checks of config keys, the JSON layer (the one
-encoder, reader and writer of every JSON file) and the CSV cell format."""
+"""Exception types, the checks of config keys, and the two file layers:
+JSON (the one encoder, reader and writer of every JSON file) and CSV (the
+one reader and writer of every CSV file, the cell format and the rule that
+reads a cell as a number)."""
 
+import csv
 import dataclasses
 import json
 import math
@@ -143,6 +146,44 @@ def write_json(obj, path=None) -> None:
         sys.stdout.write(text)
     else:
         Path(path).write_text(text)
+
+
+def read_csv(path):
+    """Stream the CSV file at `path`: yield its header, then (line, row) for
+    each data row, `line` being the 1-based line the row ends on.
+
+    Blank lines are skipped.  An empty file, and a row whose field count
+    differs from the header's, are each a ParseError that names the line.
+    """
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
+            raise ParseError("empty file", line=1)
+        yield header
+        for row in filter(None, reader):
+            if len(row) != len(header):
+                raise ParseError(f"expected {len(header)} fields, found "
+                                 f"{len(row)}", line=reader.line_num)
+            yield reader.line_num, row
+
+
+def csv_number(cell: str, column: str, line: int, kind=float):
+    """The cell of `column` on `line` as a `kind` number; a cell that does
+    not parse is a ParseError that names the column and the line."""
+    try:
+        return kind(cell)
+    except ValueError:
+        raise ParseError(f"column {column!r}: not a number: {cell!r}",
+                         line=line) from None
+
+
+def write_csv(path, header, rows) -> None:
+    """Write `header` and then each row of the iterable `rows` to `path`."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def csv_cells(value) -> list:

@@ -11,7 +11,6 @@ ships next to.
 
 from __future__ import annotations
 
-import csv
 import dataclasses
 import numbers
 import time
@@ -25,7 +24,8 @@ from .dgp import (DEFAULT_BURN_IN, HmmDgpParams, seed_key, simulate_hmm,
                   simulate_msar)
 from .errors import (ConfigurationError, JsonRecord, MixRegimeError,
                      ParseError, ValidationError, check_keys, check_types,
-                     csv_cells, read_json, write_json)
+                     csv_cells, csv_number, read_csv, read_json, write_csv,
+                     write_json)
 from .estimator import EstimatorConfig, align_permutation, qml_estimate
 from .inference import HacConfig, sandwich_cov
 from .mixture import (MixtureParams, ModelSpec, encode, natural_vector,
@@ -93,17 +93,9 @@ def load_experiment_config(path) -> ExperimentConfig:
     return cfg
 
 
-def _truth_vector(cfg: ExperimentConfig) -> np.ndarray:
-    """Natural-scale truth with NaN in the weight slots (no truth there)."""
-    ref = true_reference(cfg.dgp)
-    vec = natural_vector(ref, cfg.spec)
-    vec[-cfg.dgp.d:] = np.nan
-    return vec
-
-
 @dataclass(kw_only=True)
 class ReplicationRecord:
-    """Flat per-replication result, one CSV row.
+    """Flat per-replication result, one CSV row, its fields in column order.
 
     The defaults are a failed replication's values.
     """
@@ -119,20 +111,18 @@ class ReplicationRecord:
     hac_bandwidth: float = float("nan")
     align_dist_pre: float = float("nan")
     align_dist_post: float = float("nan")
+    elapsed_s: float
     estimates: np.ndarray  # natural scale, aligned; NaN when failed
     std_errors: np.ndarray
-    truth: np.ndarray
-    elapsed_s: float
+    truth: np.ndarray  # NaN in the weight slots, which have no truth
     error: str = ""
 
 
-# replications.csv columns, in order.  "design" and "T" come from the
-# experiment config; estimates, std_errors and truth take one column per
-# natural parameter, named with these prefixes.
-_CSV_FIELDS = ("rep_index", "design", "T", "ok", "converged", "degenerate",
-               "loglik", "start_index", "n_em_iter", "n_qn_iter",
-               "hac_bandwidth", "align_dist_pre", "align_dist_post",
-               "elapsed_s", "estimates", "std_errors", "truth", "error")
+# replications.csv columns, in order: the record's fields, with "design" and
+# "T" from the experiment config after rep_index.  estimates, std_errors and
+# truth take one column per natural parameter, named with these prefixes.
+_CSV_FIELDS = ("rep_index", "design", "T", *(
+    f.name for f in dataclasses.fields(ReplicationRecord)[1:]))
 _CSV_PREFIXES = {"estimates": "est_", "std_errors": "se_", "truth": "true_"}
 
 
@@ -152,11 +142,11 @@ def run_replication(cfg: ExperimentConfig, rep_index: int) -> ReplicationRecord:
         raise ValidationError(f"rep_index must lie in [0, {cfg.n_reps}), "
                               f"got {rep_index}")
     t0 = time.perf_counter()
-    truth = _truth_vector(cfg)
-    n_nat = len(truth)
-    nan_vec = np.full(n_nat, np.nan)
-
     spec = cfg.spec
+    ref = true_reference(cfg.dgp)
+    truth = natural_vector(ref, spec)
+    truth[-cfg.dgp.d:] = np.nan
+    nan_vec = np.full(len(truth), np.nan)
     sim_seed = seed_key(cfg.master_seed) + (rep_index, 0)
     est_seed = seed_key(cfg.master_seed) + (rep_index, 1)
     try:
@@ -168,7 +158,6 @@ def run_replication(cfg: ExperimentConfig, rep_index: int) -> ReplicationRecord:
                                   seed=sim_seed)
         result = qml_estimate(sample, spec, cfg.estimator, seed=est_seed)
 
-        ref = true_reference(cfg.dgp)
         aligned = align_permutation(result.theta_hat, ref)
         dist_pre = _stack_distance(result.theta_hat, ref)
         dist_post = _stack_distance(aligned, ref)
@@ -212,12 +201,10 @@ def write_replications_csv(path, records: List[ReplicationRecord],
         prefix = _CSV_PREFIXES.get(name)
         header += [name] if prefix is None else [prefix + n for n in names]
     from_cfg = {"design": cfg.label, "T": cfg.T}
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for rec in sorted(records, key=lambda r: r.rep_index):
-            writer.writerow([cell for name in _CSV_FIELDS for cell in csv_cells(
-                from_cfg[name] if name in from_cfg else getattr(rec, name))])
+    write_csv(path, header, (
+        [cell for name in _CSV_FIELDS for cell in csv_cells(
+            from_cfg[name] if name in from_cfg else getattr(rec, name))]
+        for rec in sorted(records, key=lambda r: r.rep_index)))
 
 
 _PARAM_STATS = ("bias", "sd", "mean_se", "sd_se_ratio")
@@ -269,16 +256,9 @@ def summarize_csv(path) -> McSummary:
     header's, a missing column and a cell that is not a number are each a
     ParseError that names the column and the line.
     """
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, [])
-        rows, lines = [], []
-        for row in filter(None, reader):  # blank lines are no rows
-            if len(row) != len(header):
-                raise ParseError(f"expected {len(header)} fields, found "
-                                 f"{len(row)}", line=reader.line_num)
-            rows.append(dict(zip(header, row)))
-            lines.append(reader.line_num)
+    rows = read_csv(path)
+    header = next(rows)
+    rows = [(line, dict(zip(header, row))) for line, row in rows]
     if not rows:
         raise ValidationError(f"no replication rows in {path}")
     names = [c[len("est_"):] for c in header if c.startswith("est_")]
@@ -288,27 +268,19 @@ def summarize_csv(path) -> McSummary:
         if column not in header:
             raise ParseError(f"missing column {column!r}", line=1)
 
-    def number(i, column, kind=float):
-        try:
-            return kind(rows[i][column])
-        except ValueError:
-            raise ParseError(f"column {column!r}: not a number: "
-                             f"{rows[i][column]!r}", line=lines[i]) from None
-
-    design = rows[0]["design"]
-    t_len = number(0, "T", int)
-    n_reps = len(rows)
-    n_failed = sum(1 for r in rows if r["ok"] != "1")
-    n_converged = sum(1 for r in rows if r["ok"] == "1" and r["converged"] == "1")
-    n_degenerate = sum(1 for r in rows if r["ok"] == "1" and r["degenerate"] == "1")
-    used = [i for i, r in enumerate(rows) if r["ok"] == "1"
+    line, first = rows[0]
+    t_len = csv_number(first["T"], "T", line, int)
+    ok = [r for _, r in rows if r["ok"] == "1"]
+    n_converged = sum(r["converged"] == "1" for r in ok)
+    n_degenerate = sum(r["degenerate"] == "1" for r in ok)
+    used = [(line, r) for line, r in rows if r["ok"] == "1"
             and r["converged"] == "1" and r["degenerate"] == "0"]
 
     params = {}
     for name in names:
         est, ses, true_vals = (
-            np.array([number(i, f"{kind}_{name}") for i in used])
-            for kind in ("est", "se", "true"))
+            np.array([csv_number(r[column], column, line) for line, r in used])
+            for column in (f"est_{name}", f"se_{name}", f"true_{name}"))
         entry = dict.fromkeys(_PARAM_STATS)
         if len(est) >= 2:
             sd = float(est.std(ddof=1))
@@ -319,9 +291,10 @@ def summarize_csv(path) -> McSummary:
             if np.isfinite(true_vals).all():
                 entry["bias"] = float((est - true_vals).mean())
         params[name] = entry
-    return McSummary(design=design, T=t_len, n_reps=n_reps, n_used=len(used),
-                     n_converged=n_converged, n_degenerate=n_degenerate,
-                     n_failed=n_failed, params=params)
+    return McSummary(design=first["design"], T=t_len, n_reps=len(rows),
+                     n_used=len(used), n_converged=n_converged,
+                     n_degenerate=n_degenerate, n_failed=len(rows) - len(ok),
+                     params=params)
 
 
 def run_experiment(cfg: ExperimentConfig, out_dir=None) -> McSummary:
@@ -387,12 +360,9 @@ def render_table(summaries: List[McSummary]) -> str:
     names = _canonical_param_order(
         n for n in summaries[0].params if not n.startswith("weight_"))
 
-    designs = []
-    for s in summaries:
-        if s.design not in designs:
-            designs.append(s.design)
-    by_design = {d: sorted((s for s in summaries if s.design == d),
-                           key=lambda s: s.T) for d in designs}
+    # the first summary of each (design, T), which reversed order leaves last
+    cells = {(s.design, s.T): s for s in reversed(summaries)}
+    designs = list(dict.fromkeys(s.design for s in summaries))
     t_values = sorted({s.T for s in summaries})
 
     col_w = max(8, max(len(_display_name(n)) for n in names) + 1)
@@ -400,34 +370,24 @@ def render_table(summaries: List[McSummary]) -> str:
     t_w = 6
     panel_w = col_w * len(names)
 
-    def center(text, width):
-        return text.center(width)
-
     lines = []
-    header1 = " " * (label_w + t_w) + "".join(center(d, panel_w) for d in designs)
+    header1 = " " * (label_w + t_w) + "".join(d.center(panel_w) for d in designs)
     header2 = ("Block".ljust(label_w) + "T".rjust(t_w)
                + "".join("".join(_display_name(n).rjust(col_w) for n in names)
                          for _ in designs))
     rule = "-" * len(header2)
     lines += [header1.rstrip(), header2, rule]
 
-    def value_for(summary, name, kind):
-        if summary is None:
-            return None
-        entry = summary.params[name]
-        return entry["bias"] if kind == "bias" else entry["sd_se_ratio"]
-
-    for kind, block_label in (("bias", "Bias"), ("ratio", "SD/SE")):
+    for stat, block_label in (("bias", "Bias"), ("sd_se_ratio", "SD/SE")):
         for i, t_val in enumerate(t_values):
-            cells = []
+            row = []
             for d in designs:
-                match = [s for s in by_design[d] if s.T == t_val]
-                summary = match[0] if match else None
+                summary = cells.get((d, t_val))
                 for n in names:
-                    v = value_for(summary, n, kind)
-                    cells.append((f"{v:.3f}" if v is not None else "--").rjust(col_w))
+                    v = summary.params[n][stat] if summary else None
+                    row.append((f"{v:.3f}" if v is not None else "--").rjust(col_w))
             label = block_label if i == 0 else ""
-            lines.append(label.ljust(label_w) + str(t_val).rjust(t_w) + "".join(cells))
-        if kind == "bias":
+            lines.append(label.ljust(label_w) + str(t_val).rjust(t_w) + "".join(row))
+        if stat == "bias":
             lines.append(rule)
     return "\n".join(lines) + "\n"

@@ -17,8 +17,9 @@ mixture_kernel is the one place that forms the weighted log-density
 matrix; the likelihood, the score and BFGS each call it once per point, and
 EM once per iteration for all its starts, stacked (S, d).  It works
 component-major, one contiguous length-T row per component, and returns the
-per-row (T, d) arrays its callers read.  For d = 2 its log-sum-exp over
-components takes max and min instead of a sort.
+responsibilities per row, (T, d), and the standardized residuals as it
+computes them, (d, T).  For d = 2 its log-sum-exp over components takes max
+and min instead of a sort.
 hessian is closed-form (Louis's identity on the responsibilities and the
 per-component gradients), with one kernel call per fixed block of rows.
 neg_loglik_and_score is the one BFGS objective, pooled over samples, that
@@ -280,8 +281,9 @@ def mixture_kernel(mu: np.ndarray, gamma: np.ndarray, sigma: np.ndarray,
     ln N(y_t; mu_s + gamma_s x_t, sigma_s), held component-major so that
     each elementwise pass runs on contiguous length-T rows.  The parameter
     arrays are (d,) or stacked (S, d), one row per point: lse is (..., T),
-    the responsibilities and residuals are contiguous (..., T, d), and each
-    stacked point's slice has the bits of its own call.
+    the responsibilities are a contiguous (..., T, d) copy, the residuals
+    stay component-major (..., d, T) as computed, and each stacked point's
+    slice has the bits of its own call.
 
     The log-sum-exp over components adds the terms in sorted order, so the
     floating-point reduction does not depend on component order: relabeling
@@ -305,10 +307,7 @@ def mixture_kernel(mu: np.ndarray, gamma: np.ndarray, sigma: np.ndarray,
         del srt, top
     a -= lse[..., None, :]
     np.exp(a, out=a)
-    # transposed copies, each (d, T) intermediate freed once it is copied
-    resp = a.swapaxes(-1, -2).copy()
-    del a
-    return lse, resp, r.swapaxes(-1, -2).copy()
+    return lse, a.swapaxes(-1, -2).copy(), r
 
 
 def loglik_terms(params: MixtureParams, sample: Sample, spec: ModelSpec) -> np.ndarray:
@@ -325,11 +324,11 @@ def loglik_and_score_contributions(free: np.ndarray, sample: Sample,
     mu, gamma, sigma, weights = checked_point(*decode_arrays(free, spec), spec)
     y, x = spec.regression_frame(sample)
     lse, resp, r = mixture_kernel(mu, gamma, sigma, weights, y, x)
-    d_mu = resp * r / sigma[None, :]
+    d_mu = resp * r.T / sigma[None, :]
     d_slope = d_mu * x[:, None]
     if spec.form == "msar":
         d_slope = d_slope.sum(axis=1, keepdims=True)
-    d_log_sigma = resp * (r * r - 1.0)
+    d_log_sigma = resp * (r.T * r.T - 1.0)
     d_logit = resp[:, :-1] - weights[None, :-1]
     return lse, np.concatenate([d_mu, d_slope, d_log_sigma, d_logit], axis=1)
 
@@ -400,9 +399,9 @@ def hessian(free: np.ndarray, sample: Sample, spec: ModelSpec) -> np.ndarray:
         # grad[s, t] is g[t, s]; component-major so each sum over s adds
         # contiguous (rows, q) slabs
         grad = np.zeros((d, len(yb), q))
-        grad[comp, :, mu_col] = (r / sigma[None, :]).T
+        grad[comp, :, mu_col] = r / sigma[:, None]
         grad[comp, :, slope_col] = grad[comp, :, mu_col] * xb[None, :]
-        grad[comp, :, log_sigma_col] = (r * r - 1.0).T
+        grad[comp, :, log_sigma_col] = r * r - 1.0
         grad[:, :, logit] = logit_grad[:, None, :]
         weighted = resp.T[:, :, None] * grad
         score_rows = weighted.sum(axis=0)
@@ -410,9 +409,9 @@ def hessian(free: np.ndarray, sample: Sample, spec: ModelSpec) -> np.ndarray:
                   - score_rows.T @ score_rows)
         # sum over rows of rho[t, s] d2 a[t, s], component by component
         m0, m1, m2 = np.stack([np.ones_like(xb), xb, xb * xb]) @ resp
-        rr = resp * r
+        rr = resp * r.T
         n0, n1 = np.stack([np.ones_like(xb), xb]) @ rr
-        n2 = (rr * r).sum(axis=0)
+        n2 = (rr * r.T).sum(axis=0)
         for s in range(d):
             cols = [mu_col[s], slope_col[s], log_sigma_col[s]]
             a, b = 1.0 / sigma[s] ** 2, 2.0 / sigma[s]

@@ -416,6 +416,9 @@ class TestCsvRoundTrip:
         ("y,w\n1.0,2.0\n3.0,nan\n", 3),           # non-finite
         ("y,w,s\n1.0,2.0,0\n", 2),                # label below 1
         ("y,w,s\n1.0,2.0,1.5\n", 2),              # fractional label
+        ("y,w,s\n1.0,2.0,1\n1.0,2.0,inf\n", 3),   # infinite label
+        ("y,w,s\n1.0,2.0,1e400\n", 2),            # label overflows a double
+        ("y,w,s\n1.0,2.0,1e300\n", 2),            # label overflows an int64
     ])
     def test_parse_errors_carry_line_numbers(self, tmp_path, text, lineno):
         path = tmp_path / "bad.csv"

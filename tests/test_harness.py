@@ -1,3 +1,4 @@
+import ast
 import csv
 import hashlib
 import importlib.util
@@ -14,7 +15,8 @@ from mixregime import (ArLaw, ConfigurationError, EstimatorConfig,
                        MixtureParams, ModelSpec, ParseError,
                        RegimeOutcome, ReplicationRecord, TransitionSpec,
                        ValidationError, encode, hmm_benchmark,
-                       load_experiment_config, msar_benchmark, render_table,
+                       load_experiment_config, load_sample, msar_benchmark,
+                       render_table,
                        run_experiment, run_replication, simulate_msar,
                        summarize_csv, true_reference, write_replications_csv)
 from mixregime.mixture import SIGMA_MIN, neg_loglik_and_score
@@ -281,6 +283,25 @@ class TestRunReplication:
             run_replication(small_cfg(), 0)
 
 
+SRC_DIR = Path(__file__).resolve().parent.parent / "src" / "mixregime"
+
+
+def test_only_errors_imports_csv():
+    # every CSV file is read and written through the errors module
+    importers = set()
+    for path in sorted(SRC_DIR.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            if any(m.split(".")[0] == "csv" for m in modules):
+                importers.add(path.stem)
+    assert importers == {"errors"}
+
+
 def rows_without_elapsed(path) -> list:
     """replications.csv rows, header included, minus the elapsed_s column."""
     with open(path, newline="") as fh:
@@ -465,6 +486,24 @@ class TestSummarizeCsv:
                 "line 4: column 'est_mu_1': not a number: 'abc'")):
             summarize_csv(path)
 
+    def test_non_numeric_cell_reads_as_in_a_sample(self, tmp_path):
+        # one cell rule: the same message from both CSV readers
+        sample_path = tmp_path / "sample.csv"
+        sample_path.write_text("y,w\n1.0,2.0\n\n3.0,x1\n")
+        reps_path = tmp_path / "reps.csv"
+        write_replications_csv(reps_path, [run_replication(small_cfg(), 0)],
+                               small_cfg())
+        lines = reps_path.read_text().splitlines(keepends=True)
+        column = lines[0].rstrip().split(",").index("T")
+        cells = lines[1].split(",")
+        cells[column] = "x1"
+        reps_path.write_text(lines[0] + "\n\n" + ",".join(cells))
+        for read, path, column in ((load_sample, sample_path, "w"),
+                                   (summarize_csv, reps_path, "T")):
+            with pytest.raises(ParseError, match=(
+                    f"^line 4: column '{column}': not a number: 'x1'$")):
+                read(path)
+
     def test_empty_csv_rejected(self, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text("rep_index,design,T\n")
@@ -487,6 +526,28 @@ def canned_summary(design, T, mu1_bias):
 
 
 class TestRenderTable:
+    # sha256 of the table below, recorded before render_table looked its
+    # cells up by (design, T)
+    PINNED_TABLE = ("1d42e6a637c12c639c2b392a141e3399"
+                    "e3817eb2126c66d2b92543278840ff76")
+
+    def test_bytes_are_pinned(self):
+        def as_read(summary):
+            """The summary as summary.json gives it back: keys in sorted order."""
+            return McSummary.from_json(json.loads(json.dumps(
+                summary.to_json(), sort_keys=True)))
+
+        first = canned_summary("rho0", 200, 0.093)
+        first.params["sigma_2"]["sd_se_ratio"] = None
+        summaries = [as_read(s) for s in (
+            first,
+            canned_summary("rho065", 200, None),  # no T = 800 or 3200 cell
+            canned_summary("rho0", 800, 0.017),
+            canned_summary("rho0", 200, 0.5),  # a duplicate: the first is shown
+            canned_summary("wide", 3200, -1.25))]
+        table = render_table(summaries)
+        assert hashlib.sha256(table.encode()).hexdigest() == self.PINNED_TABLE
+
     def test_golden_layout(self):
         summaries = [canned_summary("rho0", 200, 0.093),
                      canned_summary("rho0", 800, 0.017),

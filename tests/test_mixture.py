@@ -346,6 +346,12 @@ class TestKernel:
         lse = top + np.log1p(np.exp(srt[:, :-1] - top[:, None]).sum(axis=1))
         return lse, np.exp(a - lse[:, None]), r
 
+    @staticmethod
+    def row_major(out):
+        """A kernel result with its component-major residuals as (..., T, d)."""
+        lse, resp, r = out
+        return lse, resp, r.swapaxes(-1, -2)
+
     @pytest.mark.parametrize("form", ["hmm", "msar"])
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_stacked_points_equal_single_calls_bit_for_bit(self, d, form):
@@ -357,10 +363,12 @@ class TestKernel:
         stacked = mixture_kernel(*map(np.stack, zip(*points)), sample.y,
                                  sample.w)
         lse, resp, r = stacked
-        assert lse.shape == (4, 200) and resp.shape == r.shape == (4, 200, d)
+        assert lse.shape == (4, 200) and resp.shape == (4, 200, d)
+        assert r.shape == (4, d, 200)
         assert resp.flags.c_contiguous and r.flags.c_contiguous
+        stacked = self.row_major(stacked)
         for s, point in enumerate(points):
-            single = mixture_kernel(*point, sample.y, sample.w)
+            single = self.row_major(mixture_kernel(*point, sample.y, sample.w))
             reference = self.sorted_kernel(*point, sample.y, sample.w)
             for many, one, want in zip(stacked, single, reference):
                 assert np.array_equal(many[s], one)
@@ -390,7 +398,7 @@ class TestKernel:
         args = [np.asarray(v, dtype=float) for v in (mu, (0.4, 0.4), sigma, weights)]
         x = np.linspace(-1.0, 1.0, len(y))
         with np.errstate(all="ignore"):
-            got = mixture_kernel(*args, y, x)
+            got = self.row_major(mixture_kernel(*args, y, x))
             want = self.sorted_kernel(*args, y, x)
         for g, w in zip(got, want):
             nan = np.isnan(w)
