@@ -2,7 +2,7 @@
 
 from .dgp import (ArLaw, HmmDgpParams, NoiseCorrelation, RegimeOutcome, Sample,
                   TransitionSpec, load_sample, save_sample, simulate_hmm,
-                  simulate_msar, transition_row)
+                  simulate_msar)
 from .designs import hmm_benchmark, msar_benchmark
 from .errors import (ConfigurationError, EstimationError, MixRegimeError,
                      ParseError, QuadratureError, ValidationError)
@@ -39,6 +39,6 @@ __all__ = [
     "render_table",
     "run_experiment", "run_replication", "sandwich_cov",
     "save_sample", "score_contributions", "simulate_hmm",
-    "simulate_msar", "summarize_csv", "transition_row", "true_reference",
+    "simulate_msar", "summarize_csv", "true_reference",
     "write_replications_csv",
 ]

@@ -21,21 +21,18 @@ x_t = v_t + slope x_{t-1} written as a loop.
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import json
 import math
-import numbers
-from dataclasses import dataclass, field
-from types import SimpleNamespace
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 from scipy.linalg.lapack import dgtsv
 
 from .errors import (ConfigurationError, JsonRecord, ParseError,
-                     ValidationError, check_keys, check_types, csv_cells,
-                     csv_number, read_csv, write_csv)
+                     ValidationError, csv_cells, csv_number, read_csv,
+                     real_matrix, write_csv)
 
 # Sub-stream labels: one independent RNG stream per noise consumer, so that
 # extending T never reshuffles earlier draws.
@@ -53,36 +50,6 @@ def seed_key(seed) -> tuple:
     if isinstance(seed, (int, np.integer)):
         return (int(seed),)
     return tuple(int(s) for s in seed)
-
-
-def _reals(obj: dict, names) -> dict:
-    """The values of `names` in a JSON block as floats, after check_types:
-    a string or a bool is rejected, not coerced."""
-    values = {name: obj[name] for name in names}
-    check_types(SimpleNamespace(**values), reals=names)
-    return {name: float(value) for name, value in values.items()}
-
-
-def _real_matrix(rows, what: str) -> list:
-    """A JSON matrix `rows` after checking that it is a list of equal-length
-    lists of real numbers: a string or a bool cell is rejected, not coerced."""
-    if not (isinstance(rows, list) and all(isinstance(r, list) for r in rows)):
-        raise ValidationError(f"{what} must be a list of rows, got {rows!r}")
-    if len({len(row) for row in rows}) > 1:
-        raise ValidationError(f"{what} rows must have equal length, got "
-                              f"lengths {[len(row) for row in rows]}")
-    cells = {f"{what} row {i}, column {j}": value
-             for i, row in enumerate(rows) for j, value in enumerate(row)}
-    check_types(SimpleNamespace(**cells), reals=cells)
-    return rows
-
-
-def _real_record(cls, obj: dict, what: str):
-    """An instance of the all-real dataclass `cls` from its JSON block,
-    which must have exactly one key per field."""
-    names = [f.name for f in dataclasses.fields(cls)]
-    check_keys(obj, what, names)
-    return cls(**_reals(obj, names))
 
 
 def stream_rng(seed, label: int) -> np.random.Generator:
@@ -107,13 +74,11 @@ def outcome_violations(rows, what: str) -> list:
 class RegimeOutcome(JsonRecord):
     """Outcome-equation coefficients for a single regime."""
 
+    json_label = "outcome"
+
     mu: float
     gamma: float
     sigma: float
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "RegimeOutcome":
-        return _real_record(cls, obj, "outcome")
 
 
 @dataclass
@@ -127,13 +92,16 @@ class TransitionSpec(JsonRecord):
     with stay probability 1 / (1 + exp(-(alpha_s + beta_s z))).
     """
 
+    json_label = "transition"
+    json_qualified = ("d", "alpha", "beta")
+
     d: int
     alpha: np.ndarray
     beta: np.ndarray
 
     def __post_init__(self):
-        self.alpha = np.asarray(self.alpha, dtype=float)
-        self.beta = np.asarray(self.beta, dtype=float)
+        self.alpha = real_matrix(self.alpha)
+        self.beta = real_matrix(self.beta)
 
     @classmethod
     def two_state(cls, stay_intercepts: Sequence[float],
@@ -145,8 +113,6 @@ class TransitionSpec(JsonRecord):
                    beta=np.array([[b1, 0.0], [0.0, b2]]))
 
     def violations(self) -> list:
-        if isinstance(self.d, bool) or not isinstance(self.d, numbers.Integral):
-            return [f"transition d must be an int, got {self.d!r}"]
         out = []
         if self.d < 2:
             out.append(f"transition must have d >= 2 regimes, got {self.d}")
@@ -158,17 +124,12 @@ class TransitionSpec(JsonRecord):
                 out.append(f"transition {name} must be finite")
         return out
 
-    @classmethod
-    def from_json(cls, obj: dict) -> "TransitionSpec":
-        check_keys(obj, "transition", ("d", "alpha", "beta"))
-        return cls(d=obj["d"],
-                   alpha=_real_matrix(obj["alpha"], "transition alpha"),
-                   beta=_real_matrix(obj["beta"], "transition beta"))
-
 
 @dataclass
 class ArLaw(JsonRecord):
     """Stationary Gaussian AR(1): x_t = intercept + slope x_{t-1} + sd e_t."""
+
+    json_label = "AR law"
 
     intercept: float
     slope: float
@@ -193,17 +154,15 @@ class ArLaw(JsonRecord):
             out.append(f"noise_sd must be > 0, got {self.noise_sd}")
         return out
 
-    @classmethod
-    def from_json(cls, obj: dict) -> "ArLaw":
-        return _real_record(cls, obj, "AR law")
-
 
 @dataclass
 class NoiseCorrelation(JsonRecord):
     """Correlation of the outcome noise U1 with the Z and W innovations."""
 
-    rho: float = 0.0
-    omega: float = 0.0
+    json_label = "noise"
+
+    rho: float
+    omega: float
 
     def matrix(self) -> np.ndarray:
         return np.array([[1.0, self.rho, self.omega],
@@ -221,20 +180,18 @@ class NoiseCorrelation(JsonRecord):
                        f"(rho^2 + omega^2 = {self.rho ** 2 + self.omega ** 2:.6g} >= 1)")
         return out
 
-    @classmethod
-    def from_json(cls, obj: dict) -> "NoiseCorrelation":
-        return _real_record(cls, obj, "noise")
-
 
 @dataclass
 class HmmDgpParams(JsonRecord):
     """Full truth for one simulated design."""
 
-    outcomes: list  # list[RegimeOutcome], one per regime
+    json_label = "DGP"
+
+    outcomes: list[RegimeOutcome]  # one per regime
     transition: TransitionSpec
     z_law: ArLaw
     w_law: ArLaw
-    noise: NoiseCorrelation = field(default_factory=NoiseCorrelation)
+    noise: NoiseCorrelation
     ar_coefficient: Optional[float] = None  # phi of the switching AR variant
 
     @property
@@ -258,34 +215,9 @@ class HmmDgpParams(JsonRecord):
             out.append(f"|ar_coefficient| must be < 1 for stationarity, got {phi}")
         return out
 
-    def validate(self) -> None:
-        violations = self.violations()
-        if violations:
-            raise ValidationError(violations)
-
     def params_hash(self) -> str:
         blob = json.dumps(self.to_json(), sort_keys=True)
         return hashlib.sha1(blob.encode()).hexdigest()[:12]
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "HmmDgpParams":
-        check_keys(obj, "DGP",
-                   ("outcomes", "transition", "z_law", "w_law", "noise"),
-                   ("ar_coefficient",))
-        if not isinstance(obj["outcomes"], list):
-            raise ValidationError(f"outcomes must be a list of outcome "
-                                  f"blocks, got {obj['outcomes']!r}")
-        phi = obj.get("ar_coefficient")
-        if phi is not None:
-            phi = _reals(obj, ("ar_coefficient",))["ar_coefficient"]
-        return cls(
-            outcomes=[RegimeOutcome.from_json(o) for o in obj["outcomes"]],
-            transition=TransitionSpec.from_json(obj["transition"]),
-            z_law=ArLaw.from_json(obj["z_law"]),
-            w_law=ArLaw.from_json(obj["w_law"]),
-            noise=NoiseCorrelation.from_json(obj["noise"]),
-            ar_coefficient=phi,
-        )
 
 
 @dataclass
@@ -321,20 +253,6 @@ class Sample:
             out.append("regime labels must be >= 1")
         if out:
             raise ValidationError(out)
-
-
-def transition_row(spec: TransitionSpec, z: float, from_regime: int) -> np.ndarray:
-    """Transition probabilities out of `from_regime` (1-based) at covariate z.
-
-    Returns a strictly positive length-d probability vector over destination
-    regimes, summing to one within 1e-12.
-    """
-    if not (isinstance(from_regime, (int, np.integer)) and 1 <= from_regime <= spec.d):
-        raise ValidationError(f"from_regime must lie in 1..{spec.d}, got {from_regime}")
-    if not np.isfinite(z):
-        raise ValidationError(f"covariate z must be finite, got {z}")
-    return transition_rows(spec, np.array([z], dtype=float),
-                           np.array([from_regime - 1]))[0]
 
 
 def transition_rows(spec: TransitionSpec, z: np.ndarray,

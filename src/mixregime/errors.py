@@ -1,14 +1,18 @@
-"""Exception types, the checks of config keys, and the two file layers:
-JSON (the one encoder, reader and writer of every JSON file) and CSV (the
-one reader and writer of every CSV file, the cell format and the rule that
-reads a cell as a number)."""
+"""Exception types, the one config reader, and the two file layers: JSON
+(the one encoder, reader and writer of every JSON file) and CSV (the one
+reader and writer of every CSV file, the cell format and the rule that
+reads a cell as a number).  The config reader is JsonRecord: a record's
+dataclass fields declare its block's keys and their types, and one type
+check serves from_json and validate() alike."""
 
 import csv
 import dataclasses
+import functools
 import json
 import math
 import numbers
 import sys
+import typing
 from pathlib import Path
 
 import numpy as np
@@ -60,17 +64,16 @@ class QuadratureError(MixRegimeError, RuntimeError):
     """A numerical integral or special function has no trustworthy double value."""
 
 
-def check_keys(obj: dict, what: str, required=(), optional=()) -> None:
-    """Reject a config block that lacks a key in `required` or has one
-    outside `required` and `optional`.
+def key_faults(obj, what: str, required=(), optional=()) -> list:
+    """Messages for a config block that is not a JSON object, lacks a key in
+    `required` or has one outside `required` and `optional`.
 
     A misspelled key would otherwise leave its setting at the default
     without a word, and a missing one would surface as a KeyError or
     TypeError far from the file that lacks it.
     """
     if not isinstance(obj, dict):
-        raise ValidationError(f"{what} must be a JSON object, "
-                              f"got {type(obj).__name__}")
+        return [f"{what} must be a JSON object, got {type(obj).__name__}"]
     out = []
     missing = [key for key in required if key not in obj]
     if missing:
@@ -78,35 +81,143 @@ def check_keys(obj: dict, what: str, required=(), optional=()) -> None:
     unknown = sorted(set(obj) - set(required) - set(optional))
     if unknown:
         out.append(f"unknown {what} key(s): {', '.join(unknown)}")
-    if out:
-        raise ValidationError(out)
-
-
-def check_types(obj, counts=(), reals=()) -> None:
-    """Reject attributes of `obj` named in `counts` that are not ints, or in
-    `reals` that are not real numbers; a bool is neither.
-
-    Config values are checked, not coerced: int(1600.7) would run another
-    experiment than the file says.
-    """
-    out = []
-    for names, kind, what in ((counts, numbers.Integral, "an int"),
-                              (reals, numbers.Real, "a real number")):
-        for name in names:
-            value = getattr(obj, name)
-            if isinstance(value, bool) or not isinstance(value, kind):
-                out.append(f"{name} must be {what}, got {value!r}")
-    if out:
-        raise ValidationError(out)
+    return out
 
 
 class JsonRecord:
     """Base of the package's dataclass records: to_json has one key per
-    field, each value encoded by json_value."""
+    field, each value encoded by json_value.
+
+    A config record's fields drive from_json and validate: a key's type is
+    its field's type hint, and a field without a default is a required key.
+    `json_label` names the block in messages, where a field in
+    `json_qualified` is called "<label> <field>".  violations() holds the
+    record's own domain rules."""
+
+    json_label = ""
+    json_qualified = ()
 
     def to_json(self) -> dict:
         return {f.name: json_value(getattr(self, f.name))
                 for f in dataclasses.fields(self)}
+
+    @classmethod
+    def from_json(cls, obj):
+        """The validated record a JSON block describes; a real number is
+        stored as a float, and any fault is a ValidationError."""
+        record = _read(cls, obj)
+        record.validate()
+        return record
+
+    def violations(self) -> list:
+        """Messages for the record's broken domain rules; they may assume
+        that every field has its declared type."""
+        return []
+
+    def validate(self) -> None:
+        """Raise a ValidationError listing the type faults of the record and
+        the records in it or, failing those, its domain faults.  Values are
+        checked, not coerced: int(1600.7) would run another experiment."""
+        faults = type_faults(self, type(self)) or self.violations()
+        if faults:
+            raise ValidationError(faults)
+
+
+_KINDS = {int: (numbers.Integral, "an int"),
+          float: (numbers.Real, "a real number"), str: (str, "a string"),
+          dict: (dict, "a JSON object"), type(None): (type(None), "null")}
+
+
+def type_faults(value, hint, name: str = "") -> list:
+    """Messages for the ways `value`, called `name`, fails the type `hint`:
+    int, float (any real number), str, dict, a union of these (Optional
+    among them), np.ndarray (a real matrix), a record class (checked field
+    by field) or a list of records.  A bool is neither an int nor a real
+    number."""
+    if isinstance(hint, type) and issubclass(hint, JsonRecord):
+        if not isinstance(value, hint):
+            return [f"{name} must be of type {hint.__name__}, got {value!r}"]
+        return [fault for field, field_hint, _ in _record_fields(hint)
+                for fault in type_faults(
+                    getattr(value, field), field_hint,
+                    f"{hint.json_label} {field}"
+                    if field in hint.json_qualified else field)]
+    if typing.get_origin(hint) is list:
+        (item,) = typing.get_args(hint)
+        if not isinstance(value, list):
+            return [f"{name} must be a list of {item.json_label} blocks, "
+                    f"got {value!r}"]
+        return [fault for i, entry in enumerate(value)
+                for fault in type_faults(entry, item, f"{name}[{i}]")]
+    if hint is np.ndarray:
+        return _matrix_faults(value, name)
+    kinds = typing.get_args(hint) or (hint,)  # a union's members
+    if any(_is_kind(value, kind) for kind in kinds):
+        return []
+    # a misplaced object or list is named by its type, as key_faults does
+    got = type(value).__name__ if dict in kinds else repr(value)
+    return [f"{name} must be {' or '.join(_KINDS[k][1] for k in kinds)}, "
+            f"got {got}"]
+
+
+def real_matrix(value):
+    """`value` as a float array when it is a real matrix (a 2-D array, or a
+    list of equal-length lists of real numbers), else as it is, for
+    type_faults to name."""
+    return value if _matrix_faults(value, "") else np.asarray(value, dtype=float)
+
+
+def _matrix_faults(value, name: str) -> list:
+    rows = value.tolist() if isinstance(value, np.ndarray) else value
+    if not (isinstance(rows, list) and all(isinstance(r, list) for r in rows)):
+        return [f"{name} must be a list of rows, got {value!r}"]
+    if len({len(row) for row in rows}) > 1:
+        return [f"{name} rows must have equal length, got lengths "
+                f"{[len(row) for row in rows]}"]
+    return [f"{name} row {i}, column {j} must be a real number, got {cell!r}"
+            for i, row in enumerate(rows) for j, cell in enumerate(row)
+            if not _is_kind(cell, float)]
+
+
+def _is_kind(value, kind) -> bool:
+    return isinstance(value, _KINDS[kind][0]) and not isinstance(value, bool)
+
+
+@functools.cache
+def _record_fields(cls) -> tuple:
+    """(name, resolved type hint, required) per field of the record class
+    `cls`, resolved once per class."""
+    hints = typing.get_type_hints(cls)
+    return tuple((f.name, hints[f.name],
+                  f.default is dataclasses.MISSING
+                  and f.default_factory is dataclasses.MISSING)
+                 for f in dataclasses.fields(cls))
+
+
+def _read(cls, obj):
+    """The record of class `cls` that the JSON block `obj` describes, its
+    keys checked and its values decoded, but not yet validated."""
+    fields = _record_fields(cls)
+    faults = key_faults(obj, cls.json_label,
+                        [name for name, _, required in fields if required],
+                        [name for name, _, required in fields if not required])
+    if faults:
+        raise ValidationError(faults)
+    return cls(**{name: _decode(obj[name], hint)
+                  for name, hint, _ in fields if name in obj})
+
+
+def _decode(value, hint):
+    """A JSON value as the field of type `hint` stores it: a block as its
+    record, a list of blocks as a list of records, a real number as a
+    float.  A value of the wrong type is left as it is, for type_faults."""
+    if isinstance(hint, type) and issubclass(hint, JsonRecord):
+        return _read(hint, value)
+    if typing.get_origin(hint) is list and isinstance(value, list):
+        return [_decode(entry, typing.get_args(hint)[0]) for entry in value]
+    if float in (typing.get_args(hint) or (hint,)) and _is_kind(value, float):
+        return float(value)
+    return value
 
 
 def json_value(obj):

@@ -23,8 +23,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment, minimize
 
 from .dgp import Sample, seed_key
-from .errors import (EstimationError, JsonRecord, ValidationError, check_keys,
-                     check_types)
+from .errors import EstimationError, JsonRecord, ValidationError
 from .mixture import (LOG_SIGMA_MIN, SIGMA_MIN, MixtureParams, ModelSpec,
                       decode, encode_arrays, mixture_kernel,
                       neg_loglik_and_score)
@@ -39,15 +38,15 @@ _SINGULAR_RTOL = 1e-12
 class EstimatorConfig(JsonRecord):
     """Optimizer settings."""
 
+    json_label = "estimator"
+
     n_starts: int = 8
     em_max_iter: int = 100  # EM iterations after which a start goes to BFGS
     em_tol: float = 1e-6  # EM gain below which a start goes to BFGS
     qn_max_iter: int = 200
     qn_grad_tol: float = 1e-6  # max-norm of the score at convergence
 
-    def validate(self) -> None:
-        check_types(self, ("n_starts", "em_max_iter", "qn_max_iter"),
-                    ("em_tol", "qn_grad_tol"))
+    def violations(self) -> list:
         out = []
         for name, low in (("n_starts", 1), ("em_max_iter", 1), ("qn_max_iter", 0)):
             if getattr(self, name) < low:
@@ -57,13 +56,7 @@ class EstimatorConfig(JsonRecord):
             if not 0 < getattr(self, name) < math.inf:
                 out.append(f"{name} must be finite and > 0, "
                            f"got {getattr(self, name)}")
-        if out:
-            raise ValidationError(out)
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "EstimatorConfig":
-        check_keys(obj, "estimator", optional=cls().to_json())
-        return cls(**obj)
+        return out
 
 
 @dataclass

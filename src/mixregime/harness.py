@@ -12,7 +12,6 @@ ships next to.
 from __future__ import annotations
 
 import dataclasses
-import numbers
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -23,8 +22,8 @@ import numpy as np
 from .dgp import (DEFAULT_BURN_IN, HmmDgpParams, seed_key, simulate_hmm,
                   simulate_msar)
 from .errors import (ConfigurationError, JsonRecord, MixRegimeError,
-                     ParseError, ValidationError, check_keys, check_types,
-                     csv_cells, csv_number, read_csv, read_json, write_csv,
+                     ParseError, ValidationError, csv_cells, csv_number,
+                     key_faults, read_csv, read_json, type_faults, write_csv,
                      write_json)
 from .estimator import EstimatorConfig, align_permutation, qml_estimate
 from .inference import HacConfig, sandwich_cov
@@ -37,6 +36,8 @@ CSV_SCHEMA_VERSION = 2
 @dataclass
 class ExperimentConfig(JsonRecord):
     """Everything needed to reproduce one Monte Carlo table cell."""
+
+    json_label = "experiment"
 
     dgp: HmmDgpParams
     T: int
@@ -53,14 +54,8 @@ class ExperimentConfig(JsonRecord):
         """The fitted mixture, as ModelSpec.for_dgp picks it."""
         return ModelSpec.for_dgp(self.dgp)
 
-    def validate(self) -> None:
-        check_types(self, ("T", "n_reps", "burn_in", "master_seed"))
+    def violations(self) -> list:
         out = []
-        if not isinstance(self.label, str):
-            out.append(f"label must be a string, got {self.label!r}")
-        if not isinstance(self.out_dir, (str, type(None))):
-            out.append(f"out_dir must be a string or null, "
-                       f"got {self.out_dir!r}")
         if self.n_reps < 1:
             out.append(f"n_reps must be >= 1, got {self.n_reps}")
         if self.T < 50:
@@ -69,28 +64,12 @@ class ExperimentConfig(JsonRecord):
             out.append(f"burn_in must be >= 0, got {self.burn_in}")
         if self.master_seed < 0:
             out.append(f"master_seed must be >= 0, got {self.master_seed}")
-        if out:
-            raise ValidationError(out)
-        self.dgp.validate()
-        self.estimator.validate()
-        self.hac.validate()
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "ExperimentConfig":
-        check_keys(obj, "experiment", ("dgp", "T", "n_reps"),
-                   [f.name for f in dataclasses.fields(cls)])
-        return cls(**{
-            **obj,
-            "dgp": HmmDgpParams.from_json(obj["dgp"]),
-            "estimator": EstimatorConfig.from_json(obj.get("estimator", {})),
-            "hac": HacConfig.from_json(obj.get("hac", {})),
-        })
+        return (out + self.dgp.violations() + self.estimator.violations()
+                + self.hac.violations())
 
 
 def load_experiment_config(path) -> ExperimentConfig:
-    cfg = ExperimentConfig.from_json(read_json(path))
-    cfg.validate()
-    return cfg
+    return ExperimentConfig.from_json(read_json(path))
 
 
 @dataclass(kw_only=True)
@@ -214,6 +193,9 @@ _PARAM_STATS = ("bias", "sd", "mean_se", "sd_se_ratio")
 class McSummary(JsonRecord):
     """Bias / SD / mean SE / SD-over-SE per parameter for one experiment."""
 
+    json_label = "summary"
+    json_qualified = ("design", "params")
+
     design: str
     T: int
     n_reps: int
@@ -223,28 +205,16 @@ class McSummary(JsonRecord):
     n_failed: int
     params: dict  # name -> {stat: value for stat in _PARAM_STATS}
 
-    @classmethod
-    def from_json(cls, obj: dict) -> "McSummary":
-        check_keys(obj, "summary", [f.name for f in dataclasses.fields(cls)])
-        summary = cls(**obj)
-        check_types(summary, ("T", "n_reps", "n_used", "n_converged",
-                              "n_degenerate", "n_failed"))
-        if not isinstance(summary.design, str):
-            raise ValidationError(f"summary design must be a string, "
-                                  f"got {summary.design!r}")
-        if not isinstance(summary.params, dict):
-            raise ValidationError(f"summary params must be a JSON object, "
-                                  f"got {type(summary.params).__name__}")
-        for name, entry in summary.params.items():
-            check_keys(entry, f"summary params.{name}", _PARAM_STATS)
-            for stat, value in entry.items():
-                # null stands for a statistic too few rows define
-                if value is not None and (isinstance(value, bool) or
-                                          not isinstance(value, numbers.Real)):
-                    raise ValidationError(
-                        f"summary params.{name}.{stat} must be a real number "
-                        f"or null, got {value!r}")
-        return summary
+    def violations(self) -> list:
+        out = []
+        for name, entry in self.params.items():
+            what = f"summary params.{name}"
+            # null stands for a statistic too few rows define
+            out += key_faults(entry, what, _PARAM_STATS) or [
+                fault for stat, value in entry.items()
+                for fault in type_faults(value, Optional[float],
+                                         f"{what}.{stat}")]
+        return out
 
 
 def summarize_csv(path) -> McSummary:
@@ -253,8 +223,10 @@ def summarize_csv(path) -> McSummary:
     This is the only aggregation path: run_experiment writes the CSV and
     then calls this, so regenerating the summary from the file always
     reproduces it bit for bit.  A row whose field count differs from the
-    header's, a missing column and a cell that is not a number are each a
-    ParseError that names the column and the line.
+    header's, a missing column, a cell that is not a number, an ok,
+    converged or degenerate cell other than 0 or 1, and a design or T other
+    than the first row's are each a ParseError that names the column and
+    the line.
     """
     rows = read_csv(path)
     header = next(rows)
@@ -268,8 +240,18 @@ def summarize_csv(path) -> McSummary:
         if column not in header:
             raise ParseError(f"missing column {column!r}", line=1)
 
-    line, first = rows[0]
-    t_len = csv_number(first["T"], "T", line, int)
+    first_line, first = rows[0]
+    t_len = csv_number(first["T"], "T", first_line, int)
+    for line, r in rows:
+        for column in ("ok", "converged", "degenerate"):
+            if r[column] not in ("0", "1"):
+                raise ParseError(f"column {column!r}: not 0 or 1: "
+                                 f"{r[column]!r}", line=line)
+        for column in ("design", "T"):
+            if r[column] != first[column]:
+                raise ParseError(f"column {column!r}: {r[column]!r} differs "
+                                 f"from {first[column]!r} on line "
+                                 f"{first_line}", line=line)
     ok = [r for _, r in rows if r["ok"] == "1"]
     n_converged = sum(r["converged"] == "1" for r in ok)
     n_degenerate = sum(r["degenerate"] == "1" for r in ok)

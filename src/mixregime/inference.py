@@ -17,8 +17,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .dgp import Sample
-from .errors import (EstimationError, JsonRecord, ValidationError, check_keys,
-                     check_types)
+from .errors import EstimationError, JsonRecord, ValidationError
 from .mixture import ModelSpec, decode_jacobian, hessian, score_contributions
 
 ANDREWS_RHO_CLAMP = 0.97
@@ -29,19 +28,15 @@ _PARZEN_CONSTANT = 2.6614  # Andrews' optimal-rate constant for the Parzen kerne
 class HacConfig(JsonRecord):
     """Bandwidth policy of the HAC middle (Parzen kernel, demeaned scores)."""
 
+    json_label = "hac"
+
     bandwidth: Union[str, float] = "auto"  # "auto" or a fixed value >= 0
 
-    def validate(self) -> None:
-        if self.bandwidth == "auto":
-            return
-        check_types(self, reals=("bandwidth",))
-        if not (math.isfinite(self.bandwidth) and self.bandwidth >= 0):
-            raise ValidationError(f"fixed bandwidth must be >= 0, got {self.bandwidth}")
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "HacConfig":
-        check_keys(obj, "hac", optional=cls().to_json())
-        return cls(bandwidth=obj.get("bandwidth", "auto"))
+    def violations(self) -> list:
+        b = self.bandwidth
+        if b == "auto" or (not isinstance(b, str) and 0 <= b < math.inf):
+            return []
+        return [f"bandwidth must be 'auto' or a finite number >= 0, got {b!r}"]
 
 
 def parzen_weight(x: float) -> float:

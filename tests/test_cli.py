@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 
 from mixregime import (EstimatorConfig, ExperimentConfig, HmmDgpParams,
-                       ModelSpec, RegimeOutcome, TransitionSpec,
+                       ModelSpec, NoiseCorrelation, RegimeOutcome,
+                       TransitionSpec,
                        hmm_benchmark, load_sample, msar_benchmark,
                        save_sample, simulate_msar)
 from mixregime.cli import build_parser, main
@@ -334,7 +335,7 @@ def three_regime_dgp() -> HmmDgpParams:
                   for m, g in ((-3.0, 0.5), (0.0, 1.0), (3.0, -0.5))],
         transition=TransitionSpec(d=3, alpha=2.0 * np.eye(3),
                                   beta=np.zeros((3, 3))),
-        z_law=base.z_law, w_law=base.w_law)
+        z_law=base.z_law, w_law=base.w_law, noise=NoiseCorrelation(0.0, 0.0))
 
 
 class TestOracle:

@@ -12,7 +12,7 @@ from scipy.optimize import minimize
 
 from mixregime import (ArLaw, ConfigurationError, EstimatorConfig,
                        ExperimentConfig, HacConfig, HmmDgpParams, McSummary,
-                       MixtureParams, ModelSpec, ParseError,
+                       MixtureParams, ModelSpec, NoiseCorrelation, ParseError,
                        RegimeOutcome, ReplicationRecord, TransitionSpec,
                        ValidationError, encode, hmm_benchmark,
                        load_experiment_config, load_sample, msar_benchmark,
@@ -93,7 +93,8 @@ class TestExperimentConfig:
         three = HmmDgpParams(
             outcomes=[RegimeOutcome(m, 0.0, 1.0) for m in (-1.0, 0.0, 1.0)],
             transition=TransitionSpec(d=3, alpha=np.eye(3), beta=np.zeros((3, 3))),
-            z_law=ArLaw(0.0, 0.5, 1.0), w_law=ArLaw(0.0, 0.5, 1.0))
+            z_law=ArLaw(0.0, 0.5, 1.0), w_law=ArLaw(0.0, 0.5, 1.0),
+            noise=NoiseCorrelation(0.0, 0.0))
         assert ExperimentConfig(dgp=three, T=200, n_reps=2).spec == ModelSpec(d=3)
         obj = self._with_spec_block(small_cfg(), {"d": 3, "form": "hmm"})
         with pytest.raises(ValidationError, match="unknown experiment key.*spec"):
@@ -302,6 +303,15 @@ def test_only_errors_imports_csv():
     assert importers == {"errors"}
 
 
+def test_only_errors_defines_from_json():
+    # every config block is read by JsonRecord.from_json, from its fields
+    definers = {path.stem for path in sorted(SRC_DIR.glob("*.py"))
+                for node in ast.walk(ast.parse(path.read_text()))
+                if isinstance(node, ast.FunctionDef)
+                and node.name == "from_json"}
+    assert definers == {"errors"}
+
+
 def rows_without_elapsed(path) -> list:
     """replications.csv rows, header included, minus the elapsed_s column."""
     with open(path, newline="") as fh:
@@ -463,6 +473,45 @@ class TestSummarizeCsv:
         path.write_text("".join(lines))
         with pytest.raises(ParseError, match=(
                 f"line 3: expected {n_fields} fields, found {n_fields - 5}")):
+            summarize_csv(path)
+
+    @staticmethod
+    def failed_rows_with(tmp_path, line, column, cell):
+        """A three-row replications.csv of failed rows, `cell` put in
+        `column` on `line`."""
+        cfg = small_cfg(n_reps=3)
+        nan_vec = np.full(len(cfg.spec.natural_names()), np.nan)
+        records = [ReplicationRecord(rep_index=i, estimates=nan_vec,
+                                     std_errors=nan_vec, truth=nan_vec,
+                                     elapsed_s=0.0) for i in range(3)]
+        path = tmp_path / "reps.csv"
+        write_replications_csv(path, records, cfg)
+        lines = path.read_text().splitlines(keepends=True)
+        cells = lines[line - 1].split(",")
+        cells[lines[0].split(",").index(column)] = cell
+        lines[line - 1] = ",".join(cells)
+        path.write_text("".join(lines))
+        return path
+
+    @pytest.mark.parametrize("column, cell, first", [
+        ("design", "other", "bench"), ("T", "800", "200")])
+    def test_row_of_another_experiment_is_parse_error(self, tmp_path, column,
+                                                      cell, first):
+        # the first row's design and T used to stand for every row
+        path = self.failed_rows_with(tmp_path, 3, column, cell)
+        with pytest.raises(ParseError, match=(
+                f"^line 3: column '{column}': '{cell}' differs from "
+                f"'{first}' on line 2$")):
+            summarize_csv(path)
+
+    @pytest.mark.parametrize("column, cell", [
+        ("ok", "true"), ("converged", "yes"), ("degenerate", "2")])
+    def test_flag_other_than_0_or_1_is_parse_error(self, tmp_path, column,
+                                                   cell):
+        # ok = true used to count the row as failed, converged = yes as used
+        path = self.failed_rows_with(tmp_path, 4, column, cell)
+        with pytest.raises(ParseError, match=(
+                f"^line 4: column '{column}': not 0 or 1: '{cell}'$")):
             summarize_csv(path)
 
     def test_missing_column_is_parse_error_naming_it(self, tmp_path):
