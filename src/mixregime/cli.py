@@ -1,9 +1,12 @@
 """Command-line entry points.
 
 Subcommands: simulate, fit, mc, oracle, check-id, render.  simulate and
-oracle take the model from the DGP file: one that sets ar_coefficient is
-the switching AR, fitted by the shared-slope mixture.  Every command exits
-0 on success; failures print a machine-readable JSON object to stderr
+oracle take the model from the DGP file (one that sets ar_coefficient is
+the switching AR, fitted by the shared-slope mixture) and burn in
+DEFAULT_BURN_IN values.  A flag adds no rule: the record that owns its rule
+reads it (ModelSpec the form, HacConfig the bandwidth, seed_key the seed),
+and every setting is read before any data.  Every command exits 0 on
+success; failures print a machine-readable JSON object to stderr
 ({"error": {"type": ..., "message": ...}}) and exit nonzero.
 """
 
@@ -16,8 +19,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .dgp import (DEFAULT_BURN_IN, HmmDgpParams, load_sample, save_sample,
-                  seed_key, simulate_hmm, simulate_msar)
+from .dgp import (HmmDgpParams, load_sample, save_sample, seed_key,
+                  simulate_hmm, simulate_msar)
 from .errors import (ConfigurationError, MixRegimeError, ValidationError,
                      read_json, write_json)
 from .estimator import EstimatorConfig, qml_estimate
@@ -31,45 +34,44 @@ from .oracle import (MAX_PATH_LEN, cf_ratio_check, kl_check,
 
 def _cmd_simulate(args) -> int:
     params = HmmDgpParams.from_json(read_json(args.config))
+    seed = seed_key(args.seed)
     spec = ModelSpec.for_dgp(params)
     sim = simulate_msar if spec.form == "msar" else simulate_hmm
-    sample = sim(params, T=args.T, burn_in=args.burn_in, seed=args.seed)
+    sample = sim(params, T=args.T, seed=seed)
     save_sample(sample, args.out)
     write_json({"out": str(args.out), "T": sample.T, "variant": spec.form,
-                "seed": list(seed_key(args.seed)),
-                "params_hash": params.params_hash()})
+                "seed": seed, "params_hash": params.params_hash()})
     return 0
 
 
 def _parse_bandwidth(text: str):
-    if text == "auto":
-        return "auto"
     try:
-        return float(text)
+        return text if text == "auto" else float(text)
     except ValueError:
         raise ConfigurationError(f"--bandwidth must be 'auto' or a number, "
                                  f"got {text!r}") from None
 
 
 def _cmd_fit(args) -> int:
-    sample = load_sample(args.data)
     spec = ModelSpec(d=args.d, form=args.form)
+    seed = seed_key(args.seed)
     cfg_obj = read_json(args.config) if args.config else {}
     if not isinstance(cfg_obj, dict):
         raise ValidationError(f"fit config must be a JSON object, "
                               f"got {type(cfg_obj).__name__}")
     if "dgp" in cfg_obj:  # an experiment config, checked as mc checks it
         experiment = ExperimentConfig.from_json(cfg_obj)
-        experiment.validate()
         est_cfg, hac_cfg = experiment.estimator, experiment.hac
     else:  # estimator settings, with an optional "hac" block
         est_cfg = EstimatorConfig.from_json(
             {k: v for k, v in cfg_obj.items() if k != "hac"})
         hac_cfg = HacConfig.from_json(cfg_obj.get("hac", {}))
-    if args.bandwidth is not None:
-        hac_cfg.bandwidth = _parse_bandwidth(args.bandwidth)
+    if args.bandwidth is not None:  # replaces the configured HAC block
+        hac_cfg = HacConfig.from_json(
+            {"bandwidth": _parse_bandwidth(args.bandwidth)})
 
-    result = qml_estimate(sample, spec, est_cfg, seed=args.seed)
+    sample = load_sample(args.data)
+    result = qml_estimate(sample, spec, est_cfg, seed=seed)
     hac_info = {}
     n_nat = len(spec.natural_names())
     cov = np.full((n_nat, n_nat), np.nan)
@@ -105,21 +107,20 @@ def _cmd_mc(args) -> int:
 
 def _cmd_oracle(args) -> int:
     params = HmmDgpParams.from_json(read_json(args.config))
-    result = pseudo_true_msar(params, n_sim=args.n_sim, burn_in=args.burn_in,
-                              seed=args.seed)
+    seed = seed_key(args.seed)
+    result = pseudo_true_msar(params, n_sim=args.n_sim, seed=seed)
     spec = ModelSpec.for_dgp(params)
     kl = None  # the perturbation grid is defined for d = 2 only
     if spec.d == 2:
         # the KL check draws a path the optimizer never saw
-        kl_seed = [args.seed, result.n_paths]
+        kl_seed = [*seed, result.n_paths]
         grid = perturbation_grid(result.theta_star, form=spec.form)
         report = kl_check(params, result.theta_star, grid,
-                          n_sim=min(args.n_sim, MAX_PATH_LEN), seed=kl_seed,
-                          burn_in=args.burn_in)
+                          n_sim=min(args.n_sim, MAX_PATH_LEN), seed=kl_seed)
         kl = {**report.to_json(), "seed": kl_seed,
               "all_dominated_3se": report.all_dominated(3.0)}
     weights = pseudo_true_weights(params, n_sim=min(args.n_sim, MAX_PATH_LEN),
-                                  burn_in=args.burn_in, seed=args.seed)
+                                  seed=seed)
     write_json({**result.to_json(), "kl_check": kl, "weights": weights},
                args.out)
     return 0
@@ -171,7 +172,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="DGP parameter JSON file; one that sets "
                             "ar_coefficient simulates the switching AR")
     p_sim.add_argument("--T", type=int, required=True)
-    p_sim.add_argument("--burn-in", type=int, default=DEFAULT_BURN_IN)
     p_sim.add_argument("--seed", type=int, default=0)
     p_sim.add_argument("--out", required=True, help="output CSV path")
     p_sim.set_defaults(func=_cmd_simulate)
@@ -179,7 +179,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_fit = sub.add_parser("fit", help="fit the mixture model to a CSV sample")
     p_fit.add_argument("--data", required=True)
     p_fit.add_argument("--d", type=int, required=True, help="number of components")
-    p_fit.add_argument("--form", choices=["hmm", "msar"], default="hmm")
+    p_fit.add_argument("--form", default="hmm", help="'hmm' or 'msar'")
     p_fit.add_argument("--config", help="estimator/HAC settings JSON file")
     p_fit.add_argument("--out", help="write the result JSON here")
     p_fit.add_argument("--bandwidth", help="HAC bandwidth: 'auto' or a number")
@@ -199,7 +199,6 @@ def build_parser() -> argparse.ArgumentParser:
                        "each on its own path of min(n-sim, 10^6) values")
     p_or.add_argument("--config", required=True, help="DGP parameter JSON file")
     p_or.add_argument("--n-sim", type=int, required=True)
-    p_or.add_argument("--burn-in", type=int, default=DEFAULT_BURN_IN)
     p_or.add_argument("--seed", type=int, default=0)
     p_or.add_argument("--out")
     p_or.set_defaults(func=_cmd_oracle)

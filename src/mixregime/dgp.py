@@ -32,7 +32,7 @@ from scipy.linalg.lapack import dgtsv
 
 from .errors import (ConfigurationError, JsonRecord, ParseError,
                      ValidationError, csv_cells, csv_number, read_csv,
-                     real_matrix, write_csv)
+                     real_matrix, type_faults, write_csv)
 
 # Sub-stream labels: one independent RNG stream per noise consumer, so that
 # extending T never reshuffles earlier draws.
@@ -45,11 +45,28 @@ _STREAM_INIT = 4
 DEFAULT_BURN_IN = 500
 
 
+def seed_faults(seed, name: str = "seed") -> list:
+    """Messages for the ways `seed`, called `name`, is not a seed: a
+    non-negative int or a list or tuple of them.  A bool or a float is not
+    an int, and is not truncated to one."""
+    parts = (enumerate(seed) if isinstance(seed, (list, tuple))
+             else [(None, seed)])
+    faults = []
+    for i, part in parts:
+        what = name if i is None else f"{name}[{i}]"
+        faults += type_faults(part, int, what) or (
+            [f"{what} must be >= 0, got {part}"] if part < 0 else [])
+    return faults
+
+
 def seed_key(seed) -> tuple:
-    """Normalize a seed (int or sequence of ints) to a tuple of ints."""
-    if isinstance(seed, (int, np.integer)):
-        return (int(seed),)
-    return tuple(int(s) for s in seed)
+    """A seed as a tuple of ints; one that seed_faults faults is a
+    ValidationError."""
+    faults = seed_faults(seed)
+    if faults:
+        raise ValidationError(faults)
+    parts = seed if isinstance(seed, (list, tuple)) else [seed]
+    return tuple(map(int, parts))
 
 
 def stream_rng(seed, label: int) -> np.random.Generator:

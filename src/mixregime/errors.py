@@ -180,7 +180,16 @@ def _matrix_faults(value, name: str) -> list:
 
 
 def _is_kind(value, kind) -> bool:
-    return isinstance(value, _KINDS[kind][0]) and not isinstance(value, bool)
+    """Whether `value` is of `kind`.  A bool is no number, and an int that
+    a double cannot hold (float() overflows) is no real number."""
+    if not isinstance(value, _KINDS[kind][0]) or isinstance(value, bool):
+        return False
+    if kind is float and isinstance(value, int):
+        try:
+            float(value)
+        except OverflowError:
+            return False
+    return True
 
 
 @functools.cache

@@ -19,8 +19,8 @@ from typing import List, Optional
 
 import numpy as np
 
-from .dgp import (DEFAULT_BURN_IN, HmmDgpParams, seed_key, simulate_hmm,
-                  simulate_msar)
+from .dgp import (DEFAULT_BURN_IN, HmmDgpParams, seed_faults, seed_key,
+                  simulate_hmm, simulate_msar)
 from .errors import (ConfigurationError, JsonRecord, MixRegimeError,
                      ParseError, ValidationError, csv_cells, csv_number,
                      key_faults, read_csv, read_json, type_faults, write_csv,
@@ -62,8 +62,7 @@ class ExperimentConfig(JsonRecord):
             out.append(f"T must be >= 50, got {self.T}")
         if self.burn_in < 0:
             out.append(f"burn_in must be >= 0, got {self.burn_in}")
-        if self.master_seed < 0:
-            out.append(f"master_seed must be >= 0, got {self.master_seed}")
+        out += seed_faults(self.master_seed, "master_seed")
         return (out + self.dgp.violations() + self.estimator.violations()
                 + self.hac.violations())
 
@@ -129,12 +128,8 @@ def run_replication(cfg: ExperimentConfig, rep_index: int) -> ReplicationRecord:
     sim_seed = seed_key(cfg.master_seed) + (rep_index, 0)
     est_seed = seed_key(cfg.master_seed) + (rep_index, 1)
     try:
-        if spec.form == "msar":
-            sample = simulate_msar(cfg.dgp, T=cfg.T, burn_in=cfg.burn_in,
-                                   seed=sim_seed)
-        else:
-            sample = simulate_hmm(cfg.dgp, T=cfg.T, burn_in=cfg.burn_in,
-                                  seed=sim_seed)
+        simulate = simulate_msar if spec.form == "msar" else simulate_hmm
+        sample = simulate(cfg.dgp, T=cfg.T, burn_in=cfg.burn_in, seed=sim_seed)
         result = qml_estimate(sample, spec, cfg.estimator, seed=est_seed)
 
         aligned = align_permutation(result.theta_hat, ref)

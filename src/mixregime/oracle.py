@@ -368,8 +368,10 @@ def cf_ratio_check(family: str, a1: float, a2: float,
         tau_grid = (np.linspace(0.0, 10.0, 21) if kind == "gaussian"
                     else np.arange(1.0, 13.0))
     taus = np.asarray(tau_grid, dtype=float)
-    if taus.size < 2 or (np.diff(taus) <= 0).any() or taus[0] < 0:
-        raise ValidationError("tau_grid must be nonnegative and strictly increasing")
+    if (taus.size < 2 or not np.isfinite(taus).all()
+            or (np.diff(taus) <= 0).any() or taus[0] < 0):
+        raise ValidationError("tau_grid must be finite, nonnegative and "
+                              "strictly increasing")
 
     trace = []
     for tau in taus:

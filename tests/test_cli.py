@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import re
@@ -49,6 +50,10 @@ def validation_error(argv, capsys) -> str:
     err = json.loads(capsys.readouterr().err)["error"]
     assert err["type"] == "ValidationError"
     return err["message"]
+
+
+def no_work(*args, **kwargs):
+    raise AssertionError("work began before every setting was read")
 
 
 class TestSimulate:
@@ -221,6 +226,46 @@ class TestFit:
         assert payload["covariance"] == [[None] * n] * n
         assert np.isfinite(payload["natural_estimates"]).all()
         capsys.readouterr()
+
+    @pytest.mark.parametrize("bandwidth", ["-1", "nan", "inf"])
+    def test_bad_bandwidth_fails_a_degenerate_fit(self, tmp_path, floor_fit,
+                                                  capsys, bandwidth):
+        # a degenerate fit never reaches sandwich_cov, which alone caught it
+        _, sample, _ = floor_fit
+        data = tmp_path / "floor.csv"
+        save_sample(sample, data)
+        out = tmp_path / "fit.json"
+        msg = validation_error(["fit", "--data", str(data), "--d", "2",
+                                "--form", "msar", "--out", str(out),
+                                "--bandwidth", bandwidth], capsys)
+        assert msg.startswith("bandwidth must be 'auto' or a finite number")
+        assert not out.exists()
+
+    def test_settings_are_read_before_the_data(self, tmp_path, monkeypatch,
+                                               capsys):
+        monkeypatch.setattr("mixregime.cli.load_sample", no_work)
+        msg = validation_error(["fit", "--data", str(tmp_path / "s.csv"),
+                                "--d", "2", "--bandwidth", "-1"], capsys)
+        assert "bandwidth" in msg
+
+    def test_unknown_form_is_configuration_error(self, tmp_path, monkeypatch,
+                                                 capsys):
+        # ModelSpec owns the forms; argparse's copy made this an exit-2 usage
+        monkeypatch.setattr("mixregime.cli.load_sample", no_work)
+        rc = main(["fit", "--data", str(tmp_path / "s.csv"), "--d", "2",
+                   "--form", "var"])
+        assert rc == 1
+        assert json.loads(capsys.readouterr().err)["error"] == {
+            "type": "ConfigurationError",
+            "message": "form must be one of ('hmm', 'msar'), got 'var'"}
+
+    def test_int_too_large_for_a_double_is_validation_error(
+            self, tmp_path, sample_csv, capsys):
+        cfg_path = tmp_path / "estimator.json"
+        cfg_path.write_text('{"em_tol": 1' + "0" * 400 + "}")
+        msg = validation_error(["fit", "--data", str(sample_csv), "--d", "2",
+                                "--config", str(cfg_path)], capsys)
+        assert msg.startswith("em_tol must be a real number, got 1000")
 
     @pytest.mark.parametrize("edit, message", [
         (lambda obj: obj.update(bogus_key=1),
@@ -429,6 +474,52 @@ class TestOracle:
         assert "--msar" in capsys.readouterr().err
 
 
+class TestParser:
+    def test_option_strings_are_pinned(self):
+        # a new knob is an edit here, and needs a record that owns its rule
+        (sub,) = [action for action in build_parser()._actions
+                  if isinstance(action, argparse._SubParsersAction)]
+        options = {name: [option for action in parser._actions
+                          if not isinstance(action, argparse._HelpAction)
+                          for option in action.option_strings or [action.dest]]
+                   for name, parser in sub.choices.items()}
+        assert options == {
+            "simulate": ["--config", "--T", "--seed", "--out"],
+            "fit": ["--data", "--d", "--form", "--config", "--out",
+                    "--bandwidth", "--seed"],
+            "mc": ["--config", "--out-dir"],
+            "oracle": ["--config", "--n-sim", "--seed", "--out"],
+            "check-id": ["--family", "--a1", "--a2", "--tau-grid", "--out"],
+            "render": ["summaries", "--out"],
+        }
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--config", "dgp.json", "--T", "200", "--out", "s.csv"],
+        ["oracle", "--config", "dgp.json", "--n-sim", "20000"],
+    ], ids=["simulate", "oracle"])
+    def test_burn_in_flag_rejected(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(argv + ["--burn-in", "100"])
+        assert exc.value.code == 2
+        assert "--burn-in" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, work", [
+        ("simulate", "simulate_hmm"), ("fit", "load_sample"),
+        ("oracle", "pseudo_true_msar")])
+    def test_negative_seed_fails_before_any_work(self, tmp_path, dgp_config,
+                                                 monkeypatch, capsys,
+                                                 command, work):
+        # numpy's raw ValueError on -1 exited 2, after the work began
+        monkeypatch.setattr(f"mixregime.cli.{work}", no_work)
+        argv = {"simulate": ["--config", str(dgp_config), "--T", "200",
+                             "--out", str(tmp_path / "s.csv")],
+                "fit": ["--data", str(tmp_path / "s.csv"), "--d", "2"],
+                "oracle": ["--config", str(dgp_config), "--n-sim", "20000"],
+                }[command]
+        msg = validation_error([command, *argv, "--seed", "-1"], capsys)
+        assert msg == "seed must be >= 0, got -1"
+
+
 class TestCheckId:
     def test_gaussian_verdict(self, tmp_path, capsys):
         out = tmp_path / "id.json"
@@ -453,6 +544,14 @@ class TestCheckId:
         err = json.loads(capsys.readouterr().err)["error"]
         assert err["type"] == "ConfigurationError"
         assert "tau-grid" in err["message"]
+
+    @pytest.mark.parametrize("grid", ["0,inf", "0,nan"])
+    def test_non_finite_tau_is_validation_error(self, capsys, grid):
+        # 0,inf gave verdict true with a null tau
+        msg = validation_error(["check-id", "--family", "gaussian", "--a1",
+                                "1.5", "--a2", "1", "--tau-grid", grid],
+                               capsys)
+        assert msg.startswith("tau_grid must be finite")
 
     def test_bad_family_fails(self, capsys):
         rc = main(["check-id", "--family", "levy", "--a1", "2.0",

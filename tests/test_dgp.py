@@ -13,7 +13,7 @@ from mixregime import (ArLaw, ConfigurationError, HmmDgpParams, NoiseCorrelation
                        ValidationError, hmm_benchmark, load_sample, msar_benchmark,
                        save_sample, simulate_hmm, simulate_msar)
 from mixregime.dgp import (DEFAULT_BURN_IN, _ar1, outcome_violations,
-                           stream_rng, transition_rows)
+                           seed_key, stream_rng, transition_rows)
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -258,6 +258,32 @@ class TestSimulateHmm:
             simulate_hmm(hmm_params, T=0, seed=1)
         with pytest.raises(ValidationError):
             simulate_hmm(hmm_params, T=10, burn_in=-1, seed=1)
+
+
+class TestSeedKey:
+    @pytest.mark.parametrize("seed, key", [
+        (7, (7,)), (np.int64(7), (7,)), ((9, 1), (9, 1)), ([9, 1], (9, 1))])
+    def test_seed_is_a_tuple_of_ints(self, seed, key):
+        assert seed_key(seed) == key
+        assert all(type(k) is int for k in seed_key(seed))
+
+    @pytest.mark.parametrize("seed, message", [
+        (-1, "seed must be >= 0, got -1"),
+        (1.5, "seed must be an int, got 1.5"),
+        (True, "seed must be an int, got True"),
+        ((1.5, 2), "seed[0] must be an int, got 1.5"),
+        ((1, -2), "seed[1] must be >= 0, got -2"),
+    ])
+    def test_bad_seed_is_validation_error(self, seed, message):
+        # int() truncated (1.5, 2) to (1, 2) and read True as 1, and numpy
+        # raised a raw ValueError on -1
+        with pytest.raises(ValidationError) as err:
+            seed_key(seed)
+        assert err.value.violations == [message]
+
+    def test_simulator_rejects_a_negative_seed(self, hmm_params):
+        with pytest.raises(ValidationError, match="^seed must be >= 0"):
+            simulate_hmm(hmm_params, T=10, seed=-1)
 
 
 class TestSimulateMsar:

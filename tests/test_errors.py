@@ -2,6 +2,8 @@
 and types, and from_json and validate() reject a wrong-typed value alike."""
 
 import dataclasses
+import functools
+import operator
 import re
 import typing
 from typing import Optional, Union
@@ -158,3 +160,28 @@ def test_real_values_are_stored_as_floats():
     spec = TransitionSpec.from_json({"d": 2, "alpha": [[2, 0], [0, 2]],
                                      "beta": [[0, 0], [0, 0]]})
     assert spec.alpha.dtype == float
+
+
+HUGE = 10 ** 400  # an int that no double holds
+
+
+@pytest.mark.parametrize("cls, path, name", [
+    (EstimatorConfig, ("em_tol",), "em_tol"),
+    (HmmDgpParams, ("outcomes", 0, "mu"), "mu"),
+    (HmmDgpParams, ("transition", "alpha", 0, 0),
+     "transition alpha row 0, column 0"),
+])
+def test_int_too_large_for_a_double_is_no_real_number(cls, path, name):
+    # float() raised a raw OverflowError while the block was read
+    obj = VALID[cls]().to_json()
+    *parents, key = path
+    functools.reduce(operator.getitem, parents, obj)[key] = HUGE
+    with pytest.raises(ValidationError) as err:
+        cls.from_json(obj)
+    assert err.value.violations == [f"{name} must be a real number, got {HUGE}"]
+
+
+def test_huge_int_in_a_record_built_in_python_is_rejected():
+    with pytest.raises(ValidationError) as err:
+        RegimeOutcome(HUGE, 0.5, 1.0).validate()
+    assert err.value.violations == [f"mu must be a real number, got {HUGE}"]

@@ -340,6 +340,14 @@ class TestCfRatioCheck:
         with pytest.raises(ValidationError):
             cf_ratio_check("gaussian", a1=2.0, a2=1.0, tau_grid=[-1.0, 0.0])
 
+    @pytest.mark.parametrize("family", ["gaussian", "student-t:5"])
+    @pytest.mark.parametrize("grid", [[0.0, np.inf], [0.0, np.nan],
+                                      [np.nan, 1.0]])
+    def test_non_finite_grid_is_rejected(self, family, grid):
+        # an inf gave a verdict on a null tau, a nan a QuadratureError
+        with pytest.raises(ValidationError, match="^tau_grid must be finite"):
+            cf_ratio_check(family, a1=1.5, a2=1.0, tau_grid=grid)
+
     def test_eventually_decreasing_helper(self):
         assert _eventually_decreasing([5.0, 1.0, 0.5, 0.1])
         assert _eventually_decreasing([0.1, 5.0, 1.0, 0.5])
