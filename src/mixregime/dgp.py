@@ -291,6 +291,12 @@ def _next_state_table(spec: TransitionSpec, z_prev: np.ndarray,
     sums the probabilities p_j = 1 / sum_i exp(l_i - l_j) of destinations
     j <= k.  For d = 2 that is the logistic stay/leave rule
     u_t >= 1 / (1 + exp(l_1 - l_0)).
+
+    It keeps its own destination-major probabilities rather than calling
+    transition_rows once per source.  A table built from transition_rows
+    drew the same destinations over 10^8 draws for d = 2 and for d = 3,
+    but at 10^6 steps it took about 160 ms against 18 ms here (d = 2,
+    2-core VM), and each oracle round simulates three such paths.
     """
     d = spec.d
     logits = [spec.alpha[:, j, None] + spec.beta[:, j, None] * z_prev

@@ -53,11 +53,7 @@ class ParseError(MixRegimeError, ValueError):
 
 
 class EstimationError(MixRegimeError, RuntimeError):
-    """Estimation failed; carries per-start diagnostics when available."""
-
-    def __init__(self, message, diagnostics=None):
-        self.diagnostics = diagnostics or []
-        super().__init__(message)
+    """Estimation failed; the message says why."""
 
 
 class QuadratureError(MixRegimeError, RuntimeError):
@@ -248,13 +244,17 @@ def json_value(obj):
 
 def read_json(path):
     """Parse the JSON file at `path`; malformed JSON is a ParseError that
-    names the line it fails on."""
+    names the line it fails on, and a file json cannot read for any other
+    reason (an int past Python's digit limit, text that is not UTF-8) is a
+    ParseError that names the file."""
     with open(path) as fh:
         try:
             return json.load(fh)
         except json.JSONDecodeError as exc:
             raise ParseError(f"invalid JSON in {path}: {exc.msg} "
                              f"(column {exc.colno})", line=exc.lineno) from None
+        except ValueError as exc:
+            raise ParseError(f"invalid JSON in {path}: {exc}") from None
 
 
 def write_json(obj, path=None) -> None:

@@ -24,9 +24,8 @@ from scipy.optimize import linear_sum_assignment, minimize
 
 from .dgp import Sample, seed_key
 from .errors import EstimationError, JsonRecord, ValidationError
-from .mixture import (LOG_SIGMA_MIN, SIGMA_MIN, MixtureParams, ModelSpec,
-                      decode, encode_arrays, mixture_kernel,
-                      neg_loglik_and_score)
+from .mixture import (SIGMA_MIN, MixtureParams, ModelSpec, decode,
+                      encode_arrays, mixture_kernel, neg_loglik_and_score)
 
 _COLLAPSE_FRACTION = 1e-8  # of effective sample size, per component
 # Normal equations count as singular below this fraction of their diagonal
@@ -253,11 +252,12 @@ def qml_estimate(sample: Sample, spec: ModelSpec,
     `converged` (max-norm of the score at most cfg.qn_grad_tol),
     start_index and n_iterations describe that winning start; when its
     BFGS reports failure the message is added to `notes`, and when it ends
-    with a log sigma at decode's lower clamp, "sigma floor reached".
+    with a sigma within 1e-9 relative of SIGMA_MIN, "sigma floor reached".
     `degenerate` marks an estimate on the boundary of the parameter space:
-    a sigma within 1e-9 relative of SIGMA_MIN or a weight below 1e-6.  At
-    the sigma floor the curvature is about 1 / SIGMA_MIN^2, so such a fit
-    has no sandwich covariance.
+    such a sigma or a weight below 1e-6.  At the sigma floor the curvature
+    is about 1 / SIGMA_MIN^2, so such a fit has no sandwich covariance.
+    When every EM start is degenerate the EstimationError lists each
+    start's notes.
     Components of the returned estimate are sorted by mu ascending.
     """
     if cfg is None:
@@ -276,26 +276,23 @@ def qml_estimate(sample: Sample, spec: ModelSpec,
                           options={"maxiter": cfg.qn_max_iter,
                                    "gtol": cfg.qn_grad_tol}), i)
                 for i, r in enumerate(runs) if not r.degenerate]
-    if not polished:
-        raise EstimationError(
-            "all EM starts degenerate",
-            diagnostics=[f"start {i}: {'; '.join(r.notes)}" for i, r in enumerate(runs)])
-    res, best_index = min(polished, key=lambda p: p[0].fun)  # first of ties
     notes = [f"start {i}: {note}" for i, r in enumerate(runs) for note in r.notes]
+    if not polished:
+        raise EstimationError("all EM starts degenerate: " + "; ".join(notes))
+    res, best_index = min(polished, key=lambda p: p[0].fun)  # first of ties
     if not res.success:
         notes.append(f"bfgs: {res.message}")
-    # decode clamps a log sigma at or below LOG_SIGMA_MIN to SIGMA_MIN
-    if (res.x[spec.blocks.log_sigma] <= LOG_SIGMA_MIN).any():
-        notes.append("sigma floor reached")
 
     theta_hat = decode(res.x, spec).sorted_by_mu()
+    floor_hit = bool((theta_hat.outcome_matrix[:, 2]
+                      <= SIGMA_MIN * (1 + 1e-9)).any())
+    if floor_hit:
+        notes.append("sigma floor reached")
     return EstimationResult(
         theta_hat=theta_hat,
         loglik=-float(res.fun),
         converged=bool(np.max(np.abs(res.jac)) <= cfg.qn_grad_tol),
-        degenerate=bool(
-            (theta_hat.outcome_matrix[:, 2] <= SIGMA_MIN * (1 + 1e-9)).any()
-            or (theta_hat.weights < 1e-6).any()),
+        degenerate=floor_hit or bool((theta_hat.weights < 1e-6).any()),
         n_iterations={"em": runs[best_index].n_iter, "qn": int(res.nit)},
         start_index=best_index,
         notes=notes,

@@ -303,22 +303,9 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> McSummary:
     return summary
 
 
-_GROUP_RANK = {"mu": 0, "gamma": 1, "phi": 1, "sigma": 2, "weight": 3}
-
-
 def _display_name(name: str) -> str:
     base, _, idx = name.rpartition("_")
     return f"{base}({idx})" if base else name
-
-
-def _canonical_param_order(names) -> list:
-    def key(name):
-        base, _, idx = name.rpartition("_")
-        if not base:
-            base, idx = name, "0"
-        return (_GROUP_RANK.get(base, 9), int(idx))
-
-    return sorted(names, key=key)
 
 
 def render_table(summaries: List[McSummary]) -> str:
@@ -326,16 +313,26 @@ def render_table(summaries: List[McSummary]) -> str:
 
     Designs appear as column panels (in first-seen order), T values as
     rows within each block, parameters as columns within each panel,
-    values to 3 decimals.  Weight columns are omitted: the tables report
-    the outcome-equation parameters.
+    values to 3 decimals, in ModelSpec.natural_names order.  Weight
+    columns are omitted: the tables report the outcome-equation parameters.
+    Every summary must report the natural parameters of the model the
+    first one reports: d components, one per mu_* key, in the switching-AR
+    form when phi is present.
     """
     if not summaries:
         raise ValidationError("no summaries to render")
-    name_sets = {tuple(sorted(s.params.keys())) for s in summaries}
-    if len(name_sets) != 1:
-        raise ValidationError("summaries have mismatched parameter sets")
-    names = _canonical_param_order(
-        n for n in summaries[0].params if not n.startswith("weight_"))
+    first = summaries[0].params
+    # d >= 1, so a summary without mu_* keys fails the set check below
+    spec = ModelSpec(d=max(1, sum(n.startswith("mu_") for n in first)),
+                     form="msar" if "phi" in first else "hmm")
+    names = spec.natural_names()
+    for s in summaries:
+        if set(s.params) != set(names):
+            raise ValidationError(
+                f"summary ({s.design}, T = {s.T}) does not report the natural "
+                f"parameters of d = {spec.d}, form {spec.form!r}: got "
+                f"{sorted(s.params)}")
+    names = [n for n in names if not n.startswith("weight_")]
 
     # the first summary of each (design, T), which reversed order leaves last
     cells = {(s.design, s.T): s for s in reversed(summaries)}

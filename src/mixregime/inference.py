@@ -171,8 +171,7 @@ def sandwich_cov(theta_free: np.ndarray, sample: Sample, spec: ModelSpec,
     if not np.isfinite(cond) or cond > 1e12:
         raise EstimationError(
             f"Hessian numerically singular (condition number {cond:.3e}); "
-            "check estimator convergence and component degeneracy",
-            diagnostics=[f"condition_number={cond!r}"])
+            "check estimator convergence and component degeneracy")
     t_len = g.shape[0]
     b_mat = hac_middle(g, cfg, info=info)
     inv_a_b = np.linalg.solve(a_mat, b_mat)

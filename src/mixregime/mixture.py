@@ -75,6 +75,7 @@ class ModelSpec(JsonRecord):
     form: str = "hmm"
 
     def __post_init__(self):
+        self.validate()  # the field types: a bool or 2.5 is no d
         if self.form not in _FORMS:
             raise ConfigurationError(f"form must be one of {_FORMS}, got {self.form!r}")
         if self.d < 1:

@@ -256,19 +256,17 @@ def perturbation_grid(theta_star: MixtureParams, form: str = "hmm") -> list:
     "hmm" layout also shifts gamma(1) by +/-0.5 and gamma(2) by +/-0.25.
     The "msar" layout keeps the slope shared: it shifts phi on both
     components together by +/-0.05 and sigma(2) by +/-0.25, so every point
-    stays inside the shared-slope model.
+    stays inside the shared-slope model.  ModelSpec rejects any other form.
     """
     if theta_star.d != 2:
         raise ConfigurationError(f"grid is defined for d = 2, got d = {theta_star.d}")
-    if form == "hmm":
+    if ModelSpec(theta_star.d, form).form == "hmm":
         bumps = (("mu", (0,), 0.25), ("mu", (1,), 0.5), ("gamma", (0,), 0.5),
                  ("gamma", (1,), 0.25), ("sigma", (0,), 0.25))
-    elif form == "msar":
+    else:
         bumps = (("mu", (0,), 0.25), ("mu", (1,), 0.5),
                  ("gamma", (0, 1), 0.05), ("sigma", (0,), 0.25),
                  ("sigma", (1,), 0.25))
-    else:
-        raise ConfigurationError(f"form must be 'hmm' or 'msar', got {form!r}")
     out = []
     outcomes, weights = theta_star.outcome_matrix, theta_star.weights
     for fld, comp_idx, step in bumps:

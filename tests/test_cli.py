@@ -267,6 +267,29 @@ class TestFit:
                                 "--config", str(cfg_path)], capsys)
         assert msg.startswith("em_tol must be a real number, got 1000")
 
+    def test_int_past_the_digit_limit_is_parse_error(self, tmp_path,
+                                                     sample_csv, capsys):
+        # json cannot read an int of more than 4,300 digits
+        cfg_path = tmp_path / "estimator.json"
+        cfg_path.write_text('{"em_tol": 1' + "0" * 5000 + "}")
+        assert main(["fit", "--data", str(sample_csv), "--d", "2",
+                     "--config", str(cfg_path)]) == 1
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["type"] == "ParseError"
+        assert err["message"].startswith(f"invalid JSON in {cfg_path}: ")
+
+    def test_degenerate_fit_names_every_start_reason(self, tmp_path, capsys):
+        data = tmp_path / "constant.csv"
+        data.write_text("y,w\n" + "3,2\n" * 60)
+        assert main(["fit", "--data", str(data), "--d", "2"]) == 1
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["type"] == "EstimationError"
+        message = err["message"]
+        assert message.startswith("all EM starts degenerate: start 0: ")
+        for start in range(EstimatorConfig().n_starts):
+            assert re.search(f"start {start}: [^;]*(collapsed|singular)",
+                             message), start
+
     @pytest.mark.parametrize("edit, message", [
         (lambda obj: obj.update(bogus_key=1),
          "unknown experiment key(s): bogus_key"),

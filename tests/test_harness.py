@@ -13,7 +13,8 @@ from scipy.optimize import minimize
 from mixregime import (ArLaw, ConfigurationError, EstimatorConfig,
                        ExperimentConfig, HacConfig, HmmDgpParams, McSummary,
                        MixtureParams, ModelSpec, NoiseCorrelation, ParseError,
-                       RegimeOutcome, ReplicationRecord, TransitionSpec,
+                       RegimeOutcome, ReplicationRecord, Sample,
+                       TransitionSpec,
                        ValidationError, encode, hmm_benchmark,
                        load_experiment_config, load_sample, msar_benchmark,
                        render_table,
@@ -277,6 +278,25 @@ class TestRunReplication:
         assert rec.error == "EstimationError: all starts bad"
         assert np.isnan(rec.estimates).all()
 
+    def test_degenerate_fit_names_every_start_reason(self, tmp_path,
+                                                     monkeypatch):
+        constant = Sample(y=np.full(60, 3.0), w=np.full(60, 2.0))
+        monkeypatch.setattr("mixregime.harness.simulate_hmm",
+                            lambda *args, **kwargs: constant)
+        cfg = small_cfg()
+        rec = run_replication(cfg, 0)
+        assert not rec.ok
+        assert rec.error.startswith(
+            "EstimationError: all EM starts degenerate: start 0: ")
+        for start in range(cfg.estimator.n_starts):
+            assert re.search(f"start {start}: [^;]*(collapsed|singular)",
+                             rec.error), start
+        path = tmp_path / "replications.csv"
+        write_replications_csv(path, [rec], cfg)
+        with open(path, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert rows[0]["error"] == rec.error
+
     def test_programming_error_propagates(self, monkeypatch):
         monkeypatch.setattr("mixregime.harness.qml_estimate",
                             self.failing_fit(TypeError("bad call")))
@@ -310,6 +330,27 @@ def test_only_errors_defines_from_json():
                 if isinstance(node, ast.FunctionDef)
                 and node.name == "from_json"}
     assert definers == {"errors"}
+
+
+def test_no_module_has_an_unused_import():
+    # a name imported and never read is dead code that hides which module
+    # depends on which; __init__ imports to re-export
+    unused = []
+    for path in sorted(SRC_DIR.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    imported[alias.asname or alias.name.split(".")[0]] = node
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                for alias in node.names:
+                    imported[alias.asname or alias.name] = node
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.name}: {name}" for name in imported if name not in read]
+    assert unused == []
 
 
 def rows_without_elapsed(path) -> list:
@@ -617,6 +658,24 @@ class TestRenderTable:
         del b.params["sigma_2"]
         with pytest.raises(ValidationError):
             render_table([a, b])
+
+    def test_parameters_outside_the_model_rejected(self):
+        # every summary reports the same set, but not one model's
+        summaries = [canned_summary("rho0", T, 0.1) for T in (200, 800)]
+        for s in summaries:
+            s.params["rho"] = s.params["mu_1"]
+        with pytest.raises(ValidationError, match=(
+                r"^summary \(rho0, T = 200\) does not report the natural "
+                r"parameters of d = 2, form 'hmm'")):
+            render_table(summaries)
+
+    def test_switching_ar_columns_in_natural_order(self):
+        s = canned_summary("msar", 200, 0.1)
+        del s.params["gamma_2"]
+        s.params = {"phi": s.params.pop("gamma_1"), **s.params}
+        header = render_table([s]).splitlines()[1].split()
+        assert header == ["Block", "T", "mu(1)", "mu(2)", "phi", "sigma(1)",
+                          "sigma(2)"]
 
     def test_empty_rejected(self):
         with pytest.raises(ValidationError):

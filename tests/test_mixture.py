@@ -80,6 +80,17 @@ class TestModelSpec:
         with pytest.raises(ValidationError, match="unknown experiment key.*spec"):
             mixregime.ExperimentConfig.from_json(obj)
 
+    @pytest.mark.parametrize("fields, message", [
+        ({"d": True}, "d must be an int, got True"),
+        ({"d": 2.5}, "d must be an int, got 2.5"),
+        ({"d": "2"}, "d must be an int, got '2'"),
+        ({"d": 2, "form": None}, "form must be a string, got None"),
+    ], ids=["bool_d", "real_d", "string_d", "null_form"])
+    def test_bad_type_is_validation_error(self, fields, message):
+        with pytest.raises(ValidationError) as info:
+            ModelSpec(**fields)
+        assert str(info.value) == message
+
     def test_blocks_are_built_once_per_layout(self):
         # decode reads the layout on every BFGS evaluation
         assert ModelSpec(d=2, form="msar").blocks is ModelSpec(d=2, form="msar").blocks
