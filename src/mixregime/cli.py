@@ -7,7 +7,10 @@ DEFAULT_BURN_IN values.  A flag adds no rule: the record that owns its rule
 reads it (ModelSpec the form, HacConfig the bandwidth, seed_key the seed),
 and every setting is read before any data.  Every command exits 0 on
 success; failures print a machine-readable JSON object to stderr
-({"error": {"type": ..., "message": ...}}) and exit nonzero.
+({"error": {"type": ..., "message": ...}}) and exit nonzero: 1 for the
+package's own errors, among them a file that cannot be read and an --out
+that cannot be written, which is checked before any work, and 2 for
+anything else.
 """
 
 from __future__ import annotations
@@ -22,12 +25,12 @@ import numpy as np
 from .dgp import (HmmDgpParams, load_sample, save_sample, seed_key,
                   simulate_hmm, simulate_msar)
 from .errors import (ConfigurationError, MixRegimeError, ValidationError,
-                     read_json, write_json)
+                     check_output, read_json, write_json, write_text)
 from .estimator import EstimatorConfig, qml_estimate
 from .harness import (ExperimentConfig, McSummary, load_experiment_config,
-                      render_table, run_experiment)
-from .inference import HacConfig, sandwich_cov
-from .mixture import ModelSpec, encode, natural_vector
+                      render_table, robust_cov, run_experiment)
+from .inference import HacConfig
+from .mixture import ModelSpec, natural_vector
 from .oracle import (MAX_PATH_LEN, cf_ratio_check, kl_check,
                      perturbation_grid, pseudo_true_msar, pseudo_true_weights)
 
@@ -73,12 +76,8 @@ def _cmd_fit(args) -> int:
     sample = load_sample(args.data)
     result = qml_estimate(sample, spec, est_cfg, seed=seed)
     hac_info = {}
-    n_nat = len(spec.natural_names())
-    cov = np.full((n_nat, n_nat), np.nan)
-    ses = np.full(n_nat, np.nan)
-    if not result.degenerate:
-        cov, ses = sandwich_cov(encode(result.theta_hat, spec), sample, spec,
-                                hac_cfg, info=hac_info)
+    cov, ses = robust_cov(result.theta_hat, result.degenerate, sample, spec,
+                          hac_cfg, info=hac_info)
 
     write_json({
         **result.to_json(),
@@ -151,11 +150,7 @@ def _load_summary(path) -> McSummary:
 
 def _cmd_render(args) -> int:
     summaries = [_load_summary(p) for p in args.summaries]
-    text = render_table(summaries)
-    if args.out:
-        Path(args.out).write_text(text)
-    else:
-        sys.stdout.write(text)
+    write_text(render_table(summaries), args.out)
     return 0
 
 
@@ -225,6 +220,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "out", None):  # before any work, not after it
+            check_output(args.out)
         return args.func(args)
     except MixRegimeError as exc:
         print(json.dumps({"error": exc.to_json()}), file=sys.stderr)

@@ -110,9 +110,8 @@ class TransitionSpec(JsonRecord):
     """
 
     json_label = "transition"
-    json_qualified = ("d", "alpha", "beta")
+    json_qualified = ("alpha", "beta")
 
-    d: int
     alpha: np.ndarray
     beta: np.ndarray
 
@@ -120,13 +119,17 @@ class TransitionSpec(JsonRecord):
         self.alpha = real_matrix(self.alpha)
         self.beta = real_matrix(self.beta)
 
+    @property
+    def d(self) -> int:  # one row of alpha per source regime
+        return len(self.alpha)
+
     @classmethod
     def two_state(cls, stay_intercepts: Sequence[float],
                   stay_slopes: Sequence[float]) -> "TransitionSpec":
         """Two-regime kernel from per-regime stay coefficients."""
         a1, a2 = stay_intercepts
         b1, b2 = stay_slopes
-        return cls(d=2, alpha=np.array([[a1, 0.0], [0.0, a2]]),
+        return cls(alpha=np.array([[a1, 0.0], [0.0, a2]]),
                    beta=np.array([[b1, 0.0], [0.0, b2]]))
 
     def violations(self) -> list:

@@ -1,9 +1,11 @@
-"""Exception types, the one config reader, and the two file layers: JSON
-(the one encoder, reader and writer of every JSON file) and CSV (the one
-reader and writer of every CSV file, the cell format and the rule that
-reads a cell as a number).  The config reader is JsonRecord: a record's
-dataclass fields declare its block's keys and their types, and one type
-check serves from_json and validate() alike."""
+"""Exception types, the one config reader, and the file layers: JSON (the
+one encoder, reader and writer of every JSON file), CSV (the one reader and
+writer of every CSV file, the cell format and the rule that reads a cell as
+a number) and the text writer and write probe under both.  This is the only
+module that opens, writes or removes a file, so a file that cannot be
+opened is a ConfigurationError that names the path.  The config reader is
+JsonRecord: a record's dataclass fields declare its block's keys and their
+types, and one type check serves from_json and validate() alike."""
 
 import csv
 import dataclasses
@@ -242,12 +244,58 @@ def json_value(obj):
     return obj
 
 
+def _open(path, mode: str = "r", **kwargs):
+    """open(path, mode); an OSError (a missing file or directory, a denied
+    permission) is a ConfigurationError that names the path."""
+    try:
+        return open(path, mode, **kwargs)
+    except OSError as exc:
+        raise ConfigurationError(
+            f"cannot {'read' if mode == 'r' else 'write'} {path}: "
+            f"{exc.strerror or exc}") from None
+
+
+def check_writable(directory, make: bool = False) -> None:
+    """Raise a ConfigurationError unless a file can be written in
+    `directory`, which is first made with its parents when `make` is true.
+    A probe file is written there and removed, so that a run finds out
+    before its work, not after it, that it cannot save the result."""
+    target = Path(directory)
+    probe = target / ".write_probe"
+    try:
+        if make:
+            target.mkdir(parents=True, exist_ok=True)
+        probe.write_text("")
+        probe.unlink()
+    except OSError as exc:
+        raise ConfigurationError(f"output directory {target} not writable: "
+                                 f"{exc}") from exc
+
+
+def check_output(path) -> None:
+    """Raise a ConfigurationError unless a file can be written at `path`:
+    no directory is there, and its directory passes check_writable."""
+    path = Path(path)
+    if path.is_dir():
+        raise ConfigurationError(f"cannot write {path}: Is a directory")
+    check_writable(path.parent)
+
+
+def write_text(text: str, path=None) -> None:
+    """Write `text` to `path`, or to stdout when `path` is None."""
+    if path is None:
+        sys.stdout.write(text)
+    else:
+        with _open(path, "w") as fh:
+            fh.write(text)
+
+
 def read_json(path):
     """Parse the JSON file at `path`; malformed JSON is a ParseError that
     names the line it fails on, and a file json cannot read for any other
     reason (an int past Python's digit limit, text that is not UTF-8) is a
     ParseError that names the file."""
-    with open(path) as fh:
+    with _open(path) as fh:
         try:
             return json.load(fh)
         except json.JSONDecodeError as exc:
@@ -260,12 +308,8 @@ def read_json(path):
 def write_json(obj, path=None) -> None:
     """Write json_value(obj) as strict JSON, indented and key-sorted with a
     trailing newline, to `path`, or to stdout when `path` is None."""
-    text = json.dumps(json_value(obj), indent=2, sort_keys=True,
-                      allow_nan=False) + "\n"
-    if path is None:
-        sys.stdout.write(text)
-    else:
-        Path(path).write_text(text)
+    write_text(json.dumps(json_value(obj), indent=2, sort_keys=True,
+                          allow_nan=False) + "\n", path)
 
 
 def read_csv(path):
@@ -275,7 +319,7 @@ def read_csv(path):
     Blank lines are skipped.  An empty file, and a row whose field count
     differs from the header's, are each a ParseError that names the line.
     """
-    with open(path, newline="") as fh:
+    with _open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None:
@@ -300,7 +344,7 @@ def csv_number(cell: str, column: str, line: int, kind=float):
 
 def write_csv(path, header, rows) -> None:
     """Write `header` and then each row of the iterable `rows` to `path`."""
-    with open(path, "w", newline="") as fh:
+    with _open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)

@@ -22,9 +22,9 @@ import numpy as np
 from .dgp import (DEFAULT_BURN_IN, HmmDgpParams, seed_faults, seed_key,
                   simulate_hmm, simulate_msar)
 from .errors import (ConfigurationError, JsonRecord, MixRegimeError,
-                     ParseError, ValidationError, csv_cells, csv_number,
-                     key_faults, read_csv, read_json, type_faults, write_csv,
-                     write_json)
+                     ParseError, ValidationError, check_writable, csv_cells,
+                     csv_number, key_faults, read_csv, read_json, type_faults,
+                     write_csv, write_json)
 from .estimator import EstimatorConfig, align_permutation, qml_estimate
 from .inference import HacConfig, sandwich_cov
 from .mixture import (MixtureParams, ModelSpec, encode, natural_vector,
@@ -108,6 +108,17 @@ def _stack_distance(a: MixtureParams, b: MixtureParams) -> float:
     return float(((a.outcome_matrix - b.outcome_matrix) ** 2).sum())
 
 
+def robust_cov(params: MixtureParams, degenerate: bool, sample, spec: ModelSpec,
+               hac: HacConfig, info: Optional[dict] = None):
+    """(covariance, std_errors) of the natural parameters at the fitted
+    `params`: the HAC sandwich, or NaN when the fit is degenerate, since a
+    sigma at its floor leaves the Hessian singular."""
+    if degenerate:
+        n_nat = len(spec.natural_names())
+        return np.full((n_nat, n_nat), np.nan), np.full(n_nat, np.nan)
+    return sandwich_cov(encode(params, spec), sample, spec, hac, info=info)
+
+
 def run_replication(cfg: ExperimentConfig, rep_index: int) -> ReplicationRecord:
     """Simulate, fit, align to the truth, attach robust SEs.
 
@@ -137,10 +148,8 @@ def run_replication(cfg: ExperimentConfig, rep_index: int) -> ReplicationRecord:
         dist_post = _stack_distance(aligned, ref)
 
         hac_info = {}
-        ses = nan_vec.copy()
-        if not result.degenerate:
-            _, ses = sandwich_cov(encode(aligned, spec), sample, spec, cfg.hac,
-                                  info=hac_info)
+        _, ses = robust_cov(aligned, result.degenerate, sample, spec, cfg.hac,
+                            info=hac_info)
         return ReplicationRecord(
             rep_index=rep_index,
             ok=True,
@@ -154,7 +163,7 @@ def run_replication(cfg: ExperimentConfig, rep_index: int) -> ReplicationRecord:
             align_dist_pre=dist_pre,
             align_dist_post=dist_post,
             estimates=natural_vector(aligned, spec),
-            std_errors=np.asarray(ses, dtype=float),
+            std_errors=ses,
             truth=truth,
             elapsed_s=time.perf_counter() - t0,
         )
@@ -285,14 +294,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> McSummary:
     if chosen is None:
         raise ConfigurationError("no output directory configured")
     target = Path(chosen)
-    probe = target / ".write_probe"
-    try:
-        target.mkdir(parents=True, exist_ok=True)
-        probe.write_text("")
-        probe.unlink()
-    except OSError as exc:
-        raise ConfigurationError(f"output directory {target} not writable: "
-                                 f"{exc}") from exc
+    check_writable(target, make=True)
 
     records = [run_replication(cfg, i) for i in range(cfg.n_reps)]
     csv_path = target / "replications.csv"

@@ -53,7 +53,11 @@ def _ar1_column_fits(scores: np.ndarray):
     """Least-squares AR(1) coefficient and innovation variance per column.
 
     Columns with (numerically) zero variance are dropped; returns the
-    kept columns' (rho, sigma2) arrays.
+    kept columns' (rho, sigma2) arrays.  The loop over columns is kept on
+    purpose: one array expression over all columns gives the same bits,
+    but on a sandwich over 10^6 score rows (the oracle, 2-core VM) its
+    full-size temporaries took peak memory from 262 to 490 MB, and the
+    oracle ran slower (1.34-1.36 s against 1.29-1.33 s).
     """
     rhos = []
     sig2s = []
@@ -81,12 +85,10 @@ def andrews_bandwidth(scores: np.ndarray) -> float:
     S_T = 2.6614 (alpha2 T)^{1/5} with
     alpha2 = sum_a 4 rho_a^2 sig_a^4 / (1-rho_a)^8  /  sum_a sig_a^4 / (1-rho_a)^4.
     """
-    scores = np.asarray(scores, dtype=float)
-    if scores.ndim == 1:
-        scores = scores[:, None]
-    t_len = scores.shape[0]
+    t_len = len(scores)  # before the reshape, which no empty array survives
     if t_len < 10:
         raise ValidationError(f"need at least 10 score rows, got {t_len}")
+    scores = np.asarray(scores, dtype=float).reshape(t_len, -1)
     rhos, sig2s = _ar1_column_fits(scores)
     if rhos.size == 0:
         raise EstimationError("all score columns are degenerate (zero variance); "
@@ -115,12 +117,10 @@ def hac_middle(scores: np.ndarray, cfg: Optional[HacConfig] = None,
     if cfg is None:
         cfg = HacConfig()
     cfg.validate()
-    g = np.asarray(scores, dtype=float)
-    if g.ndim == 1:
-        g = g[:, None]
-    t_len = g.shape[0]
+    t_len = len(scores)
     if t_len < 2:
         raise ValidationError(f"need at least 2 score rows, got {t_len}")
+    g = np.asarray(scores, dtype=float).reshape(t_len, -1)
     g = g - g.mean(axis=0)
 
     if cfg.bandwidth == "auto":
@@ -157,11 +157,8 @@ def sandwich_cov(theta_free: np.ndarray, sample: Sample, spec: ModelSpec,
     `theta_free` (a converged estimate), then maps to the natural
     parameters (mu, slope, sigma, weights) by the delta method through the
     decode Jacobian.  Returns (covariance, std_errors) ordered as
-    ModelSpec.natural_names().
+    ModelSpec.natural_names().  `cfg` is hac_middle's: None is HacConfig().
     """
-    if cfg is None:
-        cfg = HacConfig()
-    cfg.validate()
     theta_free = np.asarray(theta_free, dtype=float)
     # scores before the Hessian: freed row blocks stay in the heap, and the
     # score pass's full-length temporaries would otherwise stack on them

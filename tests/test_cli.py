@@ -401,8 +401,7 @@ def three_regime_dgp() -> HmmDgpParams:
     return HmmDgpParams(
         outcomes=[RegimeOutcome(m, g, 1.0)
                   for m, g in ((-3.0, 0.5), (0.0, 1.0), (3.0, -0.5))],
-        transition=TransitionSpec(d=3, alpha=2.0 * np.eye(3),
-                                  beta=np.zeros((3, 3))),
+        transition=TransitionSpec(alpha=2.0 * np.eye(3), beta=np.zeros((3, 3))),
         z_law=base.z_law, w_law=base.w_law, noise=NoiseCorrelation(0.0, 0.0))
 
 
@@ -576,6 +575,15 @@ class TestCheckId:
                                capsys)
         assert msg.startswith("tau_grid must be finite")
 
+    def test_underflowed_tail_gives_verdict_true(self, capsys):
+        # the ratio underflows to 0.0 from tau = 8, which read as no decay
+        rc = main(["check-id", "--family", "gaussian", "--a1", "5",
+                   "--a2", "1"])
+        assert rc == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["ratio_trace"][-1][1] == 0.0
+        assert payload["verdict"] is True
+
     def test_bad_family_fails(self, capsys):
         rc = main(["check-id", "--family", "levy", "--a1", "2.0",
                    "--a2", "1.0"])
@@ -641,6 +649,68 @@ class TestRender:
         rc = main(["render", str(tmp_path / "absent")])
         assert rc != 0
         assert "error" in json.loads(capsys.readouterr().err)
+
+
+class TestFileErrors:
+    @pytest.mark.parametrize("command", ["simulate", "fit", "mc", "oracle",
+                                         "render"])
+    def test_missing_input_file_is_configuration_error(self, tmp_path, capsys,
+                                                       command):
+        # the raw FileNotFoundError exited 2, the code of unexpected errors
+        absent = tmp_path / "absent.json"
+        argv = {"simulate": ["--config", str(absent), "--T", "200",
+                             "--out", str(tmp_path / "s.csv")],
+                "fit": ["--data", str(absent), "--d", "2"],
+                "mc": ["--config", str(absent)],
+                "oracle": ["--config", str(absent), "--n-sim", "20000"],
+                "render": [str(absent)]}[command]
+        assert main([command, *argv]) == 1
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err == {"type": "ConfigurationError",
+                       "message": f"cannot read {absent}: No such file or "
+                                  f"directory"}
+
+    @pytest.mark.parametrize("command, work", [
+        ("simulate", "simulate_hmm"), ("fit", "load_sample"),
+        ("oracle", "pseudo_true_msar"), ("check-id", "cf_ratio_check"),
+        ("render", "_load_summary")])
+    def test_out_in_a_missing_directory_fails_before_any_work(
+            self, tmp_path, dgp_config, monkeypatch, capsys, command, work):
+        # the raw OSError came only after the work, and exited 2
+        monkeypatch.setattr(f"mixregime.cli.{work}", no_work)
+        out = tmp_path / "nodir" / "out.json"
+        argv = {"simulate": ["--config", str(dgp_config), "--T", "200"],
+                "fit": ["--data", str(tmp_path / "s.csv"), "--d", "2"],
+                "oracle": ["--config", str(dgp_config), "--n-sim", "20000"],
+                "check-id": ["--family", "gaussian", "--a1", "2", "--a2", "1"],
+                "render": [str(tmp_path / "summary.json")]}[command]
+        assert main([command, *argv, "--out", str(out)]) == 1
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["type"] == "ConfigurationError"
+        assert err["message"].startswith(
+            f"output directory {out.parent} not writable: ")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["dgp.json"]
+
+    def test_out_that_is_a_directory_fails_before_any_work(self, tmp_path,
+                                                           monkeypatch,
+                                                           capsys):
+        # the write failed only after the work
+        monkeypatch.setattr("mixregime.cli.cf_ratio_check", no_work)
+        assert main(["check-id", "--family", "gaussian", "--a1", "2",
+                     "--a2", "1", "--out", str(tmp_path)]) == 1
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err == {"type": "ConfigurationError",
+                       "message": f"cannot write {tmp_path}: Is a directory"}
+        assert list(tmp_path.iterdir()) == []
+
+    def test_out_in_the_working_directory_is_written(self, tmp_path,
+                                                     monkeypatch, capsys):
+        # a bare file name probes ".", not an empty path
+        monkeypatch.chdir(tmp_path)
+        assert main(["check-id", "--family", "gaussian", "--a1", "2",
+                     "--a2", "1", "--out", "id.json"]) == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["id.json"]
+        assert json.loads((tmp_path / "id.json").read_text())["verdict"]
 
 
 def test_malformed_json_is_parse_error_with_its_line(tmp_path, capsys):

@@ -48,7 +48,7 @@ class TestTransitionRow:
 
     def test_rows_are_probability_vectors(self):
         rng = np.random.default_rng(0)
-        spec = TransitionSpec(d=3, alpha=rng.normal(size=(3, 3)),
+        spec = TransitionSpec(alpha=rng.normal(size=(3, 3)),
                               beta=rng.normal(size=(3, 3)))
         for z in (-4.0, 0.0, 7.5):
             for s in (1, 2, 3):
@@ -65,7 +65,7 @@ class TestTransitionRow:
     @pytest.mark.parametrize("d", [2, 3])
     def test_rows_of_a_path_equal_single_rows_bit_for_bit(self, d):
         rng = np.random.default_rng(d)
-        spec = TransitionSpec(d=d, alpha=rng.normal(size=(d, d)),
+        spec = TransitionSpec(alpha=rng.normal(size=(d, d)),
                               beta=rng.normal(size=(d, d)))
         # every source regime at every z of the grid, in one batch
         z, s0 = (a.ravel() for a in np.meshgrid(np.linspace(-6.0, 6.0, 25),
@@ -122,13 +122,25 @@ class TestValidation:
         with pytest.raises(ValidationError, match="unknown transition key.*link"):
             TransitionSpec.from_json({**obj, "link": "probit"})
 
+    def test_transition_d_is_an_unknown_key(self):
+        # the regime count is the number of rows of alpha, so no key states it
+        obj = hmm_benchmark().to_json()
+        assert "d" not in obj["transition"]
+        assert TransitionSpec.from_json(obj["transition"]).d == 2
+        obj["transition"]["d"] = 2
+        with pytest.raises(ValidationError, match="unknown transition key.*d"):
+            HmmDgpParams.from_json(obj)
+
     @pytest.mark.parametrize("d", [2.5, True, "2"])
     def test_transition_d_must_be_int(self, d):
-        # int() would load d = 2.5 as two regimes
+        # d is the int row count of alpha; a mistyped d key is refused, never
+        # read as a regime count (int() would load d = 2.5 as two regimes)
         obj = hmm_benchmark().to_json()
         obj["transition"]["d"] = d
-        with pytest.raises(ValidationError, match="transition d must be an int"):
-            HmmDgpParams.from_json(obj).validate()
+        with pytest.raises(ValidationError, match="unknown transition key.*d"):
+            HmmDgpParams.from_json(obj)
+        del obj["transition"]["d"]
+        assert type(HmmDgpParams.from_json(obj).transition.d) is int
 
     @pytest.mark.parametrize("path, key, value", [
         (("outcomes", 0), "mu", "1.0"), (("outcomes", 1), "sigma", True),
@@ -374,8 +386,8 @@ class TestRegimePath:
                            "z": self.PINNED_Z, "w": self.PINNED_W}
 
     def test_three_regime_frequencies_match_transition_rows(self):
-        spec = TransitionSpec(d=3, alpha=[[1.5, 0.0, -0.5], [0.2, 1.0, 0.0],
-                                          [-0.3, 0.4, 0.8]],
+        spec = TransitionSpec(alpha=[[1.5, 0.0, -0.5], [0.2, 1.0, 0.0],
+                                     [-0.3, 0.4, 0.8]],
                               beta=[[0.6, 0.0, -0.4], [0.0, -0.5, 0.3],
                                     [0.5, 0.0, -0.6]])
         params = hmm_benchmark()

@@ -143,12 +143,12 @@ def test_bool_sigma_is_rejected_in_a_record_built_in_python():
 
 
 def test_type_fault_skips_the_domain_rules_that_read_it():
-    # d = True also gave "need one outcome per regime: ... d = True"
+    # slope = True would also give "|slope| must be < 1 ..., got True"
     obj = hmm_benchmark().to_json()
-    obj["transition"]["d"] = True
+    obj["z_law"]["slope"] = True
     with pytest.raises(ValidationError) as err:
         HmmDgpParams.from_json(obj)
-    assert err.value.violations == ["transition d must be an int, got True"]
+    assert err.value.violations == ["slope must be a real number, got True"]
 
 
 def test_real_values_are_stored_as_floats():
@@ -157,7 +157,7 @@ def test_real_values_are_stored_as_floats():
     cfg = EstimatorConfig.from_json(obj)
     assert type(cfg.em_tol) is float and type(cfg.n_starts) is int
     assert type(HacConfig.from_json({"bandwidth": 8}).bandwidth) is float
-    spec = TransitionSpec.from_json({"d": 2, "alpha": [[2, 0], [0, 2]],
+    spec = TransitionSpec.from_json({"alpha": [[2, 0], [0, 2]],
                                      "beta": [[0, 0], [0, 0]]})
     assert spec.alpha.dtype == float
 

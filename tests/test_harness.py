@@ -18,8 +18,11 @@ from mixregime import (ArLaw, ConfigurationError, EstimatorConfig,
                        ValidationError, encode, hmm_benchmark,
                        load_experiment_config, load_sample, msar_benchmark,
                        render_table,
-                       run_experiment, run_replication, simulate_msar,
+                       run_experiment, run_replication, simulate_hmm,
+                       simulate_msar,
                        summarize_csv, true_reference, write_replications_csv)
+from mixregime.harness import robust_cov
+from mixregime.inference import sandwich_cov
 from mixregime.mixture import SIGMA_MIN, neg_loglik_and_score
 
 
@@ -93,7 +96,7 @@ class TestExperimentConfig:
     def test_component_count_must_match_dgp(self):
         three = HmmDgpParams(
             outcomes=[RegimeOutcome(m, 0.0, 1.0) for m in (-1.0, 0.0, 1.0)],
-            transition=TransitionSpec(d=3, alpha=np.eye(3), beta=np.zeros((3, 3))),
+            transition=TransitionSpec(alpha=np.eye(3), beta=np.zeros((3, 3))),
             z_law=ArLaw(0.0, 0.5, 1.0), w_law=ArLaw(0.0, 0.5, 1.0),
             noise=NoiseCorrelation(0.0, 0.0))
         assert ExperimentConfig(dgp=three, T=200, n_reps=2).spec == ModelSpec(d=3)
@@ -297,6 +300,28 @@ class TestRunReplication:
             rows = list(csv.DictReader(fh))
         assert rows[0]["error"] == rec.error
 
+    def test_robust_cov_is_the_sandwich_or_nan_at_a_degenerate_fit(
+            self, monkeypatch):
+        cfg = small_cfg(T=400)
+        spec = cfg.spec
+        params = true_reference(cfg.dgp)
+        sample = simulate_hmm(cfg.dgp, T=cfg.T, seed=3)
+        info = {}
+        cov, ses = robust_cov(params, False, sample, spec, cfg.hac, info=info)
+        want_cov, want_ses = sandwich_cov(encode(params, spec), sample, spec,
+                                          cfg.hac)
+        assert np.array_equal(cov, want_cov) and np.array_equal(ses, want_ses)
+        assert info["n_lags"] >= 0
+
+        def no_sandwich(*args, **kwargs):
+            raise AssertionError("sandwich at a degenerate fit")
+
+        monkeypatch.setattr("mixregime.harness.sandwich_cov", no_sandwich)
+        q = len(spec.natural_names())
+        cov, ses = robust_cov(params, True, sample, spec, cfg.hac)
+        assert cov.shape == (q, q) and ses.shape == (q,)
+        assert np.isnan(cov).all() and np.isnan(ses).all()
+
     def test_programming_error_propagates(self, monkeypatch):
         monkeypatch.setattr("mixregime.harness.qml_estimate",
                             self.failing_fit(TypeError("bad call")))
@@ -330,6 +355,25 @@ def test_only_errors_defines_from_json():
                 if isinstance(node, ast.FunctionDef)
                 and node.name == "from_json"}
     assert definers == {"errors"}
+
+
+def test_only_errors_touches_the_file_system():
+    # errors turns a refused file into a ConfigurationError naming the path;
+    # a call elsewhere let a raw OSError through, exiting 2
+    calls = []
+    for path in sorted(SRC_DIR.glob("*.py")):
+        if path.name == "errors.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func  # open(...), or a method such as Path.mkdir
+            if isinstance(func, ast.Name) and func.id == "open":
+                calls.append(f"{path.name}:{node.lineno}: open")
+            elif isinstance(func, ast.Attribute) and func.attr in (
+                    "open", "write_text", "read_text", "mkdir", "unlink"):
+                calls.append(f"{path.name}:{node.lineno}: {func.attr}")
+    assert calls == []
 
 
 def test_no_module_has_an_unused_import():

@@ -88,6 +88,16 @@ class TestAndrewsBandwidth:
         with pytest.raises(ValidationError):
             andrews_bandwidth(np.zeros((5, 2)) + np.arange(5)[:, None])
 
+    @pytest.mark.parametrize("scores", [np.zeros(0), np.zeros((0, 2))],
+                             ids=["vector", "matrix"])
+    def test_no_score_rows_is_validation_error(self, scores):
+        # the row count is read before the reshape, which no empty array
+        # survives
+        with pytest.raises(ValidationError, match="got 0$"):
+            andrews_bandwidth(scores)
+        with pytest.raises(ValidationError, match="got 0$"):
+            hac_middle(scores)
+
     def test_all_columns_degenerate(self):
         with pytest.raises(EstimationError):
             andrews_bandwidth(np.ones((100, 2)))

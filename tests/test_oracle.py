@@ -13,7 +13,7 @@ from mixregime import (ArLaw, ConfigurationError, HmmDgpParams,
                        natural_vector, perturbation_grid, pseudo_true_msar,
                        pseudo_true_weights, simulate_msar, true_reference)
 from mixregime.mixture import neg_loglik_and_score
-from mixregime.oracle import _eventually_decreasing, _student_t_cf
+from mixregime.oracle import _student_t_cf
 
 
 def two_state_mixture(mu=(1.0, -1.0), gamma=(0.5, 1.0), sigma=(1.0, 1.0),
@@ -348,10 +348,39 @@ class TestCfRatioCheck:
         with pytest.raises(ValidationError, match="^tau_grid must be finite"):
             cf_ratio_check(family, a1=1.5, a2=1.0, tau_grid=grid)
 
-    def test_eventually_decreasing_helper(self):
-        assert _eventually_decreasing([5.0, 1.0, 0.5, 0.1])
-        assert _eventually_decreasing([0.1, 5.0, 1.0, 0.5])
-        assert not _eventually_decreasing([1.0, 0.5, 0.7, 0.9])
+    @pytest.mark.parametrize("family, a1", [("gaussian", 5.0),
+                                            ("gaussian", 8.0),
+                                            ("student-t:5", 40.0)])
+    def test_tail_underflowed_to_zero_counts_as_decayed(self, family, a1):
+        # a flat zero tail read as "not decreasing" and gave verdict false
+        report = cf_ratio_check(family, a1=a1, a2=1.0)
+        assert [r for _, r in report.ratio_trace[-2:]] == [0.0, 0.0]
+        assert report.verdict
+
+    def test_ratio_rising_at_the_last_tau_is_no_decay(self, monkeypatch):
+        from mixregime import oracle
+
+        # ratio exp(-tau) at tau = 1 and 20, then 5e-9 > exp(-20) at tau = 30:
+        # under the threshold, but rising
+        monkeypatch.setattr(oracle, "_student_t_cf", lambda t, nu: (
+            5e-9 * math.exp(-30.0) if t == 60.0 else math.exp(-t)))
+        report = cf_ratio_check("student-t:5", a1=2.0, a2=1.0,
+                                tau_grid=[1.0, 20.0, 30.0])
+        ratios = [r for _, r in report.ratio_trace]
+        assert ratios[-1] < oracle.CF_RATIO_THRESHOLD
+        assert ratios[-1] > ratios[-2]
+        assert not report.verdict
+
+    @pytest.mark.parametrize("family, a1, message", [
+        ("gaussian", math.inf, "^need finite a1 > a2 > 0, got a1 = inf, "),
+        ("student-t:5", math.inf, "^need finite a1 > a2 > 0, got a1 = inf, "),
+        ("student-t:inf", 2.0, "^student-t requires a finite nu > 2"),
+    ])
+    def test_non_finite_parameter_is_validation_error(self, family, a1,
+                                                      message):
+        # each passed its range check and ended in a QuadratureError
+        with pytest.raises(ValidationError, match=message):
+            cf_ratio_check(family, a1=a1, a2=1.0)
 
 
 class TestLinearIndependence:
