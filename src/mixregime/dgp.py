@@ -140,8 +140,6 @@ class TransitionSpec(JsonRecord):
             if mat.shape != (self.d, self.d):
                 out.append(f"transition {name} must be {self.d}x{self.d}, "
                            f"got {mat.shape}")
-            elif not np.isfinite(mat).all():
-                out.append(f"transition {name} must be finite")
         return out
 
 
@@ -165,9 +163,6 @@ class ArLaw(JsonRecord):
 
     def violations(self) -> list:
         out = []
-        if not np.isfinite([self.intercept, self.slope, self.noise_sd]).all():
-            out.append("ArLaw fields must be finite")
-            return out
         if not abs(self.slope) < 1:
             out.append(f"|slope| must be < 1 for stationarity, got {self.slope}")
         if not self.noise_sd > 0:
@@ -190,15 +185,14 @@ class NoiseCorrelation(JsonRecord):
                          [self.omega, 0.0, 1.0]])
 
     def violations(self) -> list:
-        out = []
-        if not np.isfinite([self.rho, self.omega]).all():
-            out.append("correlations must be finite")
-            return out
-        # positive definiteness of the 3x3 matrix <=> rho^2 + omega^2 < 1
-        if self.rho ** 2 + self.omega ** 2 >= 1.0:
-            out.append("noise correlation matrix must be positive definite "
-                       f"(rho^2 + omega^2 = {self.rho ** 2 + self.omega ** 2:.6g} >= 1)")
-        return out
+        # positive definiteness of the 3x3 matrix <=> rho^2 + omega^2 < 1;
+        # numpy's power has the bits of Python's, but overflows to inf
+        with np.errstate(over="ignore"):
+            total = np.float64(self.rho) ** 2 + np.float64(self.omega) ** 2
+        if total >= 1.0:
+            return ["noise correlation matrix must be positive definite "
+                    f"(rho^2 + omega^2 = {total:.6g} >= 1)"]
+        return []
 
 
 @dataclass
@@ -229,10 +223,12 @@ class HmmDgpParams(JsonRecord):
             out.append(f"need one outcome per regime: got {len(self.outcomes)} "
                        f"outcomes for d = {self.transition.d}")
         phi = self.ar_coefficient
-        if phi is not None and not math.isfinite(phi):
-            out.append("ar_coefficient must be finite when present")
-        elif phi is not None and not abs(phi) < 1:
+        if phi is not None and not abs(phi) < 1:
             out.append(f"|ar_coefficient| must be < 1 for stationarity, got {phi}")
+        if phi is not None:  # the switching AR's outcome has no W term
+            out.extend(f"outcomes[{i}]: gamma must be 0 when ar_coefficient "
+                       f"is set, got {oc.gamma}"
+                       for i, oc in enumerate(self.outcomes) if oc.gamma != 0)
         return out
 
     def params_hash(self) -> str:

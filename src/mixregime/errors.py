@@ -128,10 +128,10 @@ _KINDS = {int: (numbers.Integral, "an int"),
 
 def type_faults(value, hint, name: str = "") -> list:
     """Messages for the ways `value`, called `name`, fails the type `hint`:
-    int, float (any real number), str, dict, a union of these (Optional
-    among them), np.ndarray (a real matrix), a record class (checked field
-    by field) or a list of records.  A bool is neither an int nor a real
-    number."""
+    int, float (any finite real number), str, dict, a union of these
+    (Optional among them), np.ndarray (a real matrix), a record class
+    (checked field by field) or a list of records.  A bool is neither an
+    int nor a real number, and nan and inf are no real numbers."""
     if isinstance(hint, type) and issubclass(hint, JsonRecord):
         if not isinstance(value, hint):
             return [f"{name} must be of type {hint.__name__}, got {value!r}"]
@@ -178,13 +178,14 @@ def _matrix_faults(value, name: str) -> list:
 
 
 def _is_kind(value, kind) -> bool:
-    """Whether `value` is of `kind`.  A bool is no number, and an int that
-    a double cannot hold (float() overflows) is no real number."""
+    """Whether `value` is of `kind`.  A bool is no number, and a real
+    number is finite: nan, inf and an int that a double cannot hold (its
+    conversion overflows) are none."""
     if not isinstance(value, _KINDS[kind][0]) or isinstance(value, bool):
         return False
-    if kind is float and isinstance(value, int):
+    if kind is float:
         try:
-            float(value)
+            return math.isfinite(value)
         except OverflowError:
             return False
     return True

@@ -51,8 +51,7 @@ class EstimatorConfig(JsonRecord):
             if getattr(self, name) < low:
                 out.append(f"{name} must be >= {low}, got {getattr(self, name)}")
         for name in ("em_tol", "qn_grad_tol"):
-            # an infinite tolerance would stop every start at once, converged
-            if not 0 < getattr(self, name) < math.inf:
+            if not getattr(self, name) > 0:
                 out.append(f"{name} must be finite and > 0, "
                            f"got {getattr(self, name)}")
         return out

@@ -34,7 +34,7 @@ class HacConfig(JsonRecord):
 
     def violations(self) -> list:
         b = self.bandwidth
-        if b == "auto" or (not isinstance(b, str) and 0 <= b < math.inf):
+        if b == "auto" or (not isinstance(b, str) and b >= 0):
             return []
         return [f"bandwidth must be 'auto' or a finite number >= 0, got {b!r}"]
 

@@ -218,9 +218,8 @@ def encode_arrays(mu, gamma, sigma, weights, spec: ModelSpec) -> np.ndarray:
             and np.ptp(gamma) > 1e-12 * max(1.0, np.abs(gamma).max())):
         raise ValidationError(f"autoregressive form shares one slope across "
                               f"components, got distinct values {gamma}")
-    slope = gamma if spec.form == "hmm" else gamma[:1]
     logits = np.log(weights[:-1]) - math.log(weights[-1])
-    return np.concatenate([mu, slope, np.log(sigma), logits])
+    return np.concatenate([mu, gamma[:spec.n_slope], np.log(sigma), logits])
 
 
 def decode_arrays(free: np.ndarray, spec: ModelSpec) -> tuple:
@@ -251,8 +250,7 @@ def decode(free: np.ndarray, spec: ModelSpec) -> MixtureParams:
 def natural_vector(params: MixtureParams, spec: ModelSpec) -> np.ndarray:
     """Stack parameters on the reporting scale: mu, slope(s), sigma, weights."""
     mu, gamma, sigma, weights = params.arrays()
-    slope = gamma if spec.form == "hmm" else gamma[:1]
-    return np.concatenate([mu, slope, sigma, weights])
+    return np.concatenate([mu, gamma[:spec.n_slope], sigma, weights])
 
 
 def decode_jacobian(free: np.ndarray, spec: ModelSpec) -> np.ndarray:

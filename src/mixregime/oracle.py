@@ -37,7 +37,7 @@ from .dgp import (DEFAULT_BURN_IN, HmmDgpParams, Sample, seed_key,
 from .errors import (ConfigurationError, JsonRecord, QuadratureError,
                      ValidationError)
 from .estimator import EstimatorConfig, align_permutation
-from .inference import HacConfig, sandwich_cov
+from .inference import sandwich_cov
 from .mixture import (MixtureParams, ModelSpec, decode, encode, loglik_terms,
                       natural_vector, neg_loglik_and_score, true_reference)
 
@@ -182,8 +182,7 @@ def pseudo_true_msar(dgp: HmmDgpParams, n_sim: int,
     grad_max = float(np.abs(res2.jac).max())
 
     theta_star = align_permutation(decode(res2.x, spec), truth)
-    _, ses = sandwich_cov(encode(theta_star, spec), paths[0], spec,
-                          HacConfig())
+    _, ses = sandwich_cov(encode(theta_star, spec), paths[0], spec)
     rows = [len(spec.regression_frame(path)[0]) for path in paths]
     ses = ses * math.sqrt(rows[0] / sum(rows))
     names = spec.natural_names()
@@ -338,6 +337,19 @@ def _student_t_cf(tau: float, nu: float) -> float:
                     - gammaln(half) - (half - 1.0) * math.log(2.0))
 
 
+def _gaussian_cf_ratio(a1: float, a2: float, tau: float) -> float:
+    """exp(-(a1^2 - a2^2) tau^2 / 2), 0.0 once the exponent passes the
+    double range.  Only where a1 ** 2 overflows (a1 past 1.3e154) is the
+    exponent formed as (a1 - a2) tau (a1 tau + a2 tau) / 2, which can round
+    differently but overflows only where the exponent does."""
+    with np.errstate(over="ignore"):
+        try:
+            exponent = (a1 ** 2 - a2 ** 2) * tau ** 2 / 2.0
+        except OverflowError:
+            exponent = (a1 - a2) * tau * (a1 * tau + a2 * tau) / 2.0
+        return math.exp(-exponent)
+
+
 def cf_ratio_check(family: str, a1: float, a2: float,
                    tau_grid: Optional[Sequence[float]] = None) -> CfCheckReport:
     """Trace phi(a1 tau) / phi(a2 tau) along tau_grid and judge its decay.
@@ -364,7 +376,7 @@ def cf_ratio_check(family: str, a1: float, a2: float,
     trace = []
     for tau in taus:
         if kind == "gaussian":
-            ratio = math.exp(-(a1 ** 2 - a2 ** 2) * tau ** 2 / 2.0)
+            ratio = _gaussian_cf_ratio(a1, a2, tau)
         else:
             numer = _student_t_cf(a1 * tau, nu)
             denom = _student_t_cf(a2 * tau, nu)

@@ -5,6 +5,7 @@ import re
 import shlex
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -105,6 +106,17 @@ class TestSimulate:
         msg = validation_error(["simulate", "--config", str(cfg), "--T", "300",
                                 "--out", str(tmp_path / "s.csv")], capsys)
         assert msg == "missing DGP key(s): noise"
+
+    def test_huge_correlation_is_validation_error(self, tmp_path, capsys):
+        # rho ** 2 overflowed in the positive-definiteness rule, exiting 2
+        obj = hmm_benchmark().to_json()
+        obj["noise"]["rho"] = 1e200
+        cfg = tmp_path / "dgp.json"
+        cfg.write_text(json.dumps(obj))
+        msg = validation_error(["simulate", "--config", str(cfg), "--T", "300",
+                                "--out", str(tmp_path / "s.csv")], capsys)
+        assert msg == ("noise correlation matrix must be positive definite "
+                       "(rho^2 + omega^2 = inf >= 1)")
 
     @pytest.mark.parametrize("row, message", [
         (["0.5", 0.0], "transition alpha row 0, column 0 must be a real number"),
@@ -227,9 +239,13 @@ class TestFit:
         assert np.isfinite(payload["natural_estimates"]).all()
         capsys.readouterr()
 
-    @pytest.mark.parametrize("bandwidth", ["-1", "nan", "inf"])
+    @pytest.mark.parametrize("bandwidth, message", [
+        ("-1", "bandwidth must be 'auto' or a finite number"),
+        ("nan", "bandwidth must be a string or a real number, got nan"),
+        ("inf", "bandwidth must be a string or a real number, got inf"),
+    ], ids=["-1", "nan", "inf"])
     def test_bad_bandwidth_fails_a_degenerate_fit(self, tmp_path, floor_fit,
-                                                  capsys, bandwidth):
+                                                  capsys, bandwidth, message):
         # a degenerate fit never reaches sandwich_cov, which alone caught it
         _, sample, _ = floor_fit
         data = tmp_path / "floor.csv"
@@ -238,7 +254,7 @@ class TestFit:
         msg = validation_error(["fit", "--data", str(data), "--d", "2",
                                 "--form", "msar", "--out", str(out),
                                 "--bandwidth", bandwidth], capsys)
-        assert msg.startswith("bandwidth must be 'auto' or a finite number")
+        assert msg.startswith(message)
         assert not out.exists()
 
     def test_settings_are_read_before_the_data(self, tmp_path, monkeypatch,
@@ -384,7 +400,7 @@ class TestMc:
         # json.dumps writes Python's Infinity token, which read_json accepts
         msg = self.run_edited(
             tmp_path, capsys, lambda obj: obj["estimator"].update({name: math.inf}))
-        assert msg == f"{name} must be finite and > 0, got inf"
+        assert msg == f"{name} must be a real number, got inf"
 
     def test_outcome_not_an_object_is_validation_error(self, tmp_path, capsys):
         def edit(obj):
@@ -584,6 +600,20 @@ class TestCheckId:
         assert payload["ratio_trace"][-1][1] == 0.0
         assert payload["verdict"] is True
 
+    @pytest.mark.parametrize("a1", ["1e154", "2e154", "1e308"])
+    def test_huge_a1_tail_counts_as_decayed(self, capsys, a1):
+        # 2e154 raised a raw OverflowError in a1 ** 2, exiting 2, and 1e154
+        # printed numpy's overflow RuntimeWarning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(["check-id", "--family", "gaussian", "--a1", a1,
+                       "--a2", "1"])
+        assert rc == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["verdict"] is True
+        assert payload["ratio_trace"][0] == [0.0, 1.0]
+        assert {ratio for _, ratio in payload["ratio_trace"][1:]} == {0.0}
+
     def test_bad_family_fails(self, capsys):
         rc = main(["check-id", "--family", "levy", "--a1", "2.0",
                    "--a2", "1.0"])
@@ -638,6 +668,10 @@ class TestRender:
             "bias": 0.1, "sd": 0.2, "mean_se": 0.2, "sd_se_ratio": True}}),
                      "summary params.mu_1.sd_se_ratio must be a real number "
                      "or null, got True", id="stat-bool"),
+        pytest.param(summary_text(params={"mu_1": {
+            "bias": math.nan, "sd": 0.2, "mean_se": 0.2, "sd_se_ratio": None}}),
+                     "summary params.mu_1.bias must be a real number or null, "
+                     "got nan", id="stat-nan"),
     ])
     def test_malformed_summary_is_validation_error(self, tmp_path, capsys,
                                                    text, message):

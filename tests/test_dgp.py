@@ -101,6 +101,28 @@ class TestValidation:
             msar_benchmark(phi=phi).validate()
         msar_benchmark(phi=0.9).validate()
 
+    def test_switching_ar_outcome_gamma_must_be_zero(self):
+        # simulate_msar never reads gamma: (0.5, -3) simulated the same y as
+        # (0, 0) under a different params_hash
+        params = msar_benchmark()
+        params.outcomes[0].gamma, params.outcomes[1].gamma = 0.5, -3.0
+        with pytest.raises(ValidationError) as err:
+            params.validate()
+        assert err.value.violations == [
+            "outcomes[0]: gamma must be 0 when ar_coefficient is set, got 0.5",
+            "outcomes[1]: gamma must be 0 when ar_coefficient is set, got -3.0"]
+        params.ar_coefficient = None  # the regression reads gamma
+        params.validate()
+
+    @pytest.mark.parametrize("rho, omega", [(1e200, 0.0), (0.0, -1e300)])
+    def test_correlation_whose_square_overflows_is_not_positive_definite(
+            self, rho, omega):
+        # rho ** 2 raised a raw OverflowError past 1.3e154
+        faults = NoiseCorrelation(rho, omega).violations()
+        assert len(faults) == 1
+        assert faults[0].startswith("noise correlation matrix must be "
+                                    "positive definite")
+
     def test_outcome_count_must_match_regimes(self):
         params = hmm_benchmark()
         params.outcomes = params.outcomes[:1]
@@ -147,7 +169,9 @@ class TestValidation:
         (("z_law",), "slope", "0.5"), (("w_law",), "noise_sd", None),
         (("noise",), "rho", "0.3"), ((), "ar_coefficient", "0.9"),
         ((), "ar_coefficient", False), (("transition", "alpha", 0), 1, "0.5"),
-        (("transition", "beta", 1), 0, True),
+        (("transition", "beta", 1), 0, True), (("noise",), "rho", math.nan),
+        (("z_law",), "slope", math.inf), ((), "ar_coefficient", -math.inf),
+        (("transition", "alpha", 0), 1, math.nan),
     ])
     def test_reals_are_type_checked(self, path, key, value):
         # float() would load "1.0" as 1.0 and True as 1.0; a transition cell

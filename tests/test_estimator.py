@@ -466,7 +466,7 @@ class TestEstimatorConfig:
     def test_tolerances_must_be_finite(self, name):
         # an infinite tolerance would stop every start at once, converged
         with pytest.raises(ValidationError,
-                           match=f"{name} must be finite and > 0, got inf"):
+                           match=f"{name} must be a real number, got inf"):
             EstimatorConfig(**{name: math.inf}).validate()
 
     def test_json_round_trip(self):

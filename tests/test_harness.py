@@ -397,6 +397,21 @@ def test_no_module_has_an_unused_import():
     assert unused == []
 
 
+def test_no_violations_method_checks_finiteness():
+    # the type rule owns finiteness: a nan or inf config real is "not a real
+    # number" before any record's domain rules run
+    calls = []
+    for path in sorted(SRC_DIR.glob("*.py")):
+        for method in ast.walk(ast.parse(path.read_text())):
+            if not (isinstance(method, ast.FunctionDef)
+                    and method.name == "violations"):
+                continue
+            calls += [f"{path.name}:{node.lineno}" for node in ast.walk(method)
+                      if isinstance(node, ast.Attribute)
+                      and node.attr == "isfinite"]
+    assert calls == []
+
+
 def rows_without_elapsed(path) -> list:
     """replications.csv rows, header included, minus the elapsed_s column."""
     with open(path, newline="") as fh:

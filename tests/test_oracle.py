@@ -357,6 +357,15 @@ class TestCfRatioCheck:
         assert [r for _, r in report.ratio_trace[-2:]] == [0.0, 0.0]
         assert report.verdict
 
+    def test_gap_past_the_double_range_keeps_a_small_tau_ratio(self):
+        # a1 ** 2 overflows; the exponent at tau = 1e-160 is 2.5e-12
+        report = cf_ratio_check("gaussian", a1=3e154, a2=2e154,
+                                tau_grid=[0.0, 1e-160, 1.0])
+        ratios = [r for _, r in report.ratio_trace]
+        assert ratios[0] == 1.0 and ratios[2] == 0.0
+        assert ratios[1] == pytest.approx(math.exp(-2.5e-12), rel=1e-15)
+        assert report.verdict
+
     def test_ratio_rising_at_the_last_tau_is_no_decay(self, monkeypatch):
         from mixregime import oracle
 
