@@ -3,14 +3,15 @@
 Subcommands: simulate, fit, mc, oracle, check-id, render.  simulate and
 oracle take the model from the DGP file (one that sets ar_coefficient is
 the switching AR, fitted by the shared-slope mixture) and burn in
-DEFAULT_BURN_IN values.  A flag adds no rule: the record that owns its rule
-reads it (ModelSpec the form, HacConfig the bandwidth, seed_key the seed),
-and every setting is read before any data.  Every command exits 0 on
-success; failures print a machine-readable JSON object to stderr
+DEFAULT_BURN_IN values.  A flag adds no rule: argparse only splits argv, and
+each value's owner judges it (seed_key the seed, ModelSpec --d and --form,
+HacConfig --bandwidth, the simulator --T, the oracle --n-sim, cf_ratio_check
+--a1, --a2 and --tau-grid), before any data is read.  Every command exits 0
+on success; failures print a machine-readable JSON object to stderr
 ({"error": {"type": ..., "message": ...}}) and exit nonzero: 1 for the
-package's own errors, among them a file that cannot be read and an --out
-that cannot be written, which is checked before any work, and 2 for
-anything else.
+package's own errors, among them a value its owner refuses, a file that
+cannot be read and an --out that cannot be written, which is checked before
+any work, and 2 for anything else.
 """
 
 from __future__ import annotations
@@ -20,12 +21,10 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from .dgp import (HmmDgpParams, load_sample, save_sample, seed_key,
                   simulate_hmm, simulate_msar)
-from .errors import (ConfigurationError, MixRegimeError, ValidationError,
-                     check_output, read_json, write_json, write_text)
+from .errors import (MixRegimeError, ValidationError, check_output, read_json,
+                     write_json, write_text)
 from .estimator import EstimatorConfig, qml_estimate
 from .harness import (ExperimentConfig, McSummary, load_experiment_config,
                       render_table, robust_cov, run_experiment)
@@ -47,14 +46,6 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
-def _parse_bandwidth(text: str):
-    try:
-        return text if text == "auto" else float(text)
-    except ValueError:
-        raise ConfigurationError(f"--bandwidth must be 'auto' or a number, "
-                                 f"got {text!r}") from None
-
-
 def _cmd_fit(args) -> int:
     spec = ModelSpec(d=args.d, form=args.form)
     seed = seed_key(args.seed)
@@ -70,8 +61,7 @@ def _cmd_fit(args) -> int:
             {k: v for k, v in cfg_obj.items() if k != "hac"})
         hac_cfg = HacConfig.from_json(cfg_obj.get("hac", {}))
     if args.bandwidth is not None:  # replaces the configured HAC block
-        hac_cfg = HacConfig.from_json(
-            {"bandwidth": _parse_bandwidth(args.bandwidth)})
+        hac_cfg = HacConfig.from_json({"bandwidth": args.bandwidth})
 
     sample = load_sample(args.data)
     result = qml_estimate(sample, spec, est_cfg, seed=seed)
@@ -126,14 +116,7 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_check_id(args) -> int:
-    grid = None
-    if args.tau_grid:
-        try:
-            grid = np.array([float(v) for v in args.tau_grid.split(",")])
-        except ValueError:
-            raise ConfigurationError(f"--tau-grid must be comma-separated "
-                                     f"numbers, got {args.tau_grid!r}") from None
-    report = cf_ratio_check(args.family, a1=args.a1, a2=args.a2, tau_grid=grid)
+    report = cf_ratio_check(args.family, args.a1, args.a2, args.tau_grid)
     write_json(report, args.out)
     return 0
 
@@ -154,6 +137,16 @@ def _cmd_render(args) -> int:
     return 0
 
 
+def _value(text: str):
+    """The int or the float that `text` spells, else `text` itself."""
+    for kind in (int, float):
+        try:
+            return kind(text)
+        except ValueError:
+            pass
+    return text
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mixregime",
@@ -166,19 +159,20 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--config", required=True,
                        help="DGP parameter JSON file; one that sets "
                             "ar_coefficient simulates the switching AR")
-    p_sim.add_argument("--T", type=int, required=True)
-    p_sim.add_argument("--seed", type=int, default=0)
+    p_sim.add_argument("--T", type=_value, required=True)
+    p_sim.add_argument("--seed", type=_value, default=0)
     p_sim.add_argument("--out", required=True, help="output CSV path")
     p_sim.set_defaults(func=_cmd_simulate)
 
     p_fit = sub.add_parser("fit", help="fit the mixture model to a CSV sample")
     p_fit.add_argument("--data", required=True)
-    p_fit.add_argument("--d", type=int, required=True, help="number of components")
+    p_fit.add_argument("--d", type=_value, required=True, help="number of components")
     p_fit.add_argument("--form", default="hmm", help="'hmm' or 'msar'")
     p_fit.add_argument("--config", help="estimator/HAC settings JSON file")
     p_fit.add_argument("--out", help="write the result JSON here")
-    p_fit.add_argument("--bandwidth", help="HAC bandwidth: 'auto' or a number")
-    p_fit.add_argument("--seed", type=int, default=0,
+    p_fit.add_argument("--bandwidth", type=_value,
+                       help="HAC bandwidth: 'auto' or a number")
+    p_fit.add_argument("--seed", type=_value, default=0,
                        help="seed of the randomized EM starts")
     p_fit.set_defaults(func=_cmd_fit)
 
@@ -193,8 +187,8 @@ def build_parser() -> argparse.ArgumentParser:
                        "weights and, with d = 2, its perturbation-grid check, "
                        "each on its own path of min(n-sim, 10^6) values")
     p_or.add_argument("--config", required=True, help="DGP parameter JSON file")
-    p_or.add_argument("--n-sim", type=int, required=True)
-    p_or.add_argument("--seed", type=int, default=0)
+    p_or.add_argument("--n-sim", type=_value, required=True)
+    p_or.add_argument("--seed", type=_value, default=0)
     p_or.add_argument("--out")
     p_or.set_defaults(func=_cmd_oracle)
 
@@ -202,9 +196,10 @@ def build_parser() -> argparse.ArgumentParser:
                           help="characteristic-function ratio decay check")
     p_id.add_argument("--family", required=True,
                       help="'gaussian' or 'student-t:<nu>'")
-    p_id.add_argument("--a1", type=float, required=True)
-    p_id.add_argument("--a2", type=float, required=True)
-    p_id.add_argument("--tau-grid", help="comma-separated tau values")
+    p_id.add_argument("--a1", type=_value, required=True)
+    p_id.add_argument("--a2", type=_value, required=True)
+    p_id.add_argument("--tau-grid", help="comma-separated tau values",
+                      type=lambda text: list(map(_value, text.split(","))))
     p_id.add_argument("--out")
     p_id.set_defaults(func=_cmd_check_id)
 

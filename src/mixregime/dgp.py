@@ -31,8 +31,8 @@ import numpy as np
 from scipy.linalg.lapack import dgtsv
 
 from .errors import (ConfigurationError, JsonRecord, ParseError,
-                     ValidationError, csv_cells, csv_number, read_csv,
-                     real_matrix, type_faults, write_csv)
+                     ValidationError, count_faults, csv_cells, csv_number,
+                     read_csv, real_matrix, write_csv)
 
 # Sub-stream labels: one independent RNG stream per noise consumer, so that
 # extending T never reshuffles earlier draws.
@@ -54,8 +54,7 @@ def seed_faults(seed, name: str = "seed") -> list:
     faults = []
     for i, part in parts:
         what = name if i is None else f"{name}[{i}]"
-        faults += type_faults(part, int, what) or (
-            [f"{what} must be >= 0, got {part}"] if part < 0 else [])
+        faults += count_faults(part, what, 0)
     return faults
 
 
@@ -327,7 +326,9 @@ def _ar1(slope: float, x0: float, driven: np.ndarray) -> np.ndarray:
     The path solves the unit lower-bidiagonal system with sub-diagonal
     -slope.  For |slope| < 1 dgtsv never pivots: each step computes
     driven_t + slope x_{t-1} unfused and its back substitution divides by
-    1, so the path equals the loop bit for bit.
+    1, so the path equals the loop bit for bit.  LAPACK sets no numpy
+    floating-point flag, so a path that overflows raises
+    FloatingPointError here.
     """
     n = len(driven)
     driven[0] += slope * x0
@@ -335,6 +336,8 @@ def _ar1(slope: float, x0: float, driven: np.ndarray) -> np.ndarray:
     *_, x, _ = dgtsv(np.full(off, -slope), np.ones(n), np.zeros(off), driven,
                      overwrite_dl=True, overwrite_d=True, overwrite_du=True,
                      overwrite_b=True)
+    if not np.isfinite(x).all():
+        raise FloatingPointError("overflow in an AR(1) path")
     return x
 
 
@@ -344,15 +347,25 @@ def _ar1_path(law: ArLaw, x0: float, shocks: np.ndarray) -> np.ndarray:
 
 def _simulate(params: HmmDgpParams, T: int, burn_in: int, seed,
               msar: bool) -> Sample:
+    """Check the inputs and draw the sample; a value that leaves double
+    precision on the way (an overflow, or a NaN formed from one) is a
+    ValidationError."""
     params.validate()
-    if T < 1:
-        raise ValidationError(f"T must be >= 1, got {T}")
-    if burn_in < 0:
-        raise ValidationError(f"burn_in must be >= 0, got {burn_in}")
+    if faults := count_faults(T, "T", 1) + count_faults(burn_in, "burn_in", 0):
+        raise ValidationError(faults)
     if msar and params.ar_coefficient is None:
         raise ConfigurationError(
             "switching-AR simulation requires ar_coefficient to be set")
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            return _draw(params, T, burn_in, seed, msar)
+    except FloatingPointError as exc:
+        raise ValidationError(f"the simulated path leaves double precision: "
+                              f"{exc}") from None
 
+
+def _draw(params: HmmDgpParams, T: int, burn_in: int, seed,
+          msar: bool) -> Sample:
     d = params.d
     n = burn_in + T
     chol = np.linalg.cholesky(params.noise.matrix())

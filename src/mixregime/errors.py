@@ -158,6 +158,13 @@ def type_faults(value, hint, name: str = "") -> list:
             f"got {got}"]
 
 
+def count_faults(value, name: str, low: int) -> list:
+    """Messages for the ways `value`, called `name`, is not an int >= `low`:
+    the type rule for an int (a bool or a float fails it), then the bound."""
+    return type_faults(value, int, name) or (
+        [f"{name} must be >= {low}, got {value}"] if value < low else [])
+
+
 def real_matrix(value):
     """`value` as a float array when it is a real matrix (a 2-D array, or a
     list of equal-length lists of real numbers), else as it is, for

@@ -22,8 +22,9 @@ from typing import Optional
 import numpy as np
 from scipy.optimize import linear_sum_assignment, minimize
 
-from .dgp import Sample, seed_key
-from .errors import EstimationError, JsonRecord, ValidationError
+from .dgp import Sample, stream_rng
+from .errors import (EstimationError, JsonRecord, ValidationError,
+                     count_faults)
 from .mixture import (SIGMA_MIN, MixtureParams, ModelSpec, decode,
                       encode_arrays, mixture_kernel, neg_loglik_and_score)
 
@@ -46,10 +47,9 @@ class EstimatorConfig(JsonRecord):
     qn_grad_tol: float = 1e-6  # max-norm of the score at convergence
 
     def violations(self) -> list:
-        out = []
-        for name, low in (("n_starts", 1), ("em_max_iter", 1), ("qn_max_iter", 0)):
-            if getattr(self, name) < low:
-                out.append(f"{name} must be >= {low}, got {getattr(self, name)}")
+        out = [fault for name, low in (("n_starts", 1), ("em_max_iter", 1),
+                                       ("qn_max_iter", 0))
+               for fault in count_faults(getattr(self, name), name, low)]
         for name in ("em_tol", "qn_grad_tol"):
             if not getattr(self, name) > 0:
                 out.append(f"{name} must be finite and > 0, "
@@ -265,8 +265,7 @@ def qml_estimate(sample: Sample, spec: ModelSpec,
     y, x = spec.regression_frame(sample)
     _check_sample_size(len(y), spec)
 
-    inits = [_random_init(y, x, spec,
-                          np.random.default_rng(seed_key(seed) + (start,)))
+    inits = [_random_init(y, x, spec, stream_rng(seed, start))
              for start in range(cfg.n_starts)]
     runs = _em_runs(y, x, spec, inits, cfg)
 

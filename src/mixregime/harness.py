@@ -22,9 +22,9 @@ import numpy as np
 from .dgp import (DEFAULT_BURN_IN, HmmDgpParams, seed_faults, seed_key,
                   simulate_hmm, simulate_msar)
 from .errors import (ConfigurationError, JsonRecord, MixRegimeError,
-                     ParseError, ValidationError, check_writable, csv_cells,
-                     csv_number, key_faults, read_csv, read_json, type_faults,
-                     write_csv, write_json)
+                     ParseError, ValidationError, check_writable, count_faults,
+                     csv_cells, csv_number, key_faults, read_csv, read_json,
+                     type_faults, write_csv, write_json)
 from .estimator import EstimatorConfig, align_permutation, qml_estimate
 from .inference import HacConfig, sandwich_cov
 from .mixture import (MixtureParams, ModelSpec, encode, natural_vector,
@@ -38,6 +38,7 @@ class ExperimentConfig(JsonRecord):
     """Everything needed to reproduce one Monte Carlo table cell."""
 
     json_label = "experiment"
+    burn_in = DEFAULT_BURN_IN  # one for every experiment, so no config key
 
     dgp: HmmDgpParams
     T: int
@@ -45,7 +46,6 @@ class ExperimentConfig(JsonRecord):
     master_seed: int = 0
     estimator: EstimatorConfig = field(default_factory=EstimatorConfig)
     hac: HacConfig = field(default_factory=HacConfig)
-    burn_in: int = DEFAULT_BURN_IN
     label: str = ""
     out_dir: Optional[str] = None
 
@@ -55,15 +55,10 @@ class ExperimentConfig(JsonRecord):
         return ModelSpec.for_dgp(self.dgp)
 
     def violations(self) -> list:
-        out = []
-        if self.n_reps < 1:
-            out.append(f"n_reps must be >= 1, got {self.n_reps}")
-        if self.T < 50:
-            out.append(f"T must be >= 50, got {self.T}")
-        if self.burn_in < 0:
-            out.append(f"burn_in must be >= 0, got {self.burn_in}")
-        out += seed_faults(self.master_seed, "master_seed")
-        return (out + self.dgp.violations() + self.estimator.violations()
+        return (count_faults(self.n_reps, "n_reps", 1)
+                + count_faults(self.T, "T", 50)
+                + seed_faults(self.master_seed, "master_seed")
+                + self.dgp.violations() + self.estimator.violations()
                 + self.hac.violations())
 
 
@@ -127,9 +122,10 @@ def run_replication(cfg: ExperimentConfig, rep_index: int) -> ReplicationRecord:
     with the error message); any other exception propagates.
     """
     cfg.validate()
-    if not 0 <= rep_index < cfg.n_reps:
-        raise ValidationError(f"rep_index must lie in [0, {cfg.n_reps}), "
-                              f"got {rep_index}")
+    faults = count_faults(rep_index, "rep_index", 0)
+    if faults or rep_index >= cfg.n_reps:
+        raise ValidationError(faults or f"rep_index must lie in "
+                              f"[0, {cfg.n_reps}), got {rep_index}")
     t0 = time.perf_counter()
     spec = cfg.spec
     ref = true_reference(cfg.dgp)

@@ -36,7 +36,8 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .dgp import HmmDgpParams, RegimeOutcome, Sample, outcome_violations
-from .errors import ConfigurationError, JsonRecord, ValidationError
+from .errors import (ConfigurationError, JsonRecord, ValidationError,
+                     count_faults)
 
 _LOG_2PI = math.log(2.0 * math.pi)
 # bounds of a component scale: decode clamps to both, EM floors at SIGMA_MIN
@@ -75,11 +76,12 @@ class ModelSpec(JsonRecord):
     form: str = "hmm"
 
     def __post_init__(self):
-        self.validate()  # the field types: a bool or 2.5 is no d
+        self.validate()  # the field types and d >= 1: a bool or 2.5 is no d
         if self.form not in _FORMS:
             raise ConfigurationError(f"form must be one of {_FORMS}, got {self.form!r}")
-        if self.d < 1:
-            raise ConfigurationError(f"d must be >= 1, got {self.d}")
+
+    def violations(self) -> list:
+        return count_faults(self.d, "d", 1)
 
     @property
     def n_slope(self) -> int:

@@ -35,7 +35,7 @@ from scipy.special import gammaln, kve
 from .dgp import (DEFAULT_BURN_IN, HmmDgpParams, Sample, seed_key,
                   simulate_hmm, simulate_msar, transition_rows)
 from .errors import (ConfigurationError, JsonRecord, QuadratureError,
-                     ValidationError)
+                     ValidationError, count_faults, type_faults)
 from .estimator import EstimatorConfig, align_permutation
 from .inference import sandwich_cov
 from .mixture import (MixtureParams, ModelSpec, decode, encode, loglik_terms,
@@ -84,8 +84,8 @@ def pseudo_true_weights(dgp: HmmDgpParams, n_sim: int,
     the outcome coefficients of the QML limit come from pseudo_true_msar.
     """
     dgp.validate()
-    if n_sim < 10_000:
-        raise ValidationError(f"n_sim must be >= 10000, got {n_sim}")
+    if faults := count_faults(n_sim, "n_sim", 10_000):
+        raise ValidationError(faults)
     sample = simulate_hmm(dgp, T=n_sim, burn_in=burn_in, seed=seed)
     s0 = sample.s - 1
     rows = transition_rows(dgp.transition, sample.z, s0)
@@ -154,8 +154,8 @@ def pseudo_true_msar(dgp: HmmDgpParams, n_sim: int,
     usable rows that path 0 holds.
     """
     dgp.validate()
-    if n_sim < 10_000:
-        raise ValidationError(f"n_sim must be >= 10000, got {n_sim}")
+    if faults := count_faults(n_sim, "n_sim", 10_000):
+        raise ValidationError(faults)
     spec = ModelSpec.for_dgp(dgp)
     simulate = simulate_msar if spec.form == "msar" else simulate_hmm
     qn = EstimatorConfig()
@@ -361,13 +361,16 @@ def cf_ratio_check(family: str, a1: float, a2: float,
     before it, so a tail that has underflowed to zero counts as decayed.
     """
     kind, nu = _parse_family(family)
-    if not (math.inf > a1 > a2 > 0):
+    if type_faults(a1, float) or type_faults(a2, float) or not a1 > a2 > 0:
         raise ValidationError(f"need finite a1 > a2 > 0, got a1 = {a1}, "
                               f"a2 = {a2}")
+    a1, a2 = float(a1), float(a2)  # double arithmetic, for an int too
     if tau_grid is None:
         tau_grid = (np.linspace(0.0, 10.0, 21) if kind == "gaussian"
                     else np.arange(1.0, 13.0))
-    taus = np.asarray(tau_grid, dtype=float)
+    cells = np.atleast_1d(np.asarray(tau_grid, dtype=object))  # types kept
+    taus = np.array([math.nan if type_faults(t, float) else t
+                     for t in cells], dtype=float)
     if (taus.size < 2 or not np.isfinite(taus).all()
             or (np.diff(taus) <= 0).any() or taus[0] < 0):
         raise ValidationError("tau_grid must be finite, nonnegative and "
@@ -391,7 +394,7 @@ def cf_ratio_check(family: str, a1: float, a2: float,
 
     ratios = [r for _, r in trace]
     verdict = bool(ratios[-1] < CF_RATIO_THRESHOLD and ratios[-1] <= ratios[-2])
-    return CfCheckReport(family=family, a1=float(a1), a2=float(a2),
+    return CfCheckReport(family=family, a1=a1, a2=a2,
                          ratio_trace=trace, verdict=verdict,
                          threshold=CF_RATIO_THRESHOLD)
 

@@ -1,4 +1,5 @@
 import argparse
+import ast
 import json
 import math
 import re
@@ -161,12 +162,11 @@ class TestFit:
         assert json.loads(out.read_text())["hac"]["bandwidth"] == 0.0
 
     def test_bad_bandwidth_is_structured_error(self, sample_csv, capsys):
-        rc = main(["fit", "--data", str(sample_csv), "--d", "2",
-                   "--form", "hmm", "--bandwidth", "wide"])
-        assert rc == 1
-        err = json.loads(capsys.readouterr().err)
-        assert err["error"]["type"] == "ConfigurationError"
-        assert "bandwidth" in err["error"]["message"]
+        msg = validation_error(["fit", "--data", str(sample_csv), "--d", "2",
+                                "--form", "hmm", "--bandwidth", "wide"],
+                               capsys)
+        assert msg == ("bandwidth must be 'auto' or a finite number >= 0, "
+                       "got 'wide'")
 
     def test_experiment_config_accepted(self, tmp_path, sample_csv):
         cfg = ExperimentConfig(dgp=hmm_benchmark(), T=400, n_reps=1,
@@ -541,6 +541,46 @@ class TestParser:
         assert exc.value.code == 2
         assert "--burn-in" in capsys.readouterr().err
 
+    def test_no_flag_converts_its_value_to_a_number(self):
+        # argparse's int and float exited 2 with a usage line and no JSON;
+        # the owner of each value judges it instead
+        tree = ast.parse((ROOT / "src" / "mixregime" / "cli.py").read_text())
+        converters = [
+            f"{node.args[0].value} type={kw.value.id}"
+            for node in ast.walk(tree) if isinstance(node, ast.Call)
+            and getattr(node.func, "attr", None) == "add_argument"
+            for kw in node.keywords if kw.arg == "type"
+            and isinstance(kw.value, ast.Name)
+            and kw.value.id in ("int", "float")]
+        assert converters == []
+
+    @pytest.mark.parametrize("command, flags, work, message", [
+        ("simulate", ["--T", "1.5"], "mixregime.dgp._draw",
+         "T must be an int, got 1.5"),
+        ("simulate", ["--T", "200", "--seed", "1.5"], "mixregime.dgp._draw",
+         "seed must be an int, got 1.5"),
+        ("fit", ["--d", "2.5"], "mixregime.cli.load_sample",
+         "d must be an int, got 2.5"),
+        ("oracle", ["--n-sim", "1e5"], "mixregime.dgp._draw",
+         "n_sim must be an int, got 100000.0"),
+        ("check-id", ["--a1", "x", "--a2", "1"],
+         "mixregime.oracle._gaussian_cf_ratio",
+         "need finite a1 > a2 > 0, got a1 = x, a2 = 1"),
+    ], ids=["simulate-T", "simulate-seed", "fit-d", "oracle-n-sim",
+            "check-id-a1"])
+    def test_bad_number_is_judged_by_its_owner(self, tmp_path, dgp_config,
+                                               monkeypatch, capsys, command,
+                                               flags, work, message):
+        # each exited 2 with argparse's usage line and no JSON
+        monkeypatch.setattr(work, no_work)
+        argv = {"simulate": ["--config", str(dgp_config),
+                             "--out", str(tmp_path / "s.csv")],
+                "fit": ["--data", str(tmp_path / "s.csv")],
+                "oracle": ["--config", str(dgp_config)],
+                "check-id": ["--family", "gaussian"]}[command]
+        assert validation_error([command, *argv, *flags], capsys) == message
+        assert not (tmp_path / "s.csv").exists()
+
     @pytest.mark.parametrize("command, work", [
         ("simulate", "simulate_hmm"), ("fit", "load_sample"),
         ("oracle", "pseudo_true_msar")])
@@ -576,12 +616,11 @@ class TestCheckId:
         assert [t for t, _ in payload["ratio_trace"]] == [0.0, 1.0, 2.0]
 
     def test_bad_tau_grid_is_configuration_error(self, capsys):
-        rc = main(["check-id", "--family", "gaussian", "--a1", "2.0",
-                   "--a2", "1.0", "--tau-grid", "1,abc"])
-        assert rc == 1
-        err = json.loads(capsys.readouterr().err)["error"]
-        assert err["type"] == "ConfigurationError"
-        assert "tau-grid" in err["message"]
+        # cf_ratio_check owns the grid rule; a word is no finite tau
+        msg = validation_error(["check-id", "--family", "gaussian", "--a1",
+                                "2.0", "--a2", "1.0", "--tau-grid", "1,abc"],
+                               capsys)
+        assert msg.startswith("tau_grid must be finite")
 
     @pytest.mark.parametrize("grid", ["0,inf", "0,nan"])
     def test_non_finite_tau_is_validation_error(self, capsys, grid):

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -294,6 +295,46 @@ class TestSimulateHmm:
             simulate_hmm(hmm_params, T=0, seed=1)
         with pytest.raises(ValidationError):
             simulate_hmm(hmm_params, T=10, burn_in=-1, seed=1)
+
+    @pytest.mark.parametrize("counts, message", [
+        ({"T": True}, "T must be an int, got True"),
+        ({"T": 1.5}, "T must be an int, got 1.5"),
+        ({"T": "9"}, "T must be an int, got '9'"),
+        ({"T": 10, "burn_in": 2.5}, "burn_in must be an int, got 2.5"),
+    ], ids=["T-bool", "T-float", "T-str", "burn_in-float"])
+    def test_counts_are_type_checked(self, hmm_params, counts, message):
+        # T = True gave a 1-row sample, the others numpy's raw TypeError
+        with pytest.raises(ValidationError) as err:
+            simulate_hmm(hmm_params, seed=1, **counts)
+        assert err.value.violations == [message]
+
+    @pytest.mark.parametrize("simulate, route", [
+        (simulate_hmm, "z_law.intercept"), (simulate_hmm, "outcome.sigma"),
+        (simulate_hmm, "transition.beta"), (simulate_hmm, "w_law.intercept"),
+        (simulate_msar, "outcome.mu")])
+    def test_path_past_double_precision_is_validation_error(self, simulate,
+                                                            route):
+        # z went NaN, y inf, or the regime path was drawn from NaN
+        # probabilities, with at most a RuntimeWarning; the AR(1) paths are
+        # solved by LAPACK, which sets no numpy floating-point flag
+        params = msar_benchmark() if simulate is simulate_msar else hmm_benchmark()
+        if route == "z_law.intercept":
+            params.z_law.intercept = 1e308
+        elif route == "outcome.sigma":
+            params.outcomes[0].sigma = 1e308
+        elif route == "transition.beta":
+            params.transition.beta[0, 0] = 1e308
+        elif route == "w_law.intercept":
+            params.w_law.intercept = 1e308
+        else:
+            params.outcomes[0].mu = 1e308  # over 1 - phi: past the range
+        params.validate()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError,
+                               match="^the simulated path leaves double "
+                                     "precision: "):
+                simulate(params, T=2000, seed=1)
 
 
 class TestSeedKey:

@@ -21,6 +21,7 @@ from mixregime import (ArLaw, ConfigurationError, EstimatorConfig,
                        run_experiment, run_replication, simulate_hmm,
                        simulate_msar,
                        summarize_csv, true_reference, write_replications_csv)
+from mixregime.dgp import DEFAULT_BURN_IN
 from mixregime.harness import robust_cov
 from mixregime.inference import sandwich_cov
 from mixregime.mixture import SIGMA_MIN, neg_loglik_and_score
@@ -125,6 +126,18 @@ class TestExperimentConfig:
         with pytest.raises(ValidationError, match=key):
             ExperimentConfig.from_json(obj).validate()
 
+    @pytest.mark.parametrize("value", ["2", 2.5, True])
+    def test_burn_in_is_no_config_key(self, value):
+        # every experiment burns in DEFAULT_BURN_IN values; the key was a
+        # knob that the configs all set to that one value
+        assert ExperimentConfig.burn_in == DEFAULT_BURN_IN
+        obj = small_cfg().to_json()
+        assert "burn_in" not in obj
+        obj["burn_in"] = value
+        with pytest.raises(ValidationError) as err:
+            ExperimentConfig.from_json(obj)
+        assert err.value.violations == ["unknown experiment key(s): burn_in"]
+
     @pytest.mark.parametrize("key, value, message", [
         ("label", None, "label must be a string, got None"),
         ("label", 3, "label must be a string, got 3"),
@@ -195,6 +208,14 @@ class TestRunReplication:
             run_replication(cfg, 3)
         with pytest.raises(ValidationError):
             run_replication(cfg, -1)
+
+    @pytest.mark.parametrize("rep_index", [True, 1.0])
+    def test_rep_index_must_be_an_int(self, rep_index):
+        # it returned a failed record whose rep_index cell read 1
+        with pytest.raises(ValidationError) as err:
+            run_replication(small_cfg(n_reps=3), rep_index)
+        assert err.value.violations == [
+            f"rep_index must be an int, got {rep_index}"]
 
     def test_deterministic_modulo_elapsed(self):
         cfg = small_cfg()
@@ -374,6 +395,36 @@ def test_only_errors_touches_the_file_system():
                     "open", "write_text", "read_text", "mkdir", "unlink"):
                 calls.append(f"{path.name}:{node.lineno}: {func.attr}")
     assert calls == []
+
+
+def test_only_stream_rng_makes_a_generator():
+    # one constructor keeps every stream keyed by seed_key's rule
+    makers = []
+    for path in sorted(SRC_DIR.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for func in ast.walk(tree):
+            if not isinstance(func, ast.FunctionDef):
+                continue
+            makers += [f"{path.name}: {func.name}" for node in ast.walk(func)
+                       if isinstance(node, ast.Attribute)
+                       and node.attr == "default_rng"]
+    assert makers == ["dgp.py: stream_rng"]
+
+
+def test_count_bound_has_one_owner():
+    # "<name> must be >= <low>, got <value>" was written out ten times,
+    # and the functions among its writers skipped the int type rule
+    writers = []
+    for path in sorted(SRC_DIR.glob("*.py")):
+        for func in ast.walk(ast.parse(path.read_text())):
+            if isinstance(func, ast.FunctionDef):
+                writers += [
+                    f"{path.name}: {func.name}" for node in ast.walk(func)
+                    if isinstance(node, ast.JoinedStr) and any(
+                        isinstance(part, ast.Constant)
+                        and "must be >=" in part.value
+                        for part in node.values)]
+    assert writers == ["errors.py: count_faults"]
 
 
 def test_no_module_has_an_unused_import():

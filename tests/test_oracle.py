@@ -54,6 +54,13 @@ class TestPseudoTrueWeights:
         with pytest.raises(ValidationError):
             pseudo_true_weights(hmm_benchmark(), n_sim=5000)
 
+    @pytest.mark.parametrize("oracle", [pseudo_true_weights, pseudo_true_msar])
+    def test_float_n_sim_is_validation_error(self, oracle):
+        # numpy raised a raw TypeError on the float path length
+        with pytest.raises(ValidationError) as err:
+            oracle(hmm_benchmark(), n_sim=1e5)
+        assert err.value.violations == ["n_sim must be an int, got 100000.0"]
+
 
 class TestKlCheck:
     def test_theta_star_vs_itself_is_exactly_zero(self):
@@ -333,6 +340,18 @@ class TestCfRatioCheck:
             cf_ratio_check("student-t:2", a1=2.0, a2=1.0)
         with pytest.raises(ValidationError):
             cf_ratio_check("student-t:abc", a1=2.0, a2=1.0)
+
+    def test_non_number_parameter_is_validation_error(self):
+        # a1 > a2 raised a raw TypeError on the string
+        with pytest.raises(ValidationError,
+                           match="^need finite a1 > a2 > 0, got a1 = x, "):
+            cf_ratio_check("gaussian", a1="x", a2=1.0)
+
+    @pytest.mark.parametrize("grid", [["0", "x"], [0.0, True, 2.0], 5.0])
+    def test_non_number_tau_is_validation_error(self, grid):
+        # float("x") raised a raw ValueError, and True was read as 1.0
+        with pytest.raises(ValidationError, match="^tau_grid must be finite"):
+            cf_ratio_check("gaussian", a1=2.0, a2=1.0, tau_grid=grid)
 
     def test_bad_grid(self):
         with pytest.raises(ValidationError):
