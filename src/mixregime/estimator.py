@@ -42,7 +42,9 @@ class EstimatorConfig(JsonRecord):
 
     n_starts: int = 8
     em_max_iter: int = 100  # EM iterations after which a start goes to BFGS
-    em_tol: float = 1e-6  # EM gain below which a start goes to BFGS
+    # EM gain below which a start goes to BFGS: EM need only reach a basin,
+    # and BFGS converges from there faster than EM's linear rate
+    em_tol: float = 1e-3
     qn_max_iter: int = 200
     qn_grad_tol: float = 1e-6  # max-norm of the score at convergence
 

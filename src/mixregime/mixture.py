@@ -23,7 +23,9 @@ and min instead of a sort.
 hessian is closed-form (Louis's identity on the responsibilities and the
 per-component gradients), with one kernel call per fixed block of rows.
 neg_loglik_and_score is the one BFGS objective, pooled over samples, that
-both the estimator and the QML-limit oracle minimize.
+both the estimator and the QML-limit oracle minimize; it sums the score
+from the kernel's outputs.  score_contributions is the per-row form, (T, q),
+which only the sandwich's long-run variance needs.
 """
 
 from __future__ import annotations
@@ -351,16 +353,30 @@ def neg_loglik_and_score(free: np.ndarray, samples: Sequence[Sample],
     decode(free), pooled over the usable rows of every sample.
 
     The one objective BFGS minimizes, for the estimator and the oracle; one
-    kernel call per sample.
+    kernel call per sample.  The point is decoded and checked once, and the
+    score's column sums are formed from the kernel's outputs directly, with
+    no (T, q) row matrix: with rr[s, t] = resp[t, s] r[s, t], the mu block
+    is rr's row sums over sigma, the slope block rr @ x over sigma, the log
+    sigma block the sums of rr r less each component's mass, and the logit
+    block the masses less T times the weights.
     """
+    mu, gamma, sigma, weights = checked_point(*decode_arrays(free, spec), spec)
     total = 0.0
     grad = np.zeros(spec.q)
+    g_mu, g_slope, g_log_sigma, g_logit = [grad[b] for b in spec.blocks]
     n_rows = 0
     for sample in samples:
-        terms, contrib = loglik_and_score_contributions(free, sample, spec)
-        total += float(terms.sum())
-        grad += contrib.sum(axis=0)
-        n_rows += len(terms)
+        y, x = spec.regression_frame(sample)
+        lse, resp, r = mixture_kernel(mu, gamma, sigma, weights, y, x)
+        rr = r * resp.T
+        mass = resp.sum(axis=0)
+        total += float(lse.sum())
+        g_mu += rr.sum(axis=1) / sigma
+        d_slope = (rr @ x) / sigma
+        g_slope += d_slope if spec.form == "hmm" else d_slope.sum()
+        g_log_sigma += (rr * r).sum(axis=1) - mass
+        g_logit += mass[:-1] - len(y) * weights[:-1]
+        n_rows += len(y)
     return -total / n_rows, -grad / n_rows
 
 

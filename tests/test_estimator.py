@@ -1,5 +1,6 @@
 import itertools
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,11 +8,13 @@ from scipy.optimize import minimize
 
 from mixregime import (EstimationError, EstimatorConfig, MixtureParams,
                        ModelSpec, RegimeOutcome, Sample, ValidationError,
-                       align_permutation, hmm_benchmark, qml_estimate,
-                       simulate_hmm)
+                       align_permutation, hmm_benchmark,
+                       load_experiment_config, qml_estimate, simulate_hmm)
 from mixregime.dgp import seed_key
 from mixregime.estimator import _em_runs, _m_step, _moment_rows, _random_init
 from mixregime.mixture import encode_arrays, loglik_terms, neg_loglik_and_score
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 
 def uniform_weights(d):
@@ -104,6 +107,18 @@ class TestEmBehaviour:
         assert free.n_iter < EstimatorConfig().em_max_iter
         assert not any(n.startswith("em stopped") for n in free.notes)
 
+    def test_committed_panel_stops_before_the_cap(self):
+        # EM only has to reach a basin for BFGS, so at the committed em_tol
+        # the cap note is rare: in replications 0-3 of this panel no start
+        # hits it (at em_tol 1e-6, 16 of their 32 starts did)
+        cfg = load_experiment_config(CONFIG_DIR / "hmm_rho0_omega0_T800.json")
+        for rep in range(4):
+            base = seed_key(cfg.master_seed) + (rep,)
+            sample = simulate_hmm(cfg.dgp, T=cfg.T, burn_in=cfg.burn_in,
+                                  seed=base + (0,))
+            res = qml_estimate(sample, cfg.spec, cfg.estimator, seed=base + (1,))
+            assert not [n for n in res.notes if "em stopped at em_max_iter" in n]
+
     def test_singular_equations_abandon_the_fit(self):
         # constant data makes the weighted normal equations singular for any
         # responsibility split
@@ -129,14 +144,15 @@ class TestEmBehaviour:
 
     def test_a_start_does_not_depend_on_the_others(self, hmm_sample, hmm_spec):
         # beside it in the batch: a start that collapses at once and a rough
-        # start that the cap of 60 stops; this one converges after 46
+        # start that the cap of 60 stops; this one converges after 46 (both
+        # at em_tol 1e-6, tighter than the default, so that the cap is hit)
         dgp = hmm_benchmark()
         y, x = hmm_spec.regression_frame(hmm_sample)
         init = point(*[(c.mu, c.gamma, c.sigma) for c in dgp.outcomes],
                      weights=[0.66, 0.34])
         rough = point((0.5, 0.1, 2.0), (-0.5, 0.9, 2.0))
         collapsing = point((0.0, 0.0, 1.0), (1e3, 0.0, 1.0))
-        cfg = EstimatorConfig(em_max_iter=60)
+        cfg = EstimatorConfig(em_max_iter=60, em_tol=1e-6)
         alone = _em_runs(y, x, hmm_spec, [init], cfg)[0]
         capped, batched, dropped = _em_runs(y, x, hmm_spec,
                                             [rough, init, collapsing], cfg)

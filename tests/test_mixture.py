@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -12,8 +13,9 @@ from mixregime import (ConfigurationError, MixtureParams, ModelSpec,
                        decode_jacobian, encode, hessian, hmm_benchmark,
                        msar_benchmark, natural_vector, score_contributions,
                        simulate_hmm, simulate_msar)
-from mixregime.mixture import (loglik_and_score_contributions, loglik_terms,
-                               mixture_kernel, neg_loglik_and_score)
+from mixregime.mixture import (decode_arrays, loglik_and_score_contributions,
+                               loglik_terms, mixture_kernel,
+                               neg_loglik_and_score)
 
 LOG_2PI = math.log(2 * math.pi)
 
@@ -265,8 +267,10 @@ class TestScore:
         free = encode(random_params(rng, 2), spec)
         contrib = score_contributions(free, sample, spec)
         assert contrib.shape == (40, spec.q)
-        np.testing.assert_array_equal(
-            contrib.mean(axis=0), -neg_loglik_and_score(free, [sample], spec)[1])
+        # the objective sums the score without the rows: equal to rounding
+        np.testing.assert_allclose(
+            contrib.mean(axis=0), -neg_loglik_and_score(free, [sample], spec)[1],
+            rtol=1e-12, atol=1e-15)
 
     def test_single_row_equals_score(self):
         rng = np.random.default_rng(15)
@@ -421,17 +425,20 @@ class TestKernel:
 
 
 class TestObjective:
-    @pytest.mark.parametrize("form", ["hmm", "msar"])
-    def test_one_sample_is_quasi_loglik_and_score(self, form):
+    @pytest.mark.parametrize("form, d", [  # d = 1 has no logit block
+        pytest.param(form, d, id=form if d == 2 else f"{form}-d{d}")
+        for d in (2, 1, 3) for form in ("hmm", "msar")])
+    def test_one_sample_is_quasi_loglik_and_score(self, form, d):
         rng = np.random.default_rng(27)
-        spec = ModelSpec(d=2, form=form)
+        spec = ModelSpec(d=d, form=form)
         sample = random_sample(rng, 40)
-        params = random_params(rng, 2, form)
+        params = random_params(rng, d, form)
         free = encode(params, spec)
         neg_ll, neg_grad = neg_loglik_and_score(free, [sample], spec)
         assert neg_ll == -loglik_terms(decode(free, spec), sample, spec).mean()
-        np.testing.assert_array_equal(
-            neg_grad, -score_contributions(free, sample, spec).mean(axis=0))
+        np.testing.assert_allclose(
+            neg_grad, -score_contributions(free, sample, spec).mean(axis=0),
+            rtol=1e-12, atol=1e-15)
 
     @pytest.mark.parametrize("form", ["hmm", "msar"])
     def test_samples_pool_by_row_count(self, form):
@@ -447,6 +454,28 @@ class TestObjective:
         np.testing.assert_allclose(
             neg_grad, rows @ np.array([g for _, g in parts]) / rows.sum(),
             rtol=1e-12, atol=1e-15)
+
+    @pytest.mark.parametrize("form", ["hmm", "msar"])
+    def test_builds_no_row_matrix(self, form):
+        # the score is summed from the kernel's outputs: the objective's
+        # peak stays below the kernel's own plus one (T, q) array of doubles
+        rng = np.random.default_rng(31)
+        spec = ModelSpec(d=2, form=form)
+        sample = random_sample(rng, 100_000)
+        free = encode(random_params(rng, 2, form), spec)
+        y, x = spec.regression_frame(sample)
+
+        def peak_bytes(fn, *args):
+            tracemalloc.start()
+            try:
+                fn(*args)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        kernel = peak_bytes(mixture_kernel, *decode_arrays(free, spec), y, x)
+        objective = peak_bytes(neg_loglik_and_score, free, [sample], spec)
+        assert objective < kernel + 8 * len(y) * spec.q
 
     def test_one_kernel_call_per_path(self, monkeypatch):
         from mixregime import mixture
