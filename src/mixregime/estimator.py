@@ -1,16 +1,18 @@
-"""QML estimation of the mixture model: multi-start EM plus quasi-Newton.
+"""QML estimation of the mixture model: multi-start EM plus a Newton polish.
 
 EM finds basins: from each randomized start it climbs (monotone likelihood
 ascent from rough starts) until its gain per iteration falls below em_tol.
-The starts run in lock step, one kernel call and one stacked M-step per
-iteration over the starts still running; each start keeps its own stop
-rules, and its run is bit for bit what it would be alone.
-BFGS on the unconstrained parameterization with the analytic score then
-converges from every usable EM end point, and the start with the highest
-polished likelihood is the estimate.  Ranking the starts after polishing,
-not by their unfinished EM likelihoods, keeps a slow EM start in a higher
-basin from losing to a fast one in a lower basin; BFGS also sharpens the
-first-order condition that the sandwich covariance relies on.
+A damped Newton method on the unconstrained parameterization, with the
+closed-form score and Hessian, then converges from every usable EM end
+point, and the start with the highest polished likelihood is the estimate.
+Ranking the starts after polishing, not by their unfinished EM
+likelihoods, keeps a slow EM start in a higher basin from losing to a fast
+one in a lower basin; the polish also sharpens the first-order condition
+that the sandwich covariance relies on.  Both stages run their starts in
+lock step, one stacked pass per iteration over the starts still running
+(one kernel call and one M-step for EM, one mixture.loglik_score_hessian
+call for Newton); each start keeps its own stop rules, and its run is bit
+for bit what it would be alone.
 """
 
 from __future__ import annotations
@@ -20,18 +22,26 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment, minimize
+from scipy.optimize import linear_sum_assignment
 
 from .dgp import Sample, stream_rng
 from .errors import (EstimationError, JsonRecord, ValidationError,
                      count_faults)
-from .mixture import (SIGMA_MIN, MixtureParams, ModelSpec, decode,
-                      encode_arrays, mixture_kernel, neg_loglik_and_score)
+from .mixture import (LOG_SIGMA_MIN, SIGMA_MIN, MixtureParams, ModelSpec,
+                      decode, decode_arrays, encode_arrays,
+                      loglik_score_hessian, mixture_kernel)
 
 _COLLAPSE_FRACTION = 1e-8  # of effective sample size, per component
 # Normal equations count as singular below this fraction of their diagonal
 # product: with a constant regressor, rounding leaves about 1e-15.
 _SINGULAR_RTOL = 1e-12
+# Newton polish: sufficient decrease (Armijo) and curvature constants of the
+# line search, the floor on |eigenvalue| relative to the largest, and the
+# step length below which the search gives up
+_ARMIJO = 1e-4
+_CURVATURE = 0.9
+_EIG_FLOOR = 1e-12
+_MIN_STEP = 1e-10
 
 
 @dataclass
@@ -41,11 +51,11 @@ class EstimatorConfig(JsonRecord):
     json_label = "estimator"
 
     n_starts: int = 8
-    em_max_iter: int = 100  # EM iterations after which a start goes to BFGS
-    # EM gain below which a start goes to BFGS: EM need only reach a basin,
-    # and BFGS converges from there faster than EM's linear rate
+    em_max_iter: int = 100  # EM iterations after which a start is polished
+    # EM gain below which a start is polished: EM need only reach a basin,
+    # and Newton converges from there faster than EM's linear rate
     em_tol: float = 1e-3
-    qn_max_iter: int = 200
+    qn_max_iter: int = 200  # Newton steps per start
     qn_grad_tol: float = 1e-6  # max-norm of the score at convergence
 
     def violations(self) -> list:
@@ -231,6 +241,121 @@ def _em_runs(y: np.ndarray, x: np.ndarray, spec: ModelSpec, starts: list,
             for s in range(n)]
 
 
+@dataclass
+class _Polish:
+    free: np.ndarray  # FreeVector where the polish stopped
+    value: float  # minus the average loglik there
+    grad: np.ndarray  # gradient of `value` there
+    n_iter: int  # Newton steps taken
+    n_eval: int  # points evaluated, the start included
+    message: str  # why it stopped before qn_grad_tol; "" when it converged
+
+
+def _newton_polish(y: np.ndarray, x: np.ndarray, spec: ModelSpec,
+                   starts: np.ndarray, cfg: EstimatorConfig) -> list:
+    """Damped Newton on minus the average loglik from each FreeVector row of
+    `starts`, (S, q); one _Polish per start.
+
+    Each step takes the Newton direction on the Hessian with its
+    eigenvalues replaced by their absolute values, floored at _EIG_FLOOR
+    times the largest, so that every direction descends.  The floor is
+    small because a flat direction must still take long steps: the log
+    sigma of a component collapsing onto one observation has a curvature
+    near 0 beside one of order 1 / sigma^2, and a floor of 1e-8 of the
+    largest left such starts crawling toward the sigma floor until
+    qn_max_iter.  The line search starts at the full step; it halves the
+    step until the Armijo condition holds and, from the full step, doubles
+    it while the condition holds and the directional derivative stays below
+    _CURVATURE times its starting value.  A log sigma below the floor is
+    projected onto it, and a start whose sigma reaches the floor stops
+    there.  The starts run in lock step: each round is one
+    loglik_score_hessian call on every running start's trial point, and
+    each start keeps its own step and stop rules, with the bits it would
+    have alone.
+    """
+    n_rows = len(y)
+    log_sigma = spec.blocks.log_sigma
+
+    def evaluate(free):
+        """Value, gradient, Hessian and usability at the stacked points."""
+        point = decode_arrays(free, spec)
+        with np.errstate(all="ignore"):
+            ll, score, hess = loglik_score_hessian(point, y, x, spec)
+        usable = (np.isfinite(ll) & np.isfinite(score).all(axis=-1)
+                  & np.isfinite(hess).all(axis=(-2, -1))
+                  & (point[3] > 0).all(axis=-1))
+        return -ll / n_rows, -score / n_rows, -hess / n_rows, usable
+
+    def on_floor(free):
+        return (free[..., log_sigma] <= LOG_SIGMA_MIN).any()
+
+    free = np.array(starts, dtype=float)
+    n = len(free)
+    value, grad, hess, _ = evaluate(free)  # EM end points are valid
+    direction, slope, step = np.zeros_like(free), np.zeros(n), np.ones(n)
+    n_iter, n_eval, message = [0] * n, [1] * n, [""] * n
+    halved, held = [False] * n, [None] * n
+    fresh, running = list(range(n)), []
+    while True:
+        # a start at a new iterate stops, or takes the Newton direction there
+        new = []
+        for s in fresh:
+            if np.abs(grad[s]).max() <= cfg.qn_grad_tol:
+                continue
+            if on_floor(free[s]):
+                message[s] = "stopped at the sigma floor"
+            elif n_iter[s] == cfg.qn_max_iter:
+                message[s] = f"stopped at qn_max_iter = {cfg.qn_max_iter}"
+            else:
+                new.append(s)
+        if new:
+            lam, vec = np.linalg.eigh(hess[new])
+            lam = np.abs(lam)
+            lam = np.maximum(lam, _EIG_FLOOR * lam.max(axis=-1, keepdims=True))
+            coef = (vec.swapaxes(-1, -2) @ grad[new][..., None]) / lam[..., None]
+            direction[new] = -(vec @ coef)[..., 0]
+            slope[new] = (grad[new] * direction[new]).sum(axis=-1)
+            step[new] = 1.0
+            for s in new:
+                halved[s], held[s] = False, None
+        running += new
+        if not running:
+            break
+
+        # one trial point per running start, all evaluated in one pass
+        trial = free[running] + step[running, None] * direction[running]
+        trial[:, log_sigma] = np.maximum(trial[:, log_sigma], LOG_SIGMA_MIN)
+        t_value, t_grad, t_hess, usable = evaluate(trial)
+        fresh, still = [], []
+        for k, s in enumerate(running):
+            n_eval[s] += 1
+            at = (trial[k], t_value[k], t_grad[k], t_hess[k])
+            decrease = _ARMIJO * (grad[s] @ (trial[k] - free[s]))
+            ok = (usable[k] and t_value[k] <= value[s] + decrease
+                  and (held[s] is None or t_value[k] <= held[s][1]))
+            steep = t_grad[k] @ direction[s] < _CURVATURE * slope[s]
+            if ok and steep and not halved[s] and not on_floor(trial[k]):
+                held[s] = at  # the step is still short: try twice as long
+                step[s] *= 2.0
+            elif ok or held[s] is not None:
+                free[s], value[s], grad[s], hess[s] = at if ok else held[s]
+                n_iter[s] += 1
+                fresh.append(s)
+                continue
+            else:
+                step[s] *= 0.5
+                halved[s] = True
+                if step[s] < _MIN_STEP:
+                    message[s] = "line search found no decrease"
+                    continue
+            still.append(s)
+        running = still
+
+    return [_Polish(free=free[s], value=float(value[s]), grad=grad[s],
+                    n_iter=n_iter[s], n_eval=n_eval[s], message=message[s])
+            for s in range(n)]
+
+
 def _check_sample_size(n_eff: int, spec: ModelSpec) -> None:
     per_regime = 3 if spec.form == "hmm" else 2  # regime-specific coefficients
     needed = spec.d * per_regime
@@ -246,14 +371,16 @@ def qml_estimate(sample: Sample, spec: ModelSpec,
 
     Runs cfg.n_starts EM fits from initializations randomized by `seed` (an
     int or a tuple of ints; start k draws from seed + (k,)), each until its
-    gain falls below cfg.em_tol or it reaches cfg.em_max_iter.  BFGS on the
-    FreeVector, minimizing mixture.neg_loglik_and_score, then starts from
-    every non-degenerate EM end point; the estimate is the start with the
-    highest polished loglik (the lowest index on exact ties).  loglik,
-    `converged` (max-norm of the score at most cfg.qn_grad_tol),
-    start_index and n_iterations describe that winning start; when its
-    BFGS reports failure the message is added to `notes`, and when it ends
-    with a sigma within 1e-9 relative of SIGMA_MIN, "sigma floor reached".
+    gain falls below cfg.em_tol or it reaches cfg.em_max_iter.  The Newton
+    polish (_newton_polish) then starts from every non-degenerate EM end
+    point; the estimate is the start with the highest polished loglik (the
+    lowest index on exact ties).  loglik, `converged` (max-norm of the
+    score at most cfg.qn_grad_tol), start_index and n_iterations (EM
+    iterations and Newton steps) describe that winning start.  When its
+    polish stops short of cfg.qn_grad_tol, "newton: " and the reason (the
+    sigma floor, cfg.qn_max_iter, or a line search with no decrease) are
+    added to `notes`, and when it ends with a sigma within 1e-9 relative of
+    SIGMA_MIN, "sigma floor reached".
     `degenerate` marks an estimate on the boundary of the parameter space:
     such a sigma or a weight below 1e-6.  At the sigma floor the curvature
     is about 1 / SIGMA_MIN^2, so such a fit has no sandwich covariance.
@@ -271,29 +398,30 @@ def qml_estimate(sample: Sample, spec: ModelSpec,
              for start in range(cfg.n_starts)]
     runs = _em_runs(y, x, spec, inits, cfg)
 
-    polished = [(minimize(neg_loglik_and_score, encode_arrays(*r.point, spec),
-                          args=([sample], spec), jac=True, method="BFGS",
-                          options={"maxiter": cfg.qn_max_iter,
-                                   "gtol": cfg.qn_grad_tol}), i)
-                for i, r in enumerate(runs) if not r.degenerate]
+    usable = [i for i, r in enumerate(runs) if not r.degenerate]
     notes = [f"start {i}: {note}" for i, r in enumerate(runs) for note in r.notes]
-    if not polished:
+    if not usable:
         raise EstimationError("all EM starts degenerate: " + "; ".join(notes))
-    res, best_index = min(polished, key=lambda p: p[0].fun)  # first of ties
-    if not res.success:
-        notes.append(f"bfgs: {res.message}")
+    polished = _newton_polish(
+        y, x, spec, np.array([encode_arrays(*runs[i].point, spec)
+                              for i in usable]), cfg)
+    # the first of exact ties
+    best = min(range(len(usable)), key=lambda k: polished[k].value)
+    res, best_index = polished[best], usable[best]
+    if res.message:
+        notes.append(f"newton: {res.message}")
 
-    theta_hat = decode(res.x, spec).sorted_by_mu()
+    theta_hat = decode(res.free, spec).sorted_by_mu()
     floor_hit = bool((theta_hat.outcome_matrix[:, 2]
                       <= SIGMA_MIN * (1 + 1e-9)).any())
     if floor_hit:
         notes.append("sigma floor reached")
     return EstimationResult(
         theta_hat=theta_hat,
-        loglik=-float(res.fun),
-        converged=bool(np.max(np.abs(res.jac)) <= cfg.qn_grad_tol),
+        loglik=-res.value,
+        converged=bool(np.max(np.abs(res.grad)) <= cfg.qn_grad_tol),
         degenerate=floor_hit or bool((theta_hat.weights < 1e-6).any()),
-        n_iterations={"em": runs[best_index].n_iter, "qn": int(res.nit)},
+        n_iterations={"em": runs[best_index].n_iter, "qn": res.n_iter},
         start_index=best_index,
         notes=notes,
     )

@@ -14,18 +14,21 @@ the four arrays (mu, gamma, sigma, weights), which decode_arrays and
 encode_arrays map to each other and point_violations checks.  MixtureParams,
 a record of RegimeOutcome components, is the form at the API edge only.
 mixture_kernel is the one place that forms the weighted log-density
-matrix; the likelihood, the score and BFGS each call it once per point, and
-EM once per iteration for all its starts, stacked (S, d).  It works
-component-major, one contiguous length-T row per component, and returns the
+matrix; the likelihood, the score and the oracle's BFGS objective each call
+it once per point, and the estimator's EM and Newton polish once per
+iteration for all their starts, stacked (S, d).  It works component-major,
+one contiguous length-T row per component, and returns the
 responsibilities per row, (T, d), and the standardized residuals as it
 computes them, (d, T).  For d = 2 its log-sum-exp over components takes max
 and min instead of a sort.
-hessian is closed-form (Louis's identity on the responsibilities and the
-per-component gradients), with one kernel call per fixed block of rows.
-neg_loglik_and_score is the one BFGS objective, pooled over samples, that
-both the estimator and the QML-limit oracle minimize; it sums the score
-from the kernel's outputs.  score_contributions is the per-row form, (T, q),
-which only the sandwich's long-run variance needs.
+loglik_score_hessian is the Newton polish's pass: from one kernel call it
+sums the loglik, the score and the closed-form Hessian (Louis's identity,
+from responsibility-weighted moments and the score rows' Gram matrix) for
+one point or S stacked ones.  hessian is its one-point case, one call per
+fixed block of rows.  neg_loglik_and_score is the BFGS objective, pooled
+over samples, that the QML-limit oracle minimizes; it sums the score from
+the kernel's outputs with no row matrix.  score_contributions is the
+per-row form, (T, q), which only the sandwich's long-run variance needs.
 """
 
 from __future__ import annotations
@@ -49,7 +52,7 @@ LOG_SIGMA_MIN = math.log(SIGMA_MIN)
 _LOG_SIGMA_MAX = math.log(SIGMA_MAX)
 
 _FORMS = ("hmm", "msar")
-# rows per kernel call in hessian: bounds its (d, rows, q) gradient array
+# rows per kernel call in hessian: bounds the temporaries of each call
 _HESSIAN_BLOCK_ROWS = 1 << 16
 
 
@@ -65,7 +68,7 @@ class FreeBlocks(NamedTuple):
 @functools.lru_cache(maxsize=None)
 def _free_blocks(d: int, k: int) -> FreeBlocks:
     """FreeBlocks of d components with k slope coefficients; decode reads
-    them on every BFGS evaluation, so each layout is built once."""
+    them on every evaluation, so each layout is built once."""
     return FreeBlocks(slice(0, d), slice(d, d + k), slice(d + k, 2 * d + k),
                       slice(2 * d + k, None))
 
@@ -227,17 +230,19 @@ def encode_arrays(mu, gamma, sigma, weights, spec: ModelSpec) -> np.ndarray:
 
 
 def decode_arrays(free: np.ndarray, spec: ModelSpec) -> tuple:
-    """Any real FreeVector as (mu, gamma, sigma, weights), sigmas clamped."""
+    """Any real FreeVector, or a stack (S, q) of them, as (mu, gamma, sigma,
+    weights), sigmas clamped; a stack gives (S, d) arrays, one row per point."""
     free = np.array(free, dtype=float)  # a copy: mu is a slice of it
-    if free.shape != (spec.q,):
+    if free.shape[-1:] != (spec.q,) or free.ndim > 2:
         raise ValidationError(f"free vector must have length {spec.q}, "
                               f"got shape {free.shape}")
-    mu, slope, log_sigma, logits = [free[b] for b in spec.blocks]
+    mu, slope, log_sigma, logits = [free[..., b] for b in spec.blocks]
     sigma = np.exp(np.clip(log_sigma, LOG_SIGMA_MIN, _LOG_SIGMA_MAX))
-    full_logits = np.concatenate([logits, [0.0]])
-    weights = np.exp(full_logits - full_logits.max())
-    weights /= weights.sum()
-    gamma = slope if spec.form == "hmm" else np.full(spec.d, slope[0])
+    full_logits = np.concatenate([logits, np.zeros(free.shape[:-1] + (1,))],
+                                 axis=-1)
+    weights = np.exp(full_logits - full_logits.max(axis=-1, keepdims=True))
+    weights /= weights.sum(axis=-1, keepdims=True)
+    gamma = slope if spec.form == "hmm" else np.repeat(slope, spec.d, axis=-1)
     return mu, gamma, sigma, weights
 
 
@@ -320,31 +325,25 @@ def loglik_terms(params: MixtureParams, sample: Sample, spec: ModelSpec) -> np.n
     return mixture_kernel(*point, y, x)[0]
 
 
-def loglik_and_score_contributions(free: np.ndarray, sample: Sample,
-                                   spec: ModelSpec):
-    """loglik_terms and score_contributions at decode(free), from one kernel
-    call; a decoded point that checked_point rejects raises."""
-    mu, gamma, sigma, weights = checked_point(*decode_arrays(free, spec), spec)
-    y, x = spec.regression_frame(sample)
-    lse, resp, r = mixture_kernel(mu, gamma, sigma, weights, y, x)
-    d_mu = resp * r.T / sigma[None, :]
-    d_slope = d_mu * x[:, None]
-    if spec.form == "msar":
-        d_slope = d_slope.sum(axis=1, keepdims=True)
-    d_log_sigma = resp * (r.T * r.T - 1.0)
-    d_logit = resp[:, :-1] - weights[None, :-1]
-    return lse, np.concatenate([d_mu, d_slope, d_log_sigma, d_logit], axis=1)
-
-
 def score_contributions(free: np.ndarray, sample: Sample,
                         spec: ModelSpec) -> np.ndarray:
     """Per-observation gradients of the log mixture density, shape (T_eff, q).
 
     Row t is the gradient of ln sum_s w_s p(y_t | x_t, s) with respect to
     the FreeVector coordinates; their column means are the score, minus the
-    gradient that neg_loglik_and_score returns.
+    gradient that neg_loglik_and_score returns.  A decoded point that
+    checked_point rejects raises.
     """
-    return loglik_and_score_contributions(free, sample, spec)[1]
+    mu, gamma, sigma, weights = checked_point(*decode_arrays(free, spec), spec)
+    y, x = spec.regression_frame(sample)
+    _, resp, r = mixture_kernel(mu, gamma, sigma, weights, y, x)
+    d_mu = resp * r.T / sigma[None, :]
+    d_slope = d_mu * x[:, None]
+    if spec.form == "msar":
+        d_slope = d_slope.sum(axis=1, keepdims=True)
+    d_log_sigma = resp * (r.T * r.T - 1.0)
+    d_logit = resp[:, :-1] - weights[None, :-1]
+    return np.concatenate([d_mu, d_slope, d_log_sigma, d_logit], axis=1)
 
 
 def neg_loglik_and_score(free: np.ndarray, samples: Sequence[Sample],
@@ -352,13 +351,13 @@ def neg_loglik_and_score(free: np.ndarray, samples: Sequence[Sample],
     """Minus the average quasi-log-likelihood and minus its score at
     decode(free), pooled over the usable rows of every sample.
 
-    The one objective BFGS minimizes, for the estimator and the oracle; one
-    kernel call per sample.  The point is decoded and checked once, and the
-    score's column sums are formed from the kernel's outputs directly, with
-    no (T, q) row matrix: with rr[s, t] = resp[t, s] r[s, t], the mu block
-    is rr's row sums over sigma, the slope block rr @ x over sigma, the log
-    sigma block the sums of rr r less each component's mass, and the logit
-    block the masses less T times the weights.
+    The objective the oracle's BFGS minimizes; one kernel call per sample.
+    The point is decoded and checked once, and the score's column sums are
+    formed from the kernel's outputs directly, with no (T, q) row matrix:
+    with rr[s, t] = resp[t, s] r[s, t], the mu block is rr's row sums over
+    sigma, the slope block rr @ x over sigma, the log sigma block the sums
+    of rr r less each component's mass, and the logit block the masses less
+    T times the weights.
     """
     mu, gamma, sigma, weights = checked_point(*decode_arrays(free, spec), spec)
     total = 0.0
@@ -380,63 +379,99 @@ def neg_loglik_and_score(free: np.ndarray, samples: Sequence[Sample],
     return -total / n_rows, -grad / n_rows
 
 
-def hessian(free: np.ndarray, sample: Sample, spec: ModelSpec) -> np.ndarray:
-    """Hessian of the average quasi-log-likelihood at decode(free), in
-    closed form (Louis 1982).
+@functools.lru_cache(maxsize=None)
+def _local_embedding(d: int, k: int) -> np.ndarray:
+    """(d, d + 2, q) one-hot maps from component s's local coordinates
+    (mu_s, slope_s, log sigma_s, the d - 1 logits) to the FreeVector of d
+    components with k slope coefficients; with k = 1 every component's
+    slope is the shared one."""
+    blocks = _free_blocks(d, k)
+    embed = np.zeros((d, d + 2, blocks.logit.start + d - 1))
+    for s in range(d):
+        embed[s, 0, blocks.mu.start + s] = 1.0
+        embed[s, 1, blocks.slope.start + min(s, k - 1)] = 1.0
+        embed[s, 2, blocks.log_sigma.start + s] = 1.0
+        embed[s, 3:, blocks.logit] = np.eye(d - 1)
+    return embed
 
-    With a[t, s] the weighted log density of mixture_kernel, g[t, s] its
-    gradient in the FreeVector, rho[t, s] the responsibilities and
-    gbar[t] = sum_s rho[t, s] g[t, s] the score row, the row Hessian is
-    sum_s rho[t, s] (d2 a[t, s] + g[t, s] g[t, s]') - gbar[t] gbar[t]'.
-    Within component s, d2 a is -1/sigma^2 times (1, x, x^2) in the
-    (mu, slope) block, -2 r / sigma and -2 r x / sigma against log sigma,
-    and -2 r^2 on log sigma; the logit block is -(diag w - w w') for every
-    s.  The switching AR's shared slope sums its entries over components.
-    Rows are summed in blocks of _HESSIAN_BLOCK_ROWS, one kernel call per
-    block, so memory stays flat in T; the result is symmetrized.
+
+def loglik_score_hessian(point: tuple, y: np.ndarray, x: np.ndarray,
+                         spec: ModelSpec) -> tuple:
+    """Quasi-log-likelihood, score and Hessian in the FreeVector, each summed
+    over the rows (y, x), at `point` = (mu, gamma, sigma, weights), from one
+    mixture_kernel call.
+
+    The arrays are (d,) or stacked (S, d), and the sums are then (S,),
+    (S, q) and (S, q, q), each stacked point's slice with the bits of its
+    own call.  The Hessian is closed-form (Louis 1982).  With a[t, s] the
+    weighted log density of mixture_kernel, g[t, s] its gradient, rho[t, s]
+    the responsibilities and gbar[t] = sum_s rho[t, s] g[t, s] the score
+    row, the row Hessian is sum_s rho[t, s] (d2 a[t, s] + g[t, s] g[t, s]')
+    - gbar[t] gbar[t]'.  Component s touches only its local coordinates
+    (mu_s, slope_s, log sigma_s, logits), on which g[t, s] is
+    (r / sigma, r x / sigma, r^2 - 1, e_s - w) and d2 a[t, s] is -1/sigma^2
+    times (1, x, x^2) on (mu, slope), -2 r / sigma and -2 r x / sigma
+    against log sigma, -2 r^2 on log sigma and -(diag w - w w') on the
+    logits.  So the first sum over rows needs only the responsibility-
+    weighted moments sum_t rho r^k (1, x, x^2), k <= 4, of each component;
+    the second is the score rows' Gram matrix.  The switching AR's shared
+    slope gathers every component's slope entries.
     """
-    mu, gamma, sigma, w = checked_point(*decode_arrays(free, spec), spec)
-    y, x = spec.regression_frame(sample)
-    d, q = spec.d, spec.q
-    comp = np.arange(d)
-    cols, blocks = np.arange(q), spec.blocks
-    mu_col = cols[blocks.mu]
-    # the switching AR's one slope column serves every component
-    slope_col = np.broadcast_to(cols[blocks.slope], d)
-    log_sigma_col = cols[blocks.log_sigma]
-    logit = blocks.logit
-    # logit entries of g[t, s]: 1{s = k} - w_k, the same on every row
-    logit_grad = np.eye(d)[:, :d - 1] - w[None, :d - 1]
+    sigma, weights = point[2], point[3]
+    d = spec.d
+    lse, resp, r = mixture_kernel(*point, y, x)
+    # powers[k] = rho r^k, component-major (..., d, T) like r
+    powers = np.empty((5,) + r.shape)
+    powers[0] = resp.swapaxes(-1, -2)
+    for k in range(1, 5):
+        np.multiply(powers[k - 1], r, out=powers[k])
+    # the score rows gbar[t], component-major (..., q, T)
+    rows = np.empty(r.shape[:-2] + (spec.q, len(y)))
+    d_mu, d_slope, d_log_sigma, d_logit = [rows[..., b, :] for b in spec.blocks]
+    np.divide(powers[1], sigma[..., None], out=d_mu)
+    if spec.form == "hmm":
+        np.multiply(d_mu, x, out=d_slope)
+    else:
+        np.sum(d_mu * x, axis=-2, keepdims=True, out=d_slope)
+    np.subtract(powers[2], powers[0], out=d_log_sigma)
+    np.subtract(powers[0][..., :-1, :], weights[..., :-1, None], out=d_logit)
+    # m[k][..., s, j] = sum_t rho[t, s] r[s, t]^k x_t^j
+    m0, m1, m2, m3, m4 = powers @ np.stack([np.ones_like(x), x, x * x]).T
+    inv = 1.0 / sigma[..., None]
+    # sum_t rho (d2 a + g g') on component s's local coordinates, whose mu
+    # and slope rows and columns carry a factor 1 / sigma each
+    lin = m2 - m0
+    local = np.empty(m0.shape[:-1] + (d + 2, d + 2))
+    local[..., :2, :2] = lin[..., [[0, 1], [1, 2]]] * (inv * inv)[..., None]
+    local[..., :2, 2] = local[..., 2, :2] = (m3[..., :2]
+                                             - 3.0 * m1[..., :2]) * inv
+    local[..., 2, 2] = m4[..., 0] - 4.0 * m2[..., 0] + m0[..., 0]
+    # the logit entries of g[t, s], e_s - w, are the same on every row, so
+    # they pair with the component's sums of rho g and its mass
+    c = np.eye(d)[:, :d - 1] - weights[..., None, :d - 1]
+    rho_g = np.concatenate([m1[..., :2] * inv, lin[..., :1]], axis=-1)
+    local[..., :3, 3:] = rho_g[..., :, None] * c[..., None, :]
+    local[..., 3:, :3] = local[..., :3, 3:].swapaxes(-1, -2)
+    wl = weights[..., None, None, :d - 1]
+    local[..., 3:, 3:] = m0[..., :1, None] * (
+        c[..., :, None] * c[..., None, :] + wl.swapaxes(-1, -2) * wl
+        - np.eye(d - 1) * wl)
+    embed = _local_embedding(d, spec.n_slope)
+    hess = ((embed.swapaxes(-1, -2) @ local @ embed).sum(axis=-3)
+            - rows @ rows.swapaxes(-1, -2))
+    return lse.sum(axis=-1), rows.sum(axis=-1), hess
 
-    total = np.zeros((q, q))
-    for lo in range(0, len(y), _HESSIAN_BLOCK_ROWS):
-        yb = y[lo:lo + _HESSIAN_BLOCK_ROWS]
-        xb = x[lo:lo + _HESSIAN_BLOCK_ROWS]
-        _, resp, r = mixture_kernel(mu, gamma, sigma, w, yb, xb)
-        # grad[s, t] is g[t, s]; component-major so each sum over s adds
-        # contiguous (rows, q) slabs
-        grad = np.zeros((d, len(yb), q))
-        grad[comp, :, mu_col] = r / sigma[:, None]
-        grad[comp, :, slope_col] = grad[comp, :, mu_col] * xb[None, :]
-        grad[comp, :, log_sigma_col] = r * r - 1.0
-        grad[:, :, logit] = logit_grad[:, None, :]
-        weighted = resp.T[:, :, None] * grad
-        score_rows = weighted.sum(axis=0)
-        total += (weighted.reshape(-1, q).T @ grad.reshape(-1, q)
-                  - score_rows.T @ score_rows)
-        # sum over rows of rho[t, s] d2 a[t, s], component by component
-        m0, m1, m2 = np.stack([np.ones_like(xb), xb, xb * xb]) @ resp
-        rr = resp * r.T
-        n0, n1 = np.stack([np.ones_like(xb), xb]) @ rr
-        n2 = (rr * r.T).sum(axis=0)
-        for s in range(d):
-            cols = [mu_col[s], slope_col[s], log_sigma_col[s]]
-            a, b = 1.0 / sigma[s] ** 2, 2.0 / sigma[s]
-            total[np.ix_(cols, cols)] -= np.array([
-                [a * m0[s], a * m1[s], b * n0[s]],
-                [a * m1[s], a * m2[s], b * n1[s]],
-                [b * n0[s], b * n1[s], 2.0 * n2[s]]])
-    wl = w[:d - 1]
-    total[logit, logit] -= len(y) * (np.diag(wl) - np.outer(wl, wl))
+
+def hessian(free: np.ndarray, sample: Sample, spec: ModelSpec) -> np.ndarray:
+    """Hessian of the average quasi-log-likelihood at decode(free): the
+    one-point case of loglik_score_hessian, summed over blocks of
+    _HESSIAN_BLOCK_ROWS rows so that memory stays flat in T, then
+    symmetrized."""
+    point = checked_point(*decode_arrays(free, spec), spec)
+    y, x = spec.regression_frame(sample)
+    block = _HESSIAN_BLOCK_ROWS
+    total = sum(loglik_score_hessian(point, y[lo:lo + block],
+                                     x[lo:lo + block], spec)[2]
+                for lo in range(0, len(y), block))
     h_mat = total / len(y)
     return 0.5 * (h_mat + h_mat.T)

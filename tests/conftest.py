@@ -47,8 +47,8 @@ def fast_cfg():
 @pytest.fixture(scope="session")
 def floor_fit():
     """(config, sample, estimate) of committed replication 2 of
-    msar_rho065_T200, rebuilt with run_replication's seeds: BFGS drives the
-    winning start's sigma(1) to the floor."""
+    msar_rho065_T200, rebuilt with run_replication's seeds: the Newton polish
+    drives the winning start's sigma(1) to the floor."""
     cfg = load_experiment_config(CONFIG_DIR / "msar_rho065_T200.json")
     base = seed_key(cfg.master_seed) + (2,)
     sample = simulate_msar(cfg.dgp, T=cfg.T, burn_in=cfg.burn_in,

@@ -4,15 +4,16 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.optimize import minimize
 
 from mixregime import (EstimationError, EstimatorConfig, MixtureParams,
                        ModelSpec, RegimeOutcome, Sample, ValidationError,
                        align_permutation, hmm_benchmark,
-                       load_experiment_config, qml_estimate, simulate_hmm)
-from mixregime.dgp import seed_key
-from mixregime.estimator import _em_runs, _m_step, _moment_rows, _random_init
-from mixregime.mixture import encode_arrays, loglik_terms, neg_loglik_and_score
+                       load_experiment_config, qml_estimate, simulate_hmm,
+                       simulate_msar)
+from mixregime.dgp import seed_key, stream_rng
+from mixregime.estimator import (_em_runs, _m_step, _moment_rows,
+                                 _newton_polish, _random_init)
+from mixregime.mixture import SIGMA_MIN, encode_arrays, loglik_terms
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -108,7 +109,7 @@ class TestEmBehaviour:
         assert not any(n.startswith("em stopped") for n in free.notes)
 
     def test_committed_panel_stops_before_the_cap(self):
-        # EM only has to reach a basin for BFGS, so at the committed em_tol
+        # EM only has to reach a basin for the polish, so at the committed em_tol
         # the cap note is rare: in replications 0-3 of this panel no start
         # hits it (at em_tol 1e-6, 16 of their 32 starts did)
         cfg = load_experiment_config(CONFIG_DIR / "hmm_rho0_omega0_T800.json")
@@ -341,41 +342,42 @@ class TestQmlEstimate:
         with pytest.raises(ValidationError):
             qml_estimate(sample, spec, seed=0)
 
-    def test_one_kernel_call_per_bfgs_evaluation(self, monkeypatch, msar_sample,
-                                                 fast_cfg):
-        # value and gradient of a BFGS step come from one density matrix
+    def test_one_stacked_kernel_call_per_newton_round(self, monkeypatch,
+                                                     msar_sample, fast_cfg):
+        # value, score and Hessian of every running start's next point come
+        # from one stacked density matrix per round of the polish (EM calls
+        # the kernel through estimator's own binding, so it is not counted)
         from mixregime import estimator, mixture
 
-        calls = []
+        stacked = []
         kernel = mixture.mixture_kernel
 
         def counted(*args):
-            calls.append(1)
+            stacked.append(len(args[0]))
             return kernel(*args)
 
         monkeypatch.setattr(mixture, "mixture_kernel", counted)
-        monkeypatch.setattr(estimator, "mixture_kernel", counted)
-        results = []
-        minimize = estimator.minimize
+        polish, polished = estimator._newton_polish, []
 
-        def recorded(*args, **kwargs):
-            before = len(calls)
-            res = minimize(*args, **kwargs)
-            results.append((res, len(calls) - before, len(calls)))
-            return res
+        def recorded(*args):
+            polished.extend(polish(*args))
+            return polished
 
-        monkeypatch.setattr(estimator, "minimize", recorded)
+        monkeypatch.setattr(estimator, "_newton_polish", recorded)
         qml_estimate(msar_sample, ModelSpec(d=2, form="msar"), fast_cfg, seed=7)
-        assert len(results) > 1  # one BFGS run per usable start
-        for res, during, _ in results:
-            assert res.nfev > 1
-            assert during == res.nfev
-        assert len(calls) == results[-1][2]  # the optimum is read from the result
+        assert len(polished) > 1  # one polish per usable start
+        assert stacked[0] == len(polished)  # every start's EM end point
+        assert stacked == sorted(stacked, reverse=True)
+        # each start is evaluated once per round until it stops, and the
+        # optimum is read from the polish, not evaluated again
+        assert len(stacked) == max(p.n_eval for p in polished)
+        assert sum(stacked) == sum(p.n_eval for p in polished)
+        assert all(p.n_eval > p.n_iter > 0 for p in polished)
 
     def test_records_are_built_only_at_the_api_edge(self, built_records,
                                                     msar_sample, msar_spec,
                                                     fast_cfg):
-        # EM starts and BFGS evaluations work on the four arrays; the winning
+        # EM starts and Newton rounds work on the four arrays; the winning
         # point is decoded once and sorted by mu once
         res = qml_estimate(msar_sample, msar_spec, fast_cfg, seed=7)
         assert res.n_iterations["qn"] > 0
@@ -391,24 +393,22 @@ class TestQmlEstimate:
             init = _random_init(y, x, msar_spec, rng)
             run = _em_runs(y, x, msar_spec, [init], fast_cfg)[0]
             if not run.degenerate:
-                bfgs = minimize(neg_loglik_and_score,
-                                encode_arrays(*run.point, msar_spec),
-                                args=([msar_sample], msar_spec), jac=True,
-                                method="BFGS",
-                                options={"maxiter": fast_cfg.qn_max_iter,
-                                         "gtol": fast_cfg.qn_grad_tol})
-                polished[start] = -bfgs.fun
+                alone = _newton_polish(
+                    y, x, msar_spec, encode_arrays(*run.point, msar_spec)[None],
+                    fast_cfg)[0]
+                polished[start] = -alone.value
         assert len(polished) > 1
         assert res.loglik == max(polished.values())
         assert res.start_index == max(polished, key=polished.get)
 
     def test_collapsed_start_is_dropped(self, monkeypatch, hmm_sample,
                                         hmm_spec, fast_cfg):
-        # start 0 begins with component 1 far from the data; BFGS polishes
-        # only the other starts, and one of them carries the estimate
+        # start 0 begins with component 1 far from the data; the Newton
+        # polish takes only the other starts, and one of them carries the
+        # estimate
         from mixregime import estimator
 
-        random_init, minimize = estimator._random_init, estimator.minimize
+        random_init, polish = estimator._random_init, estimator._newton_polish
         inits, polished = [], []
 
         def far_start_zero(*args):
@@ -420,15 +420,15 @@ class TestQmlEstimate:
             inits.append(init)
             return init
 
-        def recorded(*args, **kwargs):
-            polished.append(1)
-            return minimize(*args, **kwargs)
+        def recorded(*args):
+            polished.append(len(args[3]))
+            return polish(*args)
 
         monkeypatch.setattr(estimator, "_random_init", far_start_zero)
-        monkeypatch.setattr(estimator, "minimize", recorded)
+        monkeypatch.setattr(estimator, "_newton_polish", recorded)
         res = qml_estimate(hmm_sample, hmm_spec, fast_cfg, seed=7)
         assert "start 0: component(s) [1] collapsed; fit abandoned" in res.notes
-        assert len(polished) == fast_cfg.n_starts - 1
+        assert polished == [fast_cfg.n_starts - 1]
         assert res.start_index != 0
         assert (np.isfinite(res.loglik)
                 and np.isfinite(res.theta_hat.outcome_matrix[:, 0]).all())
@@ -442,7 +442,7 @@ class TestQmlEstimate:
         cfg = EstimatorConfig(n_starts=2, qn_max_iter=1)
         res = qml_estimate(msar_sample, ModelSpec(d=2, form="msar"), cfg, seed=7)
         assert not res.converged
-        assert any(note.startswith("bfgs: ") for note in res.notes), res.notes
+        assert "newton: stopped at qn_max_iter = 1" in res.notes, res.notes
 
     def test_floor_hit_by_bfgs_is_noted(self, floor_fit, msar_sample, fast_cfg):
         _, _, res = floor_fit
@@ -466,6 +466,93 @@ class TestQmlEstimate:
             qml_estimate(sample, ModelSpec(d=2))
 
 
+class TestNewtonPolish:
+    @staticmethod
+    def em_end_points(sample, spec, cfg, seed=7):
+        """FreeVectors where EM stops from qml_estimate's starts at `seed`,
+        the degenerate ones left out, and the regression frame."""
+        y, x = spec.regression_frame(sample)
+        inits = [_random_init(y, x, spec, stream_rng(seed, k))
+                 for k in range(cfg.n_starts)]
+        return y, x, np.array([encode_arrays(*run.point, spec)
+                               for run in _em_runs(y, x, spec, inits, cfg)
+                               if not run.degenerate])
+
+    @staticmethod
+    def assert_polished_as_alone(y, x, spec, starts, cfg) -> list:
+        """Polish `starts` together, check each against its polish alone to
+        the bit, and return the joint polish."""
+        batch = _newton_polish(y, x, spec, starts, cfg)
+        for start, together in zip(starts, batch):
+            alone = _newton_polish(y, x, spec, start[None], cfg)[0]
+            for field in ("free", "grad"):
+                assert np.array_equal(getattr(together, field),
+                                      getattr(alone, field))
+            assert ((together.value, together.n_iter, together.n_eval,
+                     together.message)
+                    == (alone.value, alone.n_iter, alone.n_eval, alone.message))
+        return batch
+
+    def test_a_start_does_not_depend_on_the_others(self, msar_sample,
+                                                   msar_spec, fast_cfg,
+                                                   floor_fit):
+        # beside it in the lock step: starts that need more and fewer
+        # rounds, and one that stops at once on the sigma floor
+        y, x, ends = self.em_end_points(msar_sample, msar_spec, fast_cfg)
+        on_floor = ends[0].copy()
+        on_floor[msar_spec.blocks.log_sigma.start] = np.log(SIGMA_MIN)
+        batch = self.assert_polished_as_alone(
+            y, x, msar_spec, np.vstack([ends, on_floor]), fast_cfg)
+        assert len({p.n_eval for p in batch[:-1]}) > 1
+        assert (batch[-1].n_iter, batch[-1].message) == (
+            0, "stopped at the sigma floor")
+        # and beside starts collapsing onto one observation, whose curvature
+        # grows like 1 / sigma^2: an eigenvalue floor taken over all starts
+        # instead of each start's own would move every start here
+        cfg, sample, _ = floor_fit
+        y, x, ends = self.em_end_points(sample, cfg.spec, cfg.estimator,
+                                        seed=seed_key(cfg.master_seed)
+                                        + (2, 1))
+        self.assert_polished_as_alone(y, x, cfg.spec, ends, cfg.estimator)
+
+    def test_expanding_step_does_not_crawl_to_the_floor(self):
+        # committed msar_rho0_T200 rep 12: two starts head for a small
+        # component; the line search's doubling lets them converge in under
+        # 20 steps, where halving alone crawled about 50 steps to the floor
+        cfg = load_experiment_config(CONFIG_DIR / "msar_rho0_T200.json")
+        base = seed_key(cfg.master_seed) + (12,)
+        sample = simulate_msar(cfg.dgp, T=cfg.T, burn_in=cfg.burn_in,
+                               seed=base + (0,))
+        y, x, ends = self.em_end_points(sample, cfg.spec, cfg.estimator,
+                                        seed=base + (1,))
+        for p in _newton_polish(y, x, cfg.spec, ends, cfg.estimator):
+            assert p.message == "" and p.n_iter < 20
+
+    def test_converges_in_a_few_steps(self, hmm_sample, hmm_spec, fast_cfg):
+        y, x, ends = self.em_end_points(hmm_sample, hmm_spec, fast_cfg)
+        for p in _newton_polish(y, x, hmm_spec, ends, fast_cfg):
+            assert p.message == ""
+            assert np.abs(p.grad).max() <= fast_cfg.qn_grad_tol
+            assert p.n_iter <= 10
+
+    def test_collapsing_starts_reach_the_sigma_floor(self, floor_fit):
+        # the committed replication whose winner collapses onto one
+        # observation: every start converges or stops on the floor itself,
+        # none crawls toward it until qn_max_iter
+        cfg, sample, res = floor_fit
+        y, x, ends = self.em_end_points(sample, cfg.spec, cfg.estimator,
+                                        seed=seed_key(cfg.master_seed)
+                                        + (2, 1))
+        polished = _newton_polish(y, x, cfg.spec, ends, cfg.estimator)
+        at_floor = [p for p in polished if p.message]
+        assert at_floor and all(p.message == "stopped at the sigma floor"
+                                for p in at_floor)
+        for p in at_floor:
+            assert p.free[cfg.spec.blocks.log_sigma].min() == np.log(SIGMA_MIN)
+        assert "newton: stopped at the sigma floor" in res.notes
+        assert res.n_iterations["qn"] < cfg.estimator.qn_max_iter
+
+
 class TestEstimatorConfig:
     def test_validation(self):
         with pytest.raises(ValidationError):
@@ -476,7 +563,7 @@ class TestEstimatorConfig:
             EstimatorConfig(em_max_iter=0).validate()
         with pytest.raises(ValidationError, match="qn_max_iter must be >= 0"):
             EstimatorConfig(qn_max_iter=-1).validate()
-        EstimatorConfig(qn_max_iter=0).validate()  # EM only, no BFGS iteration
+        EstimatorConfig(qn_max_iter=0).validate()  # EM only, no Newton step
 
     @pytest.mark.parametrize("name", ["em_tol", "qn_grad_tol"])
     def test_tolerances_must_be_finite(self, name):

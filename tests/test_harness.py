@@ -179,6 +179,45 @@ def test_gen_configs_reproduces_committed_files(tmp_path, monkeypatch):
         assert new.read_bytes() == committed.read_bytes(), committed.name
 
 
+def test_changed_winners_records_and_tabulates(tmp_path, monkeypatch, capsys):
+    # `run` records a two-replication panel through run_replication; `diff`
+    # lists a moved loglik and a changed flag, and nothing else
+    script = CONFIG_FILES[0].parent.parent / "scripts" / "changed_winners.py"
+    loader = importlib.util.spec_from_file_location("changed_winners", script)
+    winners = importlib.util.module_from_spec(loader)
+    loader.loader.exec_module(winners)
+    cfg = small_cfg(n_reps=2, label="two")
+    (tmp_path / "configs").mkdir()
+    (tmp_path / "configs" / "two.json").write_text(json.dumps(cfg.to_json()))
+    (tmp_path / "configs" / "dgp_skipped.json").write_text("{}")
+    monkeypatch.setattr(winners, "CONFIG_DIR", tmp_path / "configs")
+    before = tmp_path / "before.json"
+    winners.main(["run", str(before)])
+    record = json.loads(before.read_text())
+    assert list(record) == ["two"] and list(record["two"]) == ["0", "1"]
+    for rep, fields in record["two"].items():
+        rec = run_replication(cfg, int(rep))
+        assert fields == {"loglik": rec.loglik, "ok": rec.ok,
+                          "converged": rec.converged,
+                          "degenerate": rec.degenerate, "error": rec.error,
+                          "estimates": rec.estimates.tolist()}
+
+    moved = json.loads(before.read_text())
+    moved["two"]["0"]["loglik"] += 1e-9 / 2  # within the tolerance
+    moved["two"]["1"]["loglik"] -= 2e-9
+    moved["two"]["0"]["converged"] = not record["two"]["0"]["converged"]
+    after = tmp_path / "after.json"
+    after.write_text(json.dumps(moved))
+    winners.main(["diff", str(before), str(after)])
+    lines = capsys.readouterr().out.splitlines()
+    was, now = (int(r["two"]["0"]["converged"]) for r in (record, moved))
+    assert lines[2].startswith("| `two` | 0 |") and lines[2].endswith(
+        f"| +5.00e-10 | converged {was}→{now} |")
+    assert lines[3].startswith("| `two` | 1 |") and "| -2.00e-09 | — |" in lines[3]
+    assert lines[-1] == ("2 changed: 0 rose and 1 fell by more than 1e-09 in "
+                         "loglik.")
+
+
 def test_unknown_experiment_key_rejected():
     obj = json.loads((CONFIG_FILES[0].parent / "msar_rho0_T1600.json").read_text())
     obj["n_rep"] = 5
@@ -473,9 +512,9 @@ def rows_without_elapsed(path) -> list:
 
 @pytest.mark.parametrize("name, n_rows, digest", [
     ("msar_rho0_T1600", 2,
-     "163310e8ef26b5d907972b8787f5c793f9819f9d65f7450ccd9efc0fe960a04c"),
+     "72921f154dce0fbd532be0d9c748fdc8e8ff182901ccfae6fec61cc4aa7844a6"),
     ("hmm_rho0_omega0_T800", 4,
-     "c17d099a0e56dcacabab30a140b13406ddf6a93c3fbfb86b8b8142974774b612"),
+     "3a42590f8bed1d0a1e69efb210189439341627e9937f062ba1c39178dcfd0106"),
 ], ids=["msar_rho0_T1600", "hmm_rho0_omega0_T800"])
 def test_replication_rows_are_bit_identical(tmp_path, name, n_rows, digest):
     # A faster path must leave every replications.csv cell but elapsed_s

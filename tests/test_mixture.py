@@ -13,7 +13,7 @@ from mixregime import (ConfigurationError, MixtureParams, ModelSpec,
                        decode_jacobian, encode, hessian, hmm_benchmark,
                        msar_benchmark, natural_vector, score_contributions,
                        simulate_hmm, simulate_msar)
-from mixregime.mixture import (decode_arrays, loglik_and_score_contributions,
+from mixregime.mixture import (decode_arrays, loglik_score_hessian,
                                loglik_terms, mixture_kernel,
                                neg_loglik_and_score)
 
@@ -94,7 +94,7 @@ class TestModelSpec:
         assert str(info.value) == message
 
     def test_blocks_are_built_once_per_layout(self):
-        # decode reads the layout on every BFGS evaluation
+        # decode reads the layout on every evaluation
         assert ModelSpec(d=2, form="msar").blocks is ModelSpec(d=2, form="msar").blocks
         assert ModelSpec(d=2).blocks == (slice(0, 2), slice(2, 4), slice(4, 6),
                                          slice(6, None))
@@ -308,26 +308,32 @@ class TestResponsibilities:
 
 class TestKernel:
     def test_one_call_gives_loglik_terms_and_score_rows(self):
+        # the fused pass's one kernel call sums the row forms
         rng = np.random.default_rng(21)
         for form in ("hmm", "msar"):
             spec = ModelSpec(d=3, form=form)
             sample = random_sample(rng, 30)
             params = random_params(rng, 3, form)
             free = encode(params, spec)
-            terms, contrib = loglik_and_score_contributions(free, sample, spec)
-            np.testing.assert_array_equal(
-                terms, loglik_terms(decode(free, spec), sample, spec))
-            np.testing.assert_array_equal(
-                contrib, score_contributions(free, sample, spec))
+            terms = loglik_terms(decode(free, spec), sample, spec)
+            contrib = score_contributions(free, sample, spec)
+            y, x = spec.regression_frame(sample)
+            assert (contrib.shape == (len(y), spec.q)
+                    and contrib.flags.c_contiguous)
+            loglik, score, _ = loglik_score_hessian(decode_arrays(free, spec),
+                                                    y, x, spec)
+            assert loglik == terms.sum()
+            np.testing.assert_allclose(score, contrib.sum(axis=0),
+                                       rtol=1e-12, atol=1e-15)
 
-    @pytest.mark.parametrize("fn", [loglik_and_score_contributions, hessian],
+    @pytest.mark.parametrize("fn", [score_contributions, hessian],
                              ids=lambda fn: fn.__name__)
     @pytest.mark.parametrize("coord, value, message", [
         (-1, -800.0, "weights must be strictly positive"),
         (0, np.nan, r"components\[0\]: RegimeOutcome fields must be finite"),
     ], ids=["underflowed-weight", "nan-mu"])
     def test_bad_decoded_point_rejected(self, fn, coord, value, message):
-        # a BFGS step this far out must fail as loglik_terms does
+        # an optimizer step this far out must fail as loglik_terms does
         rng = np.random.default_rng(23)
         spec = ModelSpec(d=2)
         free = encode(random_params(rng, 2), spec)
@@ -499,6 +505,42 @@ class TestObjective:
                                                 spec)
         assert len(calls) == len(paths)
         assert np.isfinite(neg_ll) and neg_grad.shape == (spec.q,)
+
+
+class TestFusedPass:
+    @pytest.mark.parametrize("form", ["hmm", "msar"])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_matches_objective_and_score_differences(self, d, form):
+        # d = 1 has an empty logit block and d = 3 takes the kernel's sort;
+        # three stacked points, each slice with the bits of its own call
+        rng = np.random.default_rng(37)
+        spec = ModelSpec(d=d, form=form)
+        sample = random_sample(rng, 60)
+        y, x = spec.regression_frame(sample)
+        free = rng.normal(size=(3, spec.q)) * 0.7
+        stacked = loglik_score_hessian(decode_arrays(free, spec), y, x, spec)
+        assert [a.shape for a in stacked] == [(3,), (3, spec.q),
+                                              (3, spec.q, spec.q)]
+        for s, point in enumerate(free):
+            single = loglik_score_hessian(decode_arrays(point, spec), y, x,
+                                          spec)
+            for many, one in zip(stacked, single):
+                assert np.array_equal(many[s], one)
+            loglik, score, hess = (a / len(y) for a in single)
+            neg_ll, neg_grad = neg_loglik_and_score(point, [sample], spec)
+            assert -loglik == neg_ll
+            np.testing.assert_allclose(score, -neg_grad, rtol=1e-12,
+                                       atol=1e-15)
+            h_fd = np.empty((spec.q, spec.q))
+            for i in range(spec.q):
+                bump = np.zeros(spec.q)
+                bump[i] = 1e-5
+                h_fd[:, i] = (
+                    neg_loglik_and_score(point - bump, [sample], spec)[1]
+                    - neg_loglik_and_score(point + bump, [sample], spec)[1]
+                ) / 2e-5
+            assert (np.abs(hess - h_fd)
+                    <= 1e-6 * np.maximum(np.abs(h_fd), 1.0)).all()
 
 
 def test_public_names_resolve_once():
