@@ -10,9 +10,11 @@ likelihoods, keeps a slow EM start in a higher basin from losing to a fast
 one in a lower basin; the polish also sharpens the first-order condition
 that the sandwich covariance relies on.  Both stages run their starts in
 lock step, one stacked pass per iteration over the starts still running
-(one kernel call and one M-step for EM, one mixture.loglik_score_hessian
-call for Newton); each start keeps its own stop rules, and its run is bit
-for bit what it would be alone.
+(one kernel call and one M-step for EM, one
+mixture.neg_loglik_score_hessian call for Newton); each start keeps its own
+stop rules, and its run is bit for bit what it would be alone.  The same
+Newton polish finds the QML limit in oracle.pseudo_true_msar, on frames of
+up to 10^6 rows each.
 """
 
 from __future__ import annotations
@@ -28,8 +30,8 @@ from .dgp import Sample, stream_rng
 from .errors import (EstimationError, JsonRecord, ValidationError,
                      count_faults)
 from .mixture import (LOG_SIGMA_MIN, SIGMA_MIN, MixtureParams, ModelSpec,
-                      decode, decode_arrays, encode_arrays,
-                      loglik_score_hessian, mixture_kernel)
+                      decode, encode_arrays, mixture_kernel,
+                      neg_loglik_score_hessian)
 
 _COLLAPSE_FRACTION = 1e-8  # of effective sample size, per component
 # Normal equations count as singular below this fraction of their diagonal
@@ -251,10 +253,11 @@ class _Polish:
     message: str  # why it stopped before qn_grad_tol; "" when it converged
 
 
-def _newton_polish(y: np.ndarray, x: np.ndarray, spec: ModelSpec,
-                   starts: np.ndarray, cfg: EstimatorConfig) -> list:
-    """Damped Newton on minus the average loglik from each FreeVector row of
-    `starts`, (S, q); one _Polish per start.
+def _newton_polish(frames: list, spec: ModelSpec, starts: np.ndarray,
+                   cfg: EstimatorConfig) -> list:
+    """Damped Newton on minus the average loglik, pooled over the rows of
+    the (y, x) `frames`, from each FreeVector row of `starts`, (S, q); one
+    _Polish per start.
 
     Each step takes the Newton direction on the Hessian with its
     eigenvalues replaced by their absolute values, floored at _EIG_FLOOR
@@ -269,29 +272,19 @@ def _newton_polish(y: np.ndarray, x: np.ndarray, spec: ModelSpec,
     _CURVATURE times its starting value.  A log sigma below the floor is
     projected onto it, and a start whose sigma reaches the floor stops
     there.  The starts run in lock step: each round is one
-    loglik_score_hessian call on every running start's trial point, and
+    neg_loglik_score_hessian call on every running start's trial point, and
     each start keeps its own step and stop rules, with the bits it would
     have alone.
     """
-    n_rows = len(y)
     log_sigma = spec.blocks.log_sigma
-
-    def evaluate(free):
-        """Value, gradient, Hessian and usability at the stacked points."""
-        point = decode_arrays(free, spec)
-        with np.errstate(all="ignore"):
-            ll, score, hess = loglik_score_hessian(point, y, x, spec)
-        usable = (np.isfinite(ll) & np.isfinite(score).all(axis=-1)
-                  & np.isfinite(hess).all(axis=(-2, -1))
-                  & (point[3] > 0).all(axis=-1))
-        return -ll / n_rows, -score / n_rows, -hess / n_rows, usable
 
     def on_floor(free):
         return (free[..., log_sigma] <= LOG_SIGMA_MIN).any()
 
     free = np.array(starts, dtype=float)
     n = len(free)
-    value, grad, hess, _ = evaluate(free)  # EM end points are valid
+    # the callers start from valid points, so their usability goes unchecked
+    value, grad, hess, _ = neg_loglik_score_hessian(free, frames, spec)
     direction, slope, step = np.zeros_like(free), np.zeros(n), np.ones(n)
     n_iter, n_eval, message = [0] * n, [1] * n, [""] * n
     halved, held = [False] * n, [None] * n
@@ -325,7 +318,8 @@ def _newton_polish(y: np.ndarray, x: np.ndarray, spec: ModelSpec,
         # one trial point per running start, all evaluated in one pass
         trial = free[running] + step[running, None] * direction[running]
         trial[:, log_sigma] = np.maximum(trial[:, log_sigma], LOG_SIGMA_MIN)
-        t_value, t_grad, t_hess, usable = evaluate(trial)
+        t_value, t_grad, t_hess, usable = neg_loglik_score_hessian(
+            trial, frames, spec)
         fresh, still = [], []
         for k, s in enumerate(running):
             n_eval[s] += 1
@@ -403,8 +397,8 @@ def qml_estimate(sample: Sample, spec: ModelSpec,
     if not usable:
         raise EstimationError("all EM starts degenerate: " + "; ".join(notes))
     polished = _newton_polish(
-        y, x, spec, np.array([encode_arrays(*runs[i].point, spec)
-                              for i in usable]), cfg)
+        [(y, x)], spec, np.array([encode_arrays(*runs[i].point, spec)
+                                  for i in usable]), cfg)
     # the first of exact ties
     best = min(range(len(usable)), key=lambda k: polished[k].value)
     res, best_index = polished[best], usable[best]

@@ -14,19 +14,21 @@ the four arrays (mu, gamma, sigma, weights), which decode_arrays and
 encode_arrays map to each other and point_violations checks.  MixtureParams,
 a record of RegimeOutcome components, is the form at the API edge only.
 mixture_kernel is the one place that forms the weighted log-density
-matrix; the likelihood, the score and the oracle's BFGS objective each call
-it once per point, and the estimator's EM and Newton polish once per
-iteration for all their starts, stacked (S, d).  It works component-major,
-one contiguous length-T row per component, and returns the
-responsibilities per row, (T, d), and the standardized residuals as it
-computes them, (d, T).  For d = 2 its log-sum-exp over components takes max
-and min instead of a sort.
-loglik_score_hessian is the Newton polish's pass: from one kernel call it
-sums the loglik, the score and the closed-form Hessian (Louis's identity,
-from responsibility-weighted moments and the score rows' Gram matrix) for
-one point or S stacked ones.  hessian is its one-point case, one call per
-fixed block of rows.  neg_loglik_and_score is the BFGS objective, pooled
-over samples, that the QML-limit oracle minimizes; it sums the score from
+matrix; the likelihood and the score call it once per point, and the
+estimator's EM once per iteration for all its starts, stacked (S, d).  It
+works component-major, one contiguous length-T row per component, and
+returns the responsibilities per row, (T, d), and the standardized
+residuals as it computes them, (d, T).  For d = 2 its log-sum-exp over
+components takes max and min instead of a sort.
+loglik_score_hessian sums the loglik, the score and the closed-form Hessian
+(Louis's identity, from responsibility-weighted moments and the score rows'
+Gram matrix) over rows from one kernel call, for one point or S stacked
+ones.  neg_loglik_score_hessian is the Newton polish's evaluation, which the
+estimator and the QML-limit oracle share: minus the average of the three,
+pooled over frames of any length by summing loglik_score_hessian over fixed
+blocks of rows, so that memory stays flat in T.  hessian is its one-point
+case.  neg_loglik_and_score is the reference objective that the tests
+compare the pass and its finite differences against; it sums the score from
 the kernel's outputs with no row matrix.  score_contributions is the
 per-row form, (T, q), which only the sandwich's long-run variance needs.
 """
@@ -52,8 +54,9 @@ LOG_SIGMA_MIN = math.log(SIGMA_MIN)
 _LOG_SIGMA_MAX = math.log(SIGMA_MAX)
 
 _FORMS = ("hmm", "msar")
-# rows per kernel call in hessian: bounds the temporaries of each call
-_HESSIAN_BLOCK_ROWS = 1 << 16
+# rows per loglik_score_hessian call in neg_loglik_score_hessian: bounds the
+# temporaries of each call
+_BLOCK_ROWS = 1 << 16
 
 
 class FreeBlocks(NamedTuple):
@@ -184,7 +187,7 @@ def true_reference(dgp: HmmDgpParams) -> MixtureParams:
     """The DGP's true outcome coefficients as a mixture point, with the
     switching AR's phi as every component's slope and uniform weights (the
     DGP has no true weights: fitted ones estimate a design-dependent limit).
-    It is the alignment reference and the oracle's BFGS start."""
+    It is the alignment reference and the oracle's Newton start."""
     phi = dgp.ar_coefficient
     outcomes = np.array([(c.mu, c.gamma if phi is None else phi, c.sigma)
                          for c in dgp.outcomes])
@@ -351,7 +354,8 @@ def neg_loglik_and_score(free: np.ndarray, samples: Sequence[Sample],
     """Minus the average quasi-log-likelihood and minus its score at
     decode(free), pooled over the usable rows of every sample.
 
-    The objective the oracle's BFGS minimizes; one kernel call per sample.
+    The reference objective: tests check neg_loglik_score_hessian and its
+    Hessian's finite differences against it.  One kernel call per sample.
     The point is decoded and checked once, and the score's column sums are
     formed from the kernel's outputs directly, with no (T, q) row matrix:
     with rr[s, t] = resp[t, s] r[s, t], the mu block is rr's row sums over
@@ -462,16 +466,42 @@ def loglik_score_hessian(point: tuple, y: np.ndarray, x: np.ndarray,
     return lse.sum(axis=-1), rows.sum(axis=-1), hess
 
 
+def neg_loglik_score_hessian(free: np.ndarray, frames: Sequence[tuple],
+                             spec: ModelSpec) -> tuple:
+    """Minus the average quasi-log-likelihood, its gradient and its Hessian
+    in the FreeVector at decode(free), pooled over the rows of every (y, x)
+    frame, and whether the point is usable.
+
+    `free` is (q,) or stacked (S, q), and the four results are then a
+    scalar, (q,), (q, q) and a bool, or (S,), (S, q), (S, q, q) and (S,).
+    Each frame is summed by loglik_score_hessian over blocks of _BLOCK_ROWS
+    rows, so that only one block's temporaries are alive at a time; a frame
+    of at most _BLOCK_ROWS rows is one call, with that call's bits.  A point
+    is usable when all three are finite and no weight underflows to 0; the
+    floating-point faults of an unusable point are not reported.
+    """
+    point = decode_arrays(free, spec)
+    sums, n_rows = (0.0, 0.0, 0.0), 0
+    with np.errstate(all="ignore"):
+        for y, x in frames:
+            for lo in range(0, len(y), _BLOCK_ROWS):
+                block = slice(lo, lo + _BLOCK_ROWS)
+                sums = [total + part for total, part in zip(
+                    sums, loglik_score_hessian(point, y[block], x[block],
+                                               spec))]
+            n_rows += len(y)
+    value, grad, hess = (-total / n_rows for total in sums)
+    usable = (np.isfinite(value) & np.isfinite(grad).all(axis=-1)
+              & np.isfinite(hess).all(axis=(-2, -1))
+              & (point[3] > 0).all(axis=-1))
+    return value, grad, hess, usable
+
+
 def hessian(free: np.ndarray, sample: Sample, spec: ModelSpec) -> np.ndarray:
-    """Hessian of the average quasi-log-likelihood at decode(free): the
-    one-point case of loglik_score_hessian, summed over blocks of
-    _HESSIAN_BLOCK_ROWS rows so that memory stays flat in T, then
-    symmetrized."""
-    point = checked_point(*decode_arrays(free, spec), spec)
-    y, x = spec.regression_frame(sample)
-    block = _HESSIAN_BLOCK_ROWS
-    total = sum(loglik_score_hessian(point, y[lo:lo + block],
-                                     x[lo:lo + block], spec)[2]
-                for lo in range(0, len(y), block))
-    h_mat = total / len(y)
+    """Hessian of the average quasi-log-likelihood at decode(free), a point
+    checked_point accepts: the one-point case of neg_loglik_score_hessian,
+    negated and symmetrized."""
+    checked_point(*decode_arrays(free, spec), spec)
+    h_mat = -neg_loglik_score_hessian(free, [spec.regression_frame(sample)],
+                                      spec)[2]
     return 0.5 * (h_mat + h_mat.T)

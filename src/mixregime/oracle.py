@@ -7,11 +7,12 @@ converge to:
   the one-step regime transition probabilities, computed ergodically from a
   long simulated (Z, S) path with batch-mean error bars.
 * pseudo_true_msar: for every design, the maximizer of the fitted
-  mixture's quasi-likelihood on a large simulated sample, with its sandwich
-  standard error as Monte Carlo error.  The paper's claim is that in a
-  regime regression with an exogenous outcome covariate this limit keeps
-  the true outcome coefficients; in the switching autoregression, where
-  y_{t-1} carries information about the persistent regime, it does not.
+  mixture's quasi-likelihood on a large simulated sample, found by the
+  estimator's Newton polish, with its sandwich standard error as Monte
+  Carlo error.  The paper's claim is that in a regime regression with an
+  exogenous outcome covariate this limit keeps the true outcome
+  coefficients; in the switching autoregression, where y_{t-1} carries
+  information about the persistent regime, it does not.
 * kl_check: the candidate parameter should beat nearby perturbations in
   expected log density under the true process; estimated with common
   random numbers so differences are sharp even when levels are noisy.
@@ -29,17 +30,16 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.optimize import minimize
 from scipy.special import gammaln, kve
 
 from .dgp import (DEFAULT_BURN_IN, HmmDgpParams, Sample, seed_key,
                   simulate_hmm, simulate_msar, transition_rows)
 from .errors import (ConfigurationError, JsonRecord, QuadratureError,
                      ValidationError, count_faults, type_faults)
-from .estimator import EstimatorConfig, align_permutation
+from .estimator import EstimatorConfig, _newton_polish, align_permutation
 from .inference import sandwich_cov
 from .mixture import (MixtureParams, ModelSpec, decode, encode, loglik_terms,
-                      natural_vector, neg_loglik_and_score, true_reference)
+                      natural_vector, true_reference)
 
 N_BATCHES = 50
 
@@ -105,7 +105,7 @@ def pseudo_true_weights(dgp: HmmDgpParams, n_sim: int,
 
 
 MAX_PATH_LEN = 1_000_000  # longest path simulated at once; bounds memory
-_PREFIX_SHARE = 10  # the first BFGS stage uses n_sim // 10
+_PREFIX_SHARE = 10  # the first Newton stage uses n_sim // 10
 
 
 @dataclass
@@ -142,13 +142,14 @@ def pseudo_true_msar(dgp: HmmDgpParams, n_sim: int,
     one long path while keeping memory bounded; a switching-AR path
     conditions on its first value.
 
-    BFGS starts from true_reference(dgp) on the first n_sim // 10
-    observations of path 0, then continues on all paths from that optimum,
-    started from the first stage's inverse Hessian (scipy's hess_inv0) so
-    that only a few full passes are needed.  Both stages minimize
-    mixture.neg_loglik_and_score, the estimator's objective, and stop once
-    the score's max-norm is at most the estimator's default qn_grad_tol;
-    loglik and grad_max are read from the second stage's result.  mc_error
+    The estimator's Newton polish (estimator._newton_polish, with the
+    default EstimatorConfig) starts from true_reference(dgp) on the first
+    n_sim // 10 observations of path 0, then continues on all paths from
+    that optimum, so that only a few full passes are needed.  Both stages
+    evaluate mixture.neg_loglik_score_hessian over blocks of rows and stop
+    once the score's max-norm is at most qn_grad_tol; n_iterations counts
+    each stage's Newton steps, and loglik, grad_max and `converged` are
+    read from the second stage's last evaluation.  mc_error
     is the HAC sandwich standard error at n_sim: A and B are estimated at
     theta_star on path 0 and the result is rescaled by the share of all
     usable rows that path 0 holds.
@@ -170,29 +171,24 @@ def pseudo_true_msar(dgp: HmmDgpParams, n_sim: int,
     prefix = Sample(y=paths[0].y[:n_prefix], w=paths[0].w[:n_prefix])
     truth = true_reference(dgp)
 
-    options = {"maxiter": qn.qn_max_iter, "gtol": qn.qn_grad_tol}
-    res1 = minimize(neg_loglik_and_score, encode(truth, spec),
-                    args=([prefix], spec), jac=True, method="BFGS",
-                    options=options)
-    # scipy rejects an inverse Hessian that is symmetric only to rounding
-    hess_inv0 = 0.5 * (res1.hess_inv + res1.hess_inv.T)
-    res2 = minimize(neg_loglik_and_score, res1.x, args=(paths, spec),
-                    jac=True, method="BFGS",
-                    options={**options, "hess_inv0": hess_inv0})
-    grad_max = float(np.abs(res2.jac).max())
+    frames = [spec.regression_frame(path) for path in paths]
+    first = _newton_polish([spec.regression_frame(prefix)], spec,
+                           encode(truth, spec)[None], qn)[0]
+    full = _newton_polish(frames, spec, first.free[None], qn)[0]
+    grad_max = float(np.abs(full.grad).max())
 
-    theta_star = align_permutation(decode(res2.x, spec), truth)
+    theta_star = align_permutation(decode(full.free, spec), truth)
     _, ses = sandwich_cov(encode(theta_star, spec), paths[0], spec)
-    rows = [len(spec.regression_frame(path)[0]) for path in paths]
+    rows = [len(y) for y, _ in frames]
     ses = ses * math.sqrt(rows[0] / sum(rows))
     names = spec.natural_names()
     return QmlLimitResult(
         theta_star=theta_star,
         estimates=dict(zip(names, natural_vector(theta_star, spec).tolist())),
         mc_error=dict(zip(names, ses.tolist())),
-        loglik=-float(res2.fun), grad_max=grad_max,
+        loglik=-full.value, grad_max=grad_max,
         converged=grad_max <= qn.qn_grad_tol,
-        n_iterations={"prefix": int(res1.nit), "full": int(res2.nit)},
+        n_iterations={"prefix": first.n_iter, "full": full.n_iter},
         n_sim=n_sim, n_paths=n_paths)
 
 

@@ -394,8 +394,8 @@ class TestQmlEstimate:
             run = _em_runs(y, x, msar_spec, [init], fast_cfg)[0]
             if not run.degenerate:
                 alone = _newton_polish(
-                    y, x, msar_spec, encode_arrays(*run.point, msar_spec)[None],
-                    fast_cfg)[0]
+                    [(y, x)], msar_spec,
+                    encode_arrays(*run.point, msar_spec)[None], fast_cfg)[0]
                 polished[start] = -alone.value
         assert len(polished) > 1
         assert res.loglik == max(polished.values())
@@ -421,7 +421,7 @@ class TestQmlEstimate:
             return init
 
         def recorded(*args):
-            polished.append(len(args[3]))
+            polished.append(len(args[2]))
             return polish(*args)
 
         monkeypatch.setattr(estimator, "_random_init", far_start_zero)
@@ -482,9 +482,9 @@ class TestNewtonPolish:
     def assert_polished_as_alone(y, x, spec, starts, cfg) -> list:
         """Polish `starts` together, check each against its polish alone to
         the bit, and return the joint polish."""
-        batch = _newton_polish(y, x, spec, starts, cfg)
+        batch = _newton_polish([(y, x)], spec, starts, cfg)
         for start, together in zip(starts, batch):
-            alone = _newton_polish(y, x, spec, start[None], cfg)[0]
+            alone = _newton_polish([(y, x)], spec, start[None], cfg)[0]
             for field in ("free", "grad"):
                 assert np.array_equal(getattr(together, field),
                                       getattr(alone, field))
@@ -525,12 +525,12 @@ class TestNewtonPolish:
                                seed=base + (0,))
         y, x, ends = self.em_end_points(sample, cfg.spec, cfg.estimator,
                                         seed=base + (1,))
-        for p in _newton_polish(y, x, cfg.spec, ends, cfg.estimator):
+        for p in _newton_polish([(y, x)], cfg.spec, ends, cfg.estimator):
             assert p.message == "" and p.n_iter < 20
 
     def test_converges_in_a_few_steps(self, hmm_sample, hmm_spec, fast_cfg):
         y, x, ends = self.em_end_points(hmm_sample, hmm_spec, fast_cfg)
-        for p in _newton_polish(y, x, hmm_spec, ends, fast_cfg):
+        for p in _newton_polish([(y, x)], hmm_spec, ends, fast_cfg):
             assert p.message == ""
             assert np.abs(p.grad).max() <= fast_cfg.qn_grad_tol
             assert p.n_iter <= 10
@@ -543,7 +543,7 @@ class TestNewtonPolish:
         y, x, ends = self.em_end_points(sample, cfg.spec, cfg.estimator,
                                         seed=seed_key(cfg.master_seed)
                                         + (2, 1))
-        polished = _newton_polish(y, x, cfg.spec, ends, cfg.estimator)
+        polished = _newton_polish([(y, x)], cfg.spec, ends, cfg.estimator)
         at_floor = [p for p in polished if p.message]
         assert at_floor and all(p.message == "stopped at the sigma floor"
                                 for p in at_floor)

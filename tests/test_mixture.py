@@ -13,9 +13,10 @@ from mixregime import (ConfigurationError, MixtureParams, ModelSpec,
                        decode_jacobian, encode, hessian, hmm_benchmark,
                        msar_benchmark, natural_vector, score_contributions,
                        simulate_hmm, simulate_msar)
-from mixregime.mixture import (decode_arrays, loglik_score_hessian,
-                               loglik_terms, mixture_kernel,
-                               neg_loglik_and_score)
+from mixregime.mixture import (_BLOCK_ROWS, decode_arrays,
+                               loglik_score_hessian, loglik_terms,
+                               mixture_kernel, neg_loglik_and_score,
+                               neg_loglik_score_hessian)
 
 LOG_2PI = math.log(2 * math.pi)
 
@@ -541,6 +542,34 @@ class TestFusedPass:
                 ) / 2e-5
             assert (np.abs(hess - h_fd)
                     <= 1e-6 * np.maximum(np.abs(h_fd), 1.0)).all()
+
+
+class TestPooledPass:
+    @staticmethod
+    def peak_bytes(fn, *args):
+        tracemalloc.start()
+        try:
+            fn(*args)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    @pytest.mark.parametrize("form", ["hmm", "msar"])
+    def test_holds_one_row_block_at_a_time(self, form):
+        # a frame of four and a half row blocks: the pass peaks at one
+        # block's fused pass, where summing the frame in one call would take
+        # four and a half times that
+        rng = np.random.default_rng(41)
+        spec = ModelSpec(d=2, form=form)
+        n_rows = 4 * _BLOCK_ROWS + _BLOCK_ROWS // 2
+        y, x = rng.normal(size=n_rows), rng.normal(size=n_rows)
+        free = encode(random_params(rng, 2, form), spec)
+        block = self.peak_bytes(loglik_score_hessian,
+                                decode_arrays(free, spec), y[:_BLOCK_ROWS],
+                                x[:_BLOCK_ROWS], spec)
+        pooled = self.peak_bytes(neg_loglik_score_hessian, free, [(y, x)],
+                                 spec)
+        assert pooled <= 1.5 * block
 
 
 def test_public_names_resolve_once():

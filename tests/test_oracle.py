@@ -3,15 +3,17 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import simpson
+from scipy.optimize import minimize
 
 from mixregime import (ArLaw, ConfigurationError, HmmDgpParams,
                        MixtureParams, ModelSpec, NoiseCorrelation,
                        QuadratureError, RegimeOutcome, TransitionSpec,
                        ValidationError, cf_ratio_check,
-                       encode, hmm_benchmark, kl_check,
-                       linear_independence_check, msar_benchmark,
+                       align_permutation, decode, encode, hmm_benchmark,
+                       kl_check, linear_independence_check, msar_benchmark,
                        natural_vector, perturbation_grid, pseudo_true_msar,
-                       pseudo_true_weights, simulate_msar, true_reference)
+                       pseudo_true_weights, simulate_hmm, simulate_msar,
+                       true_reference)
 from mixregime.mixture import neg_loglik_and_score
 from mixregime.oracle import _student_t_cf
 
@@ -169,7 +171,8 @@ class TestPseudoTrueMsar:
             natural_vector(star, ModelSpec(d=2)))
 
     def test_grad_max_is_the_score_at_theta_star(self, msar_oracle):
-        # read from the BFGS result, not from another pass over the paths
+        # read from the polish's last evaluation, not from another pass over
+        # the paths
         spec = ModelSpec(d=2, form="msar")
         path = simulate_msar(msar_benchmark(), T=msar_oracle.n_sim,
                              seed=(0, 0))
@@ -180,6 +183,29 @@ class TestPseudoTrueMsar:
     def test_small_n_sim_rejected(self):
         with pytest.raises(ValidationError):
             pseudo_true_msar(msar_benchmark(), n_sim=5000)
+
+    @pytest.mark.parametrize("dgp", [msar_benchmark(),
+                                     hmm_benchmark(rho=0.65, omega=0.65)],
+                             ids=["msar", "hmm-rho065-omega065"])
+    def test_newton_stages_find_the_bfgs_limit(self, dgp, msar_oracle):
+        # an independent optimizer: scipy's BFGS from the truth on the whole
+        # path, to a far tighter score tolerance
+        spec = ModelSpec.for_dgp(dgp)
+        limit = (msar_oracle if spec.form == "msar"
+                 else pseudo_true_msar(dgp, n_sim=200_000, seed=0))
+        simulate = simulate_msar if spec.form == "msar" else simulate_hmm
+        path = simulate(dgp, T=limit.n_sim, seed=(0, 0))
+        truth = true_reference(dgp)
+        res = minimize(neg_loglik_and_score, encode(truth, spec),
+                       args=([path], spec), jac=True, method="BFGS",
+                       options={"gtol": 1e-9, "maxiter": 1000})
+        bfgs = natural_vector(align_permutation(decode(res.x, spec), truth),
+                              spec)
+        assert abs(limit.loglik + res.fun) <= 1e-9
+        np.testing.assert_allclose(list(limit.estimates.values()), bfgs,
+                                   rtol=0, atol=1e-4)
+        # the full stage starts at the prefix optimum, so it needs few steps
+        assert limit.n_iterations["full"] <= 5
 
 
 def outcome_z(limit, dgp) -> dict:
